@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dipole import DipoleSpectrum, FluctuationModel
+from .dipole import DipoleSpectrum, FluctuationModel, require_finite
 
 _KAPPA_CONSISTENCY_RTOL = 1e-12
 
@@ -38,6 +38,7 @@ class CavityParams:
     q: int | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if self.omega_q <= 0:
             raise ValueError(f"omega_q must be positive, got {self.omega_q}")
         if (self.g0 is None) != (self.c is None):
@@ -106,8 +107,6 @@ def occupation(params: CavityParams, spectrum: DipoleSpectrum,
     oscillations.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
-        raise ValueError("t must be nonnegative")
     resp = _line_responses(params, spectrum, t_arr)
     if mode == "full":
         coherent = params.g_q ** 2 * np.abs(resp.sum(axis=1)) ** 2

@@ -32,8 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario and write its artifacts")
     run_p.add_argument("--config", required=True, help="scenario YAML file")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--workers", type=int, default=1,
-                       help="worker count for oracle ensembles")
     run_p.add_argument("--seed-override", type=int, default=None,
                        help="replace the configured oracle seed")
 
@@ -53,8 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    manifest = runner.run(args.config, args.out, workers=args.workers,
-                          seed_override=args.seed_override)
+    manifest = runner.run(args.config, args.out, seed_override=args.seed_override)
     print(f"wrote {len(manifest['files'])} artifacts to {args.out}")
     for name, value in sorted(manifest["checks"].items()):
         print(f"  {name} = {value:.3e}")

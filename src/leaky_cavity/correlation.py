@@ -11,19 +11,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavity import CavityParams, mode_amplitude
+from .cavity import CavityParams, dipole_noise_occupation, mode_amplitude
 from .dipole import DipoleSpectrum, FluctuationModel
 
-# "as-written" reproduces the published stationary correlator (incoherent
-# weight 2*C_Delta); "tau-zero-consistent" scales it so the tau = 0 value
-# matches the occupation exactly (weight 1*C_Delta).
-CONVENTIONS = ("as-written", "tau-zero-consistent")
+# Convention tag -> weight of C_Delta in the incoherent term.  "as-written"
+# reproduces the published stationary correlator (incoherent weight
+# 2*C_Delta); "tau-zero-consistent" scales it so the tau = 0 value matches the
+# occupation exactly (weight 1*C_Delta).
+CONVENTIONS = {"as-written": 2.0, "tau-zero-consistent": 1.0}
 
 
-def _noise_factor(convention: str) -> float:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    return 2.0 if convention == "as-written" else 1.0
+def tag_factor(table: dict, tag: str, kind: str) -> float:
+    """Factor that ``table`` assigns to ``tag``; ``kind`` names the tag in the error."""
+    try:
+        return table[tag]
+    except (KeyError, TypeError):
+        raise ValueError(f"{kind} must be one of {tuple(table)}, got {tag!r}") from None
 
 
 @dataclass(frozen=True)
@@ -81,18 +84,16 @@ def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     integral evaluated in closed form per line (all N, M cross terms retained),
     and the incoherent dipole-noise term weighted by the convention factor.
     """
-    s = _noise_factor(convention)
+    s = tag_factor(CONVENTIONS, convention, "convention")
     tau = np.asarray(tau_grid, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be nonnegative; extend via C(-tau) = conj(C(tau))")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     coeff = coefficients(params, spectrum, fluct)
     decay = np.exp(-(1j * params.omega_q + params.kappa) * tau)
 
     amp = mode_amplitude(params, spectrum, t)  # <a_q^dagger(t)>
     coherent_occ = abs(amp) ** 2  # equals the full-mode coherent occupation
-    noise_occ = coeff.c_delta * (1.0 - np.exp(-2.0 * params.kappa * t))
+    noise_occ = dipole_noise_occupation(params, fluct, t)
 
     line_phases = np.exp(-1j * np.outer(tau, spectrum.harmonics()))
     drive = (line_phases - decay[:, None]) @ (
@@ -111,7 +112,7 @@ def stationary_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     limit (the rest dephase); the non-decaying lines carry the elastic
     scattering, the exponentially decaying term the dipole noise.
     """
-    s = _noise_factor(convention)
+    s = tag_factor(CONVENTIONS, convention, "convention")
     tau = np.asarray(tau_grid, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be nonnegative; extend via C(-tau) = conj(C(tau))")

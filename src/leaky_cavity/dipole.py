@@ -7,12 +7,33 @@ zero-mean delta-correlated noise of magnitude delta, discretized as Gaussian
 increments of variance delta/dt.
 """
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 # Relative slack when deciding whether a sampled window spans whole periods.
 _PERIOD_TOL = 1e-9
+
+# Largest step deviation, relative to the first step, that still counts as uniform.
+_UNIFORM_RTOL = 1e-9
+
+
+def require_finite(params) -> None:
+    """Raise ValueError naming the first real-valued field of a dataclass that is NaN or infinite."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+def uniform_steps(times, name: str = "time") -> np.ndarray:
+    """Steps of a uniform grid of at least two points; raises ValueError otherwise."""
+    steps = np.diff(times)
+    if steps.size == 0 or np.max(np.abs(steps - steps[0])) > _UNIFORM_RTOL * steps[0]:
+        raise ValueError(f"{name} grid is not uniform")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -23,6 +44,7 @@ class DriveParams:
     n_max: int = 1
 
     def __post_init__(self):
+        require_finite(self)
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if int(self.n_max) != self.n_max or self.n_max < 1:
@@ -89,6 +111,7 @@ class FluctuationModel:
     delta: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
 
@@ -117,14 +140,6 @@ class TimeSeries:
     def span(self) -> float:
         return float(self.times[-1] - self.times[0])
 
-    def uniform_dt(self, rtol: float = 1e-9) -> float:
-        """Grid spacing, raising if the grid is not uniform."""
-        steps = np.diff(self.times)
-        dt = float(steps.mean())
-        if steps.size and np.max(np.abs(steps - dt)) > rtol * dt:
-            raise ValueError("time grid is not uniform")
-        return dt
-
 
 def fourier_decompose(signal: TimeSeries, drive: DriveParams) -> DipoleSpectrum:
     """Project a real dipole series onto the harmonic comb.
@@ -133,7 +148,7 @@ def fourier_decompose(signal: TimeSeries, drive: DriveParams) -> DipoleSpectrum:
     the sampled window.  The window must span a whole number of drive periods
     and resolve the highest requested harmonic.
     """
-    dt = signal.uniform_dt()
+    uniform_steps(signal.times)
     span = signal.span
     n_periods = span / drive.period
     if abs(n_periods - round(n_periods)) > _PERIOD_TOL * max(1.0, n_periods):
@@ -165,8 +180,7 @@ def synthesize_mean_dipole(spectrum: DipoleSpectrum, times) -> TimeSeries:
     d(t) = sum_{N>=0} 2 Re[d_N exp(-i omega_N t)] - Re[d_0].
     """
     times = np.asarray(times, dtype=float)
-    phases = np.exp(-1j * np.outer(times, spectrum.harmonics()))
-    vals = 2.0 * np.real(phases @ spectrum.coeffs) - np.real(spectrum.coeffs[0])
+    vals = 2.0 * np.real(spectrum.positive_frequency_signal(times)) - np.real(spectrum.coeffs[0])
     return TimeSeries(times=times, values=vals)
 
 
@@ -177,11 +191,11 @@ def sample_fluctuation(model: FluctuationModel, times, seed) -> TimeSeries:
     discretization whose correlation tends to delta * delta(t-t') as dt -> 0.
     Identical seeds give identical series.
     """
-    series = TimeSeries(times=np.asarray(times, dtype=float), values=np.zeros(len(times)))
-    dt = series.uniform_dt()
+    times = np.asarray(times, dtype=float)
+    dt = float(uniform_steps(times).mean())
     rng = np.random.default_rng(seed)
-    vals = rng.normal(0.0, np.sqrt(model.delta / dt), size=len(series))
-    return TimeSeries(times=series.times, values=vals)
+    vals = rng.normal(0.0, np.sqrt(model.delta / dt), size=times.size)
+    return TimeSeries(times=times, values=vals)
 
 
 def clipped_cosine_signal(drive: DriveParams, times, amplitude: float = 1.0,

@@ -6,14 +6,15 @@ unitary model whose continuum limit reproduces the Markovian decay rate.
 None of them reuses the closed-form expressions they are checked against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.signal import lfilter
 
 from .cavity import CavityParams
-from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, sample_fluctuation
+from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, sample_fluctuation, \
+    uniform_steps
 
 # Half weight of the delta function at the boundary of the memory-kernel
 # integral, int_0^t f(t') delta(t-t') dt' = f(t)/2; it is what makes the
@@ -51,6 +52,11 @@ def _check_step(params: CavityParams, h: float):
         )
 
 
+def amplitude_ode_step(params: CavityParams, spectrum: DipoleSpectrum) -> float:
+    """Step 0.005/max(omega_q, top harmonic, kappa) of the amplitude oracle against the closed form."""
+    return 0.005 / max(params.omega_q, spectrum.harmonics()[-1], params.kappa)
+
+
 def integrate_amplitude_ode(params: CavityParams, mean_dipole, t_grid) -> TimeSeries:
     """Integrate d<a_q>/dt = -(i omega_q + kappa) <a_q> + g_q d(t) from vacuum.
 
@@ -60,9 +66,7 @@ def integrate_amplitude_ode(params: CavityParams, mean_dipole, t_grid) -> TimeSe
     grid; the conjugate is what mode_amplitude computes.
     """
     t = np.asarray(t_grid, dtype=float)
-    h = float(t[1] - t[0])
-    if np.max(np.abs(np.diff(t) - h)) > 1e-9 * h:
-        raise ValueError("t grid must be uniform")
+    h = float(uniform_steps(t, "t")[0])
     _check_step(params, h)
     nodes = t[:-1]
     if isinstance(mean_dipole, DipoleSpectrum):
@@ -99,7 +103,7 @@ class TrajectoryEnsemble:
 
 def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
                       tau_grid=None, n_trials: int = 1000, seed: int = 0,
-                      chunk_size: int = 512, n_workers: int = 1) -> TrajectoryEnsemble:
+                      chunk_size: int = 512) -> TrajectoryEnsemble:
     """Estimate <D^dagger D> statistics by averaging noise-driven trajectories.
 
     Each trial draws one white-noise realization (seeded by (seed, trial) so
@@ -110,9 +114,7 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     when a tau grid is given, of conj(d(t_ref)) d(t_ref+tau) at t_ref = t_grid[-1].
     """
     t = np.asarray(t_grid, dtype=float)
-    h = float(t[1] - t[0])
-    if np.max(np.abs(np.diff(t) - h)) > 1e-9 * h:
-        raise ValueError("t grid must be uniform")
+    h = float(uniform_steps(t, "t")[0])
     if t[0] != 0.0:
         raise ValueError("t grid must start at 0 (vacuum initial condition)")
     _check_step(params, h)
@@ -164,14 +166,7 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
                     tt_ss[m] += (np.abs(prod) ** 2).sum()
         return occ_s, occ_ss, tt_s, tt_ss
 
-    starts = list(range(0, n_trials, chunk_size))
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(accumulate, starts))
-    else:
-        partials = [accumulate(lo) for lo in starts]
-    # fixed-order reduction keeps the result independent of worker scheduling
+    partials = [accumulate(lo) for lo in range(0, n_trials, chunk_size)]
     occ_sum = sum(p[0] for p in partials)
     occ_sumsq = sum(p[1] for p in partials)
     tt_sum = sum(p[2] for p in partials)
@@ -226,9 +221,9 @@ class BathDiscretization:
     def for_damping(cls, kappa: float, center: float, n_modes: int,
                     half_width: float) -> "BathDiscretization":
         """Choose the per-mode coupling so kappa_effective equals the target."""
-        spacing = 2.0 * half_width / (n_modes - 1)
-        g0 = np.sqrt(kappa * spacing / (DELTA_ENDPOINT_WEIGHT * 2.0 * np.pi))
-        return cls(n_modes=n_modes, center=center, half_width=half_width, g0=g0)
+        bath = cls(n_modes=n_modes, center=center, half_width=half_width, g0=0.0)
+        g0 = np.sqrt(kappa * bath.spacing / (DELTA_ENDPOINT_WEIGHT * 2.0 * np.pi))
+        return replace(bath, g0=g0)
 
     def frequencies(self) -> np.ndarray:
         return np.linspace(self.center - self.half_width,

@@ -12,14 +12,9 @@ import numpy as np
 import yaml
 
 from .cavity import CavityParams
-from .correlation import CONVENTIONS
+from .correlation import CONVENTIONS, tag_factor
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, fourier_decompose
 from .spectrum import NORMALIZATIONS
-
-KNOWN_OUTPUTS = (
-    "dipole", "occupation", "correlation", "spectrum", "power",
-    "amplitude_oracle", "noise_oracle", "bath_oracle",
-)
 
 
 class ScenarioError(ValueError):
@@ -46,11 +41,11 @@ class ScenarioConfig:
     cavity: CavityParams
     t_grid: np.ndarray = field(repr=False)
     tau_grid: np.ndarray = field(repr=False)
+    outputs: tuple
     omega_grid: np.ndarray | None = field(repr=False, default=None)
     correlation_convention: str = "tau-zero-consistent"
     normalization: str = "as-written"
     oracle: OracleSettings = field(default_factory=OracleSettings)
-    outputs: tuple = KNOWN_OUTPUTS[:5]
 
 
 def _grid(doc, path, errors, required=True):
@@ -71,6 +66,8 @@ def _grid(doc, path, errors, required=True):
 
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file; raises ScenarioError on any violation."""
+    from .runner import ARTIFACTS, BATH_KAPPA_T, DEFAULT_OUTPUTS, oracle_bath  # runner imports us
+
     with open(path) as fh:
         doc = yaml.safe_load(fh)
     if not isinstance(doc, dict):
@@ -142,15 +139,15 @@ def load_scenario(path) -> ScenarioConfig:
 
     conv = doc.get("conventions") or {}
     correlation_convention = conv.get("correlation", "tau-zero-consistent")
-    if correlation_convention not in CONVENTIONS:
-        errors["conventions.correlation"] = (
-            f"must be one of {CONVENTIONS}, got {correlation_convention!r}"
-        )
+    try:
+        tag_factor(CONVENTIONS, correlation_convention, "convention")
+    except ValueError as exc:
+        errors["conventions.correlation"] = str(exc)
     normalization = conv.get("normalization", "as-written")
-    if normalization not in NORMALIZATIONS:
-        errors["conventions.normalization"] = (
-            f"must be one of {NORMALIZATIONS}, got {normalization!r}"
-        )
+    try:
+        tag_factor(NORMALIZATIONS, normalization, "normalization")
+    except ValueError as exc:
+        errors["conventions.normalization"] = str(exc)
 
     osettings = OracleSettings()
     odoc = doc.get("oracle") or {}
@@ -168,23 +165,28 @@ def load_scenario(path) -> ScenarioConfig:
     except (TypeError, ValueError) as exc:
         errors["oracle"] = str(exc)
 
-    outputs = tuple(doc.get("outputs") or KNOWN_OUTPUTS[:5])
+    outputs = tuple(doc.get("outputs") or DEFAULT_OUTPUTS)
+    known = tuple(ARTIFACTS)
     for name in outputs:
-        if name not in KNOWN_OUTPUTS:
-            errors[f"outputs.{name}"] = f"unknown artifact; known: {KNOWN_OUTPUTS}"
+        if name not in known:
+            errors[f"outputs.{name}"] = f"unknown artifact; known: {known}"
 
     if "noise_oracle" in outputs and osettings.seed is None:
         errors["oracle.seed"] = "seed is mandatory when Monte-Carlo output is requested"
 
-    if cavity is not None and "bath_oracle" in outputs:
-        n, w = osettings.bath_modes, osettings.bath_half_width_kappas * cavity.kappa
-        recurrence = 2.0 * np.pi * (n - 1) / (2.0 * w)
-        horizon = 5.0 / cavity.kappa
-        if recurrence <= horizon:
-            errors["oracle.bath_modes"] = (
-                f"undersized bath: recurrence time {recurrence:.3g} does not exceed "
-                f"the kappa*t = 5 horizon {horizon:.3g}; increase bath_modes"
-            )
+    if cavity is not None and "bath_oracle" in outputs and "oracle.bath_modes" not in errors:
+        horizon = BATH_KAPPA_T / cavity.kappa
+        try:
+            recurrence = oracle_bath(cavity, osettings).recurrence_time
+        except ValueError as exc:
+            errors["oracle.bath_half_width_kappas"] = str(exc)
+        else:
+            if recurrence <= horizon:
+                errors["oracle.bath_modes"] = (
+                    f"undersized bath: recurrence time {recurrence:.3g} does not exceed "
+                    f"the kappa*t = {BATH_KAPPA_T:g} horizon {horizon:.3g}; "
+                    "increase bath_modes"
+                )
 
     if errors:
         raise ScenarioError(errors)

@@ -13,18 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import CavityParams
-from .correlation import CorrelationSeries, coefficients
-from .dipole import DipoleSpectrum, FluctuationModel
+from .correlation import CorrelationSeries, coefficients, tag_factor
+from .dipole import DipoleSpectrum, FluctuationModel, uniform_steps
 
-NORMALIZATIONS = ("as-written", "wkt-consistent")
-
-
-def _norm_factor(normalization: str) -> float:
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(
-            f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
-        )
-    return 1.0 if normalization == "as-written" else 1.0 / np.pi
+# Normalization tag -> factor on the continuum and the fluctuation power.
+NORMALIZATIONS = {"as-written": 1.0, "wkt-consistent": 1.0 / np.pi}
 
 
 @dataclass(frozen=True)
@@ -70,7 +63,7 @@ def power_spectrum(params: CavityParams, spectrum: DipoleSpectrum,
     The continuum is 2 C_Delta kappa / ((omega-omega_q)^2 + kappa^2) under the
     "as-written" tag, divided by pi under "wkt-consistent".
     """
-    factor = _norm_factor(normalization)
+    factor = tag_factor(NORMALIZATIONS, normalization, "normalization")
     if omega_grid is None:
         omega_grid = default_omega_grid(params, spectrum)
     omega = np.asarray(omega_grid, dtype=float)
@@ -97,7 +90,7 @@ def integrated_power(params: CavityParams, spectrum: DipoleSpectrum,
     normalization factor); the bound p_fluctuation_max is its omega_q >> kappa
     limit, equal to c delta (g_q/g0)^2 when the bath coupling is given.
     """
-    factor = _norm_factor(normalization)
+    factor = tag_factor(NORMALIZATIONS, normalization, "normalization")
     coeff = coefficients(params, spectrum, fluct)
     p_coherent = float(np.sum(np.abs(coeff.a_n) ** 2))
     p_fluct = factor * 2.0 * coeff.c_delta * (
@@ -124,9 +117,7 @@ def spectrum_from_correlation(series: CorrelationSeries, omega_grid,
     if not series.stationary:
         raise ValueError("spectrum_from_correlation requires a stationary series")
     tau = series.tau
-    dtau = np.diff(tau)
-    if dtau.size == 0 or np.max(np.abs(dtau - dtau[0])) > 1e-9 * dtau[0]:
-        raise ValueError("tau grid must be uniform")
+    dtau = uniform_steps(tau, "tau")
     vals = series.values.copy()
     if window == "exponential":
         eta = taper_rate if taper_rate is not None else 5.0 / tau[-1]

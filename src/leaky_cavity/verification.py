@@ -5,9 +5,14 @@ Each check returns a CheckResult with the measured figure and its tolerance;
 (trial counts, grids, tolerances) so a pass is meaningful regardless of the
 calling scenario; the scenario only contributes the seed and, for the
 determinism check, the shipped configuration itself.
+
+The amplitude, Monte-Carlo pull and bath measures are ``runner``'s
+``amplitude_deviation``, ``noise_pulls`` and ``bath_deviation``, the same ones
+``leaky-cavity run`` puts into its manifest ``checks``; each check applies them
+on its own grid and tolerance.  The determinism check compares the ``files``
+of two run manifests.
 """
 
-import hashlib
 import os
 import tempfile
 from dataclasses import dataclass
@@ -18,7 +23,7 @@ from . import runner
 from .cavity import CavityParams, occupation, occupation_longtime
 from .correlation import stationary_correlation
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel
-from .oracle import BathDiscretization, continuum_pole, discrete_bath_decay, \
+from .oracle import BathDiscretization, amplitude_ode_step, discrete_bath_decay, \
     integrate_amplitude_ode, monte_carlo_noise
 from .spectrum import integrated_power, power_spectrum, spectrum_from_correlation
 
@@ -58,17 +63,12 @@ def check_amplitude_and_occupation(seed: int = 1234, n_scenarios: int = 50):
     rng = np.random.default_rng(seed)
     worst_amp = 0.0
     worst_occ = 0.0
-    from .cavity import mode_amplitude
     for _ in range(n_scenarios):
         params, spectrum = _random_scenario(rng)
         t_end = float(rng.uniform(10.0, 30.0))
-        top = max(params.omega_q, spectrum.harmonics()[-1], params.kappa)
-        h = 0.005 / top
-        t = np.arange(0.0, t_end, h)
+        t = np.arange(0.0, t_end, amplitude_ode_step(params, spectrum))
         ode = integrate_amplitude_ode(params, spectrum, t)
-        closed = mode_amplitude(params, spectrum, t)
-        scale = np.max(np.abs(closed))
-        worst_amp = max(worst_amp, np.max(np.abs(np.conj(ode.values) - closed)) / scale)
+        worst_amp = max(worst_amp, runner.amplitude_deviation(params, spectrum, ode))
         occ = occupation(params, spectrum, FluctuationModel(0.0), t, mode="full")
         ref = np.abs(ode.values) ** 2
         worst_occ = max(worst_occ, np.max(np.abs(occ.coherent - ref)) / np.max(ref))
@@ -95,11 +95,7 @@ def check_noise_law(ensemble_bundle=None, seed: int = 1234):
     """Criterion 3: Monte-Carlo noise occupation vs delta g^2/(2 kappa)(1 - exp(-2 kappa t))."""
     params, fluct, ens = ensemble_bundle or _noise_benchmark(seed)
     picks = np.unique(np.linspace(1, ens.times.size - 1, 20).astype(int))
-    closed = fluct.delta * params.g_q ** 2 / (2 * params.kappa) * (
-        1.0 - np.exp(-2.0 * params.kappa * ens.times[picks])
-    )
-    pulls = np.abs(ens.mean_occupation[picks] - closed) / ens.stderr_occupation[picks]
-    worst = float(np.max(pulls))
+    worst = float(np.max(runner.noise_pulls(params, fluct, ens, picks)))
     return [CheckResult("Monte-Carlo noise occupation law", worst <= 5.0, worst, 5.0,
                         f"max pull over {picks.size} time points incl. saturation, "
                         f"{ens.n_trials} trials")]
@@ -257,9 +253,7 @@ def check_markov_decay():
         amplitudes[n_modes] = result.series.values
         norm_worst = max(norm_worst, result.norm_error)
         if n_modes == 2000:
-            rate, residue = continuum_pole(bath)
-            target = residue * np.exp(-rate * t)
-            dev = float(np.max(np.abs(np.abs(result.series.values) - target) / target))
+            dev = runner.bath_deviation(bath, result)
     coarse = float(np.max(np.abs(amplitudes[1000] - amplitudes[2000])))
     fine = float(np.max(np.abs(amplitudes[2000] - amplitudes[4000])))
     ratio = fine / coarse
@@ -274,24 +268,12 @@ def check_markov_decay():
     ]
 
 
-def _hash_outputs(outdir) -> dict:
-    hashes = {}
-    for name in sorted(os.listdir(outdir)):
-        if name == "manifest.json":
-            continue
-        with open(os.path.join(outdir, name), "rb") as fh:
-            hashes[name] = hashlib.sha256(fh.read()).hexdigest()
-    return hashes
-
-
 def check_determinism(config_path):
     """Criterion 9: two runs of the same scenario produce byte-identical outputs."""
     with tempfile.TemporaryDirectory() as tmp:
-        a = os.path.join(tmp, "a")
-        b = os.path.join(tmp, "b")
-        runner.run(config_path, a)
-        runner.run(config_path, b)
-        same = _hash_outputs(a) == _hash_outputs(b)
+        first = runner.run(config_path, os.path.join(tmp, "a"))
+        second = runner.run(config_path, os.path.join(tmp, "b"))
+        same = first["files"] == second["files"]
     return [CheckResult("byte-identical reruns", same, 0.0 if same else 1.0, 0.0,
                         "sha256 over all numerical outputs")]
 

@@ -5,9 +5,12 @@ check (run with ``-s`` to see them) and asserts it.  The same suite backs the
 ``leaky-cavity verify`` command.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from leaky_cavity import verification
+from leaky_cavity import runner, verification
 from leaky_cavity.cli import default_scenario_path
 
 
@@ -38,6 +41,25 @@ def test_criterion_2_occupation_vs_ode_oracle(amplitude_results):
 
 def test_criterion_3_monte_carlo_noise_law(noise_bundle):
     report(verification.check_noise_law(noise_bundle))
+
+
+def test_noise_gate_calls_shipped_noise_law(noise_bundle, monkeypatch):
+    from leaky_cavity import cavity
+
+    shipped = cavity.dipole_noise_occupation
+    assert runner.dipole_noise_occupation is shipped
+    monkeypatch.setattr(runner, "dipole_noise_occupation",
+                        lambda *args: 2.0 * shipped(*args))
+    assert not any(r.passed for r in verification.check_noise_law(noise_bundle))
+
+
+def test_noise_gate_fails_a_zero_spread_ensemble(noise_bundle):
+    # every trial drawing the same noise leaves no standard error to judge by
+    params, fluct, ens = noise_bundle
+    frozen = replace(ens, stderr_occupation=np.zeros_like(ens.stderr_occupation))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        results = verification.check_noise_law((params, fluct, frozen))
+    assert not any(r.passed for r in results)
 
 
 def test_criterion_4_longtime_limit():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -21,6 +22,29 @@ SCENARIO = {
                "bath_half_width_kappas": 40.0},
     "outputs": ["dipole", "occupation", "correlation", "spectrum", "power",
                 "amplitude_oracle", "noise_oracle", "bath_oracle"],
+}
+
+# SHA-256 of every file SCENARIO writes, manifest.json and its four checks
+# included (numpy 2.4, scipy 1.17, OpenBLAS, x86-64).
+FULL_OUTPUT_SHA256 = {
+    "amplitude_oracle.csv": "fc294b833e2caef35d91f03e7028107c6510883505901abebf38135d6ed7445f",
+    "bath_decay.csv": "1c4f52c6a869d77ae8136370ac264f046041864a822d16e791e29284ce25d8e3",
+    "dipole_spectrum.json": "6a1aa7e031aa880e79757b84e02c9b3a8c26c2db3b444589b3511e3387f36fc9",
+    "manifest.json": "a218a0fd79e64bd9b66f3a8cc8679ad3a9694d824ed7ecbb4d346447e4e713e4",
+    "mean_dipole.csv": "970a0d9b137e2e19ff33dae2499331183d7f813f2a92a317ab99d4c825b6046d",
+    "noise_oracle.csv": "63b47bea71804827319bccb378b5d90c82ef66322cd14a257437d94317ab45b4",
+    "noise_oracle_two_time.csv":
+        "008057ad4a12eeb7132771b463f13d269a1d813de06753bcd1c265d151ca7ecf",
+    "occupation.csv": "2fe7480582f898917475519d7306e9e483b0f0306a120483775436469b1c7256",
+    "power_report.json": "7655695286f85ce92f52690b1d71bea553fa28682f75585da8b5e0eb18923639",
+    "spectrum.json": "cd8ed05c216a90d3632e8b8a339c560ddd3dd467bb9dce9918d3c0eb7e360f52",
+    "spectrum_continuum.csv":
+        "2996ca101927d4a1b513836502ccc069a3fda04ac4366f5bc20ea2773677c073",
+    "spectrum_lines.csv": "ef0dc244ad81e0848e262c522280328e30365568bafdb2cd1b7acb53da3b615e",
+    "stationary_correlation.csv":
+        "fc1bd98384795366370774fbe0db021220c94745898bd13ac9d1e94c4887c1f2",
+    "two_time_correlation.csv":
+        "2cb5a805f9c0d621ddf9c0960868e1d5a5440e49e944c8422c5394a78027961d",
 }
 
 
@@ -51,6 +75,13 @@ def test_run_produces_all_artifacts(config_path, tmp_path, capsys):
     assert checks["bath_oracle_max_rel_deviation"] < 0.05
     assert checks["bath_oracle_norm_error"] < 1e-8
     assert "wrote 13 artifacts" in capsys.readouterr().out
+
+
+def test_full_output_set_is_pinned(config_path, tmp_path):
+    out = tmp_path / "out"
+    run(config_path, out)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == FULL_OUTPUT_SHA256
 
 
 def test_runs_are_byte_identical(config_path, tmp_path):
@@ -93,6 +124,22 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "invalid config: cavity:" in err
+
+
+@pytest.mark.parametrize("section, name, value, path", [
+    ("fluctuation", "delta", float("nan"), "fluctuation.delta"),
+    ("cavity", "g_q", float("nan"), "cavity"),
+    ("cavity", "omega_q", float("inf"), "cavity"),
+])
+def test_non_finite_parameter_exit_code(tmp_path, capsys, section, name, value, path):
+    bad = {**SCENARIO, section: {**SCENARIO[section], name: value}}
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(bad))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"invalid config: {path}: {name} must be finite, got {value}" in err
+    assert not out.exists()
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

@@ -82,11 +82,8 @@ def test_mc_is_deterministic_and_chunk_independent():
     a = monte_carlo_noise(params, fluct, t, n_trials=96, seed=11, chunk_size=96)
     a2 = monte_carlo_noise(params, fluct, t, n_trials=96, seed=11, chunk_size=96)
     b = monte_carlo_noise(params, fluct, t, n_trials=96, seed=11, chunk_size=17)
-    c = monte_carlo_noise(params, fluct, t, n_trials=96, seed=11, chunk_size=17,
-                          n_workers=3)
-    # bitwise reproducible for a fixed chunking, including across worker counts
+    # bitwise reproducible for a fixed chunking
     assert np.array_equal(a.mean_occupation, a2.mean_occupation)
-    assert np.array_equal(b.mean_occupation, c.mean_occupation)
     # chunking only reorders the reduction, so differences are round-off
     assert np.allclose(a.mean_occupation, b.mean_occupation, rtol=1e-12, atol=1e-14)
     d = monte_carlo_noise(params, fluct, t, n_trials=96, seed=12, chunk_size=96)

@@ -5,7 +5,8 @@ import yaml
 from leaky_cavity.cli import default_scenario_path
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
-from leaky_cavity.scenario import KNOWN_OUTPUTS, ScenarioError, load_scenario
+from leaky_cavity.runner import ARTIFACTS
+from leaky_cavity.scenario import ScenarioError, load_scenario
 
 BASE = {
     "drive": {"omega": 1.0, "n_max": 3},
@@ -31,7 +32,7 @@ def test_shipped_scenario_loads():
     assert config.spectrum.coeffs[1] == 0.375
     assert config.correlation_convention == "tau-zero-consistent"
     assert config.t_grid[0] == 0.0
-    assert set(config.outputs) <= set(KNOWN_OUTPUTS)
+    assert set(config.outputs) <= set(ARTIFACTS)
 
 
 def test_minimal_config(tmp_path):
@@ -39,7 +40,7 @@ def test_minimal_config(tmp_path):
     assert config.fluctuation.delta == 0.2
     assert config.t_grid.size == 101
     assert config.omega_grid is None
-    assert config.outputs == KNOWN_OUTPUTS[:5]
+    assert config.outputs == ("dipole", "occupation", "correlation", "spectrum", "power")
 
 
 def test_bath_coupling_route(tmp_path):
@@ -95,6 +96,11 @@ def test_undersized_bath_is_rejected(tmp_path):
     with pytest.raises(ScenarioError) as exc:
         load_scenario(path)
     assert "undersized bath" in exc.value.errors["oracle.bath_modes"]
+    path = write_config(tmp_path, outputs=["bath_oracle"],
+                        oracle={"bath_half_width_kappas": 0.0})
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert "half_width" in exc.value.errors["oracle.bath_half_width_kappas"]
 
 
 def test_dipole_requires_exactly_one_source(tmp_path):
