@@ -38,7 +38,6 @@ class CavityParams:
     q: int | None = None
 
     def __post_init__(self):
-        require_finite(self)
         if self.omega_q <= 0:
             raise ValueError(f"omega_q must be positive, got {self.omega_q}")
         if (self.g0 is None) != (self.c is None):
@@ -51,6 +50,7 @@ class CavityParams:
                 raise ValueError(
                     f"kappa={self.kappa} inconsistent with g0^2*pi/c={derived}"
                 )
+        require_finite(self)  # after deriving kappa, which overflows for huge g0
         if self.kappa is None:
             raise ValueError("either kappa or (g0, c) is required")
         if self.kappa <= 0:

@@ -72,6 +72,8 @@ class DipoleSpectrum:
             raise ValueError(
                 f"need {self.drive.n_max + 1} coefficients (N = 0..n_max), got shape {c.shape}"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"coeffs must be finite, got {c}")
         object.__setattr__(self, "coeffs", c)
 
     def harmonics(self) -> np.ndarray:

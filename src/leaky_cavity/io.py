@@ -15,14 +15,19 @@ from .oracle import TrajectoryEnsemble
 from .spectrum import PowerReport, SpectrumResult
 
 
+_NUMBER = "{:.17g}"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _NUMBER.format(float(x))
 
 
-def _write_rows(path, header: str, rows, comments=()):
+def _write_rows(path, header: str, columns, comments=()):
+    """Write one CSV row per index of the equal-length 1-d arrays ``columns``."""
+    row = ",".join([_NUMBER] * len(columns))
     lines = [f"# {c}" for c in comments]
     lines.append(header)
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(map(row.format, *(col.tolist() for col in columns)))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -30,28 +35,28 @@ def _write_rows(path, header: str, rows, comments=()):
 def write_timeseries_csv(path, series: TimeSeries, label: str = "value"):
     if np.iscomplexobj(series.values):
         _write_rows(path, f"t,{label}_re,{label}_im",
-                    zip(series.times, series.values.real, series.values.imag))
+                    (series.times, series.values.real, series.values.imag))
     else:
-        _write_rows(path, f"t,{label}", zip(series.times, series.values))
+        _write_rows(path, f"t,{label}", (series.times, series.values))
 
 
 def write_occupation_csv(path, curve: OccupationCurve):
     _write_rows(path, "t,coherent,noise,total",
-                zip(curve.times, curve.coherent, curve.noise, curve.total))
+                (curve.times, curve.coherent, curve.noise, curve.total))
 
 
 def write_correlation_csv(path, series: CorrelationSeries):
     comments = [f"convention={series.convention}",
                 "t=stationary" if series.stationary else f"t={_fmt(series.t)}"]
     _write_rows(path, "tau,re,im",
-                zip(series.tau, series.values.real, series.values.imag),
+                (series.tau, series.values.real, series.values.imag),
                 comments=comments)
 
 
 def write_spectrum_csv(lines_path, continuum_path, result: SpectrumResult):
-    _write_rows(lines_path, "omega,weight", result.lines,
+    _write_rows(lines_path, "omega,weight", result.lines.T,
                 comments=[f"normalization={result.normalization}"])
-    _write_rows(continuum_path, "omega,s", zip(result.omega, result.continuum),
+    _write_rows(continuum_path, "omega,s", (result.omega, result.continuum),
                 comments=[f"normalization={result.normalization}",
                           f"grid_truncated={result.grid_truncated}"])
 
@@ -60,17 +65,17 @@ def write_ensemble_csv(path, ensemble: TrajectoryEnsemble, which: str = "occupat
     comments = [f"n_trials={ensemble.n_trials}", f"seed={ensemble.seed}"]
     if which == "occupation":
         _write_rows(path, "t,mean_re,mean_im,stderr",
-                    zip(ensemble.times, ensemble.mean_occupation,
-                        np.zeros_like(ensemble.mean_occupation),
-                        ensemble.stderr_occupation),
+                    (ensemble.times, ensemble.mean_occupation,
+                     np.zeros_like(ensemble.mean_occupation),
+                     ensemble.stderr_occupation),
                     comments=comments)
     elif which == "two_time":
         if ensemble.tau is None:
             raise ValueError("ensemble has no two-time data")
         comments.append(f"reference_time={_fmt(ensemble.reference_time)}")
         _write_rows(path, "tau,mean_re,mean_im,stderr",
-                    zip(ensemble.tau, ensemble.mean_two_time.real,
-                        ensemble.mean_two_time.imag, ensemble.stderr_two_time),
+                    (ensemble.tau, ensemble.mean_two_time.real,
+                     ensemble.mean_two_time.imag, ensemble.stderr_two_time),
                     comments=comments)
     else:
         raise ValueError(f"unknown ensemble table {which!r}")

@@ -1,6 +1,7 @@
 """Brute-force oracles that validate the closed forms independently.
 
-Three routes: fixed-step 4th-order integration of the amplitude equation,
+Three routes: fixed-step 4th-order integration of the amplitude equation
+driven by a DipoleSpectrum (each step is the linear recursion z -> R z + f),
 Monte-Carlo averaging of noise-driven trajectories, and a discrete-bath
 unitary model whose continuum limit reproduces the Markovian decay rate.
 None of them reuses the closed-form expressions they are checked against.
@@ -9,8 +10,6 @@ None of them reuses the closed-form expressions they are checked against.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import lfilter
 
 from .cavity import CavityParams
 from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, sample_fluctuation, \
@@ -40,8 +39,10 @@ def _rk4_transfer(lam: complex, h: float):
 
 def _scan(r: complex, forcing: np.ndarray) -> np.ndarray:
     """Cumulative states of z_{n+1} = r z_n + forcing_n starting from z_0 = 0."""
-    stepped = lfilter([1.0], [1.0, -r], forcing.astype(complex))
-    return np.concatenate([[0.0 + 0.0j], stepped])
+    states = [0j]
+    for f in forcing.tolist():
+        states.append(r * states[-1] + f)
+    return np.array(states)
 
 
 def _check_step(params: CavityParams, h: float):
@@ -57,29 +58,21 @@ def amplitude_ode_step(params: CavityParams, spectrum: DipoleSpectrum) -> float:
     return 0.005 / max(params.omega_q, spectrum.harmonics()[-1], params.kappa)
 
 
-def integrate_amplitude_ode(params: CavityParams, mean_dipole, t_grid) -> TimeSeries:
+def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
+                            t_grid) -> TimeSeries:
     """Integrate d<a_q>/dt = -(i omega_q + kappa) <a_q> + g_q d(t) from vacuum.
 
-    ``mean_dipole`` is a DipoleSpectrum (drive evaluated analytically as its
-    positive-frequency signal) or a complex-valued TimeSeries (drive obtained
-    by cubic interpolation at the half-step nodes).  Returns <a_q(t)> on the
-    grid; the conjugate is what mode_amplitude computes.
+    The drive is the positive-frequency signal of the DipoleSpectrum
+    ``mean_dipole``, evaluated analytically at the step and half-step nodes.
+    Returns <a_q(t)> on the grid; the conjugate is what mode_amplitude computes.
     """
     t = np.asarray(t_grid, dtype=float)
     h = float(uniform_steps(t, "t")[0])
     _check_step(params, h)
     nodes = t[:-1]
-    if isinstance(mean_dipole, DipoleSpectrum):
-        f0 = mean_dipole.positive_frequency_signal(nodes)
-        fm = mean_dipole.positive_frequency_signal(nodes + h / 2.0)
-        f1 = mean_dipole.positive_frequency_signal(nodes + h)
-    elif isinstance(mean_dipole, TimeSeries):
-        interp = CubicSpline(mean_dipole.times, mean_dipole.values)
-        f0 = interp(nodes)
-        fm = interp(nodes + h / 2.0)
-        f1 = interp(nodes + h)
-    else:
-        raise TypeError("mean_dipole must be a DipoleSpectrum or TimeSeries")
+    f0 = mean_dipole.positive_frequency_signal(nodes)
+    fm = mean_dipole.positive_frequency_signal(nodes + h / 2.0)
+    f1 = mean_dipole.positive_frequency_signal(nodes + h)
     lam = -(1j * params.omega_q + params.kappa)
     r, c0, cm, c1 = _rk4_transfer(lam, h)
     forcing = params.g_q * (c0 * f0 + cm * fm + c1 * f1)

@@ -158,8 +158,8 @@ def load_scenario(path) -> ScenarioConfig:
             bath_modes=int(odoc.get("bath_modes", 2000)),
             bath_half_width_kappas=float(odoc.get("bath_half_width_kappas", 40.0)),
         )
-        if osettings.n_trials < 1:
-            errors["oracle.n_trials"] = "must be at least 1"
+        if osettings.n_trials < 2:
+            errors["oracle.n_trials"] = "must be at least 2 (a standard error needs two trials)"
         if osettings.bath_modes < 100:
             errors["oracle.bath_modes"] = "must be at least 100 for a meaningful bath"
     except (TypeError, ValueError) as exc:

@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +30,7 @@ SCENARIO = {
 }
 
 # SHA-256 of every file SCENARIO writes, manifest.json and its four checks
-# included (numpy 2.4, scipy 1.17, OpenBLAS, x86-64).
+# included (numpy 2.4, OpenBLAS, x86-64).
 FULL_OUTPUT_SHA256 = {
     "amplitude_oracle.csv": "fc294b833e2caef35d91f03e7028107c6510883505901abebf38135d6ed7445f",
     "bath_decay.csv": "1c4f52c6a869d77ae8136370ac264f046041864a822d16e791e29284ce25d8e3",
@@ -140,6 +145,42 @@ def test_non_finite_parameter_exit_code(tmp_path, capsys, section, name, value, 
     err = capsys.readouterr().err
     assert f"invalid config: {path}: {name} must be finite, got {value}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("dipole", {"coeffs": [[0.0, 0.0], [float("nan"), 0.0], [0.0, 0.0], [0.125, 0.0]]},
+     "dipole: coeffs must be finite, got ["),
+    ("cavity", {"omega_q": 3.0, "g_q": 0.05, "g0": 1.0e200, "c": 1.0},
+     "cavity: kappa must be finite, got inf"),
+], ids=["nan-dipole-coefficient", "overflowing-derived-kappa"])
+def test_non_finite_input_exit_code(tmp_path, capsys, section, value, message):
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, section: value}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert f"invalid config: {message}" in capsys.readouterr().err
+    assert caught == []
+    assert not out.exists()
+
+
+def test_run_imports_no_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from leaky_cavity.cli import default_scenario_path, main\n"
+        "assert main(['run', '--config', str(default_scenario_path()),\n"
+        f"             '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from leaky_cavity.cavity import CavityParams, dipole_noise_occupation, mode_amplitude
-from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, TimeSeries
+from leaky_cavity.cli import default_scenario_path
+from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel
 from leaky_cavity.oracle import (
     BathDiscretization,
+    _rk4_transfer,
+    _scan,
+    amplitude_ode_step,
     continuum_pole,
     discrete_bath_decay,
     integrate_amplitude_ode,
     monte_carlo_noise,
 )
+from leaky_cavity.scenario import load_scenario
 
 
 def comb_case():
@@ -26,17 +31,6 @@ def test_ode_matches_closed_form():
     closed = np.conj(mode_amplitude(params, spec, t))
     scale = np.max(np.abs(closed))
     assert np.max(np.abs(ode.values - closed)) / scale < 1e-8
-
-
-def test_ode_accepts_sampled_drive():
-    params, spec = comb_case()
-    t = np.arange(0.0, 20.0, 0.002)
-    fine = np.arange(0.0, 20.0 + 0.002, 0.0005)
-    sampled = TimeSeries(times=fine, values=spec.positive_frequency_signal(fine))
-    from_series = integrate_amplitude_ode(params, sampled, t)
-    from_spec = integrate_amplitude_ode(params, spec, t)
-    scale = np.max(np.abs(from_spec.values))
-    assert np.max(np.abs(from_series.values - from_spec.values)) / scale < 1e-7
 
 
 def test_ode_is_fourth_order():
@@ -57,8 +51,22 @@ def test_ode_error_contracts():
         integrate_amplitude_ode(params, spec, np.arange(0.0, 10.0, 0.5))
     with pytest.raises(ValueError, match="uniform"):
         integrate_amplitude_ode(params, spec, np.array([0.0, 0.01, 0.03]))
-    with pytest.raises(TypeError):
-        integrate_amplitude_ode(params, spec.coeffs, np.arange(0.0, 1.0, 0.01))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000, 60000])
+def test_scan_matches_lfilter(n):
+    from scipy.signal import lfilter
+
+    shipped = load_scenario(default_scenario_path())
+    params, _ = comb_case()
+    cases = [(shipped.cavity, amplitude_ode_step(shipped.cavity, shipped.spectrum)),
+             (params, 0.005 / params.omega_q), (params, 0.03)]
+    rng = np.random.default_rng(n)
+    forcing = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for cavity, h in cases:
+        r = _rk4_transfer(-(1j * cavity.omega_q + cavity.kappa), h)[0]
+        reference = np.concatenate([[0j], lfilter([1.0], [1.0, -r], forcing)])
+        assert np.array_equal(_scan(r, forcing), reference)
 
 
 def mc_setup():

@@ -90,6 +90,14 @@ def test_noise_oracle_requires_seed(tmp_path):
     assert load_scenario(path).oracle.seed == 7
 
 
+def test_single_trial_ensemble_is_rejected(tmp_path):
+    path = write_config(tmp_path, outputs=["noise_oracle"],
+                        oracle={"seed": 7, "n_trials": 1})
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert "at least 2" in exc.value.errors["oracle.n_trials"]
+
+
 def test_undersized_bath_is_rejected(tmp_path):
     path = write_config(tmp_path, outputs=["bath_oracle"],
                         oracle={"bath_modes": 120, "bath_half_width_kappas": 400.0})
