@@ -67,8 +67,6 @@ class CorrelationSeries:
 def coefficients(params: CavityParams, spectrum: DipoleSpectrum,
                  fluct: FluctuationModel) -> CorrelationCoefficients:
     """Line coefficients A_N and the incoherent weight C_Delta = delta g_q^2/(2 kappa)."""
-    if params.kappa <= 0:
-        raise ValueError("kappa must be positive")
     detuning = params.omega_q - spectrum.harmonics()
     a_n = params.g_q * spectrum.coeffs / (1j * detuning + params.kappa)
     c_delta = fluct.delta * params.g_q ** 2 / (2.0 * params.kappa)

@@ -186,6 +186,11 @@ def synthesize_mean_dipole(spectrum: DipoleSpectrum, times) -> TimeSeries:
     return TimeSeries(times=times, values=vals)
 
 
+def noise_std(model: FluctuationModel, times) -> float:
+    """Standard deviation sqrt(delta/dt) of each white-noise sample; dt is the mean grid step."""
+    return float(np.sqrt(model.delta / float(uniform_steps(times).mean())))
+
+
 def sample_fluctuation(model: FluctuationModel, times, seed) -> TimeSeries:
     """Draw one realization of the discretized white noise on a uniform grid.
 
@@ -194,9 +199,8 @@ def sample_fluctuation(model: FluctuationModel, times, seed) -> TimeSeries:
     Identical seeds give identical series.
     """
     times = np.asarray(times, dtype=float)
-    dt = float(uniform_steps(times).mean())
     rng = np.random.default_rng(seed)
-    vals = rng.normal(0.0, np.sqrt(model.delta / dt), size=times.size)
+    vals = rng.normal(0.0, noise_std(model, times), size=times.size)
     return TimeSeries(times=times, values=vals)
 
 

@@ -81,10 +81,14 @@ def write_ensemble_csv(path, ensemble: TrajectoryEnsemble, which: str = "occupat
         raise ValueError(f"unknown ensemble table {which!r}")
 
 
-def write_dipole_spectrum_json(path, spectrum: DipoleSpectrum):
+def _write_json(path, doc: dict):
     with open(path, "w") as fh:
-        json.dump(spectrum.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_dipole_spectrum_json(path, spectrum: DipoleSpectrum):
+    _write_json(path, spectrum.to_dict())
 
 
 def read_dipole_spectrum_json(path) -> DipoleSpectrum:
@@ -99,9 +103,7 @@ def write_spectrum_json(path, result: SpectrumResult):
         "normalization": result.normalization,
         "grid_truncated": result.grid_truncated,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def write_power_report_json(path, report: PowerReport):
@@ -112,19 +114,18 @@ def write_power_report_json(path, report: PowerReport):
         "p_fluctuation_max": _fmt(report.p_fluctuation_max),
         "normalization": report.normalization,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def read_timeseries_csv(path) -> TimeSeries:
     with open(path) as fh:
         body = [ln.strip() for ln in fh
                 if ln.strip() and not ln.lstrip().startswith("#")]
-    if not body:
+    if len(body) < 2:  # the first non-comment line is the header
         raise ValueError(f"{path}: no data rows")
-    rows = [ln.split(",") for ln in body[1:]]  # first non-comment line is the header
-    data = np.array([[float(v) for v in row] for row in rows])
+    data = np.array([[float(v) for v in ln.split(",")] for ln in body[1:]])
+    if data.shape[1] < 2:
+        raise ValueError(f"{path}: need a time column and a value column")
     if data.shape[1] >= 3:
         return TimeSeries(times=data[:, 0], values=data[:, 1] + 1j * data[:, 2])
     return TimeSeries(times=data[:, 0], values=data[:, 1])

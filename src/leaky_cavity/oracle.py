@@ -12,8 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cavity import CavityParams
-from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, sample_fluctuation, \
-    uniform_steps
+from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, noise_std, uniform_steps
 
 # Half weight of the delta function at the boundary of the memory-kernel
 # integral, int_0^t f(t') delta(t-t') dt' = f(t)/2; it is what makes the
@@ -21,6 +20,9 @@ from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, sample_fluctua
 DELTA_ENDPOINT_WEIGHT = 0.5
 
 _STABILITY_LIMIT = 0.1
+
+# Monte-Carlo trials drawn and filtered together; it bounds memory, not results.
+_MC_CHUNK = 512
 
 
 def _rk4_transfer(lam: complex, h: float):
@@ -94,9 +96,15 @@ class TrajectoryEnsemble:
     stderr_two_time: np.ndarray | None = field(default=None, repr=False)
 
 
+def _mean_stderr(total, total_sq, n: int):
+    """Mean and its standard error from the sum and the sum of squared moduli of n samples."""
+    mean = total / n
+    return mean, np.sqrt(np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) / n)
+
+
 def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
-                      tau_grid=None, n_trials: int = 1000, seed: int = 0,
-                      chunk_size: int = 512) -> TrajectoryEnsemble:
+                      tau_grid=None, n_trials: int = 1000,
+                      seed: int = 0) -> TrajectoryEnsemble:
     """Estimate <D^dagger D> statistics by averaging noise-driven trajectories.
 
     Each trial draws one white-noise realization (seeded by (seed, trial) so
@@ -112,70 +120,54 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
         raise ValueError("t grid must start at 0 (vacuum initial condition)")
     _check_step(params, h)
     n_t = t.size
-    if tau_grid is not None:
-        tau = np.asarray(tau_grid, dtype=float)
-        tau_steps = np.rint(tau / h).astype(int)
-        if np.max(np.abs(tau_steps * h - tau)) > 1e-9 * h:
-            raise ValueError("tau grid points must be multiples of the t step")
-        n_extra = int(tau_steps.max())
-    else:
-        tau = None
-        tau_steps = np.zeros(0, dtype=int)
-        n_extra = 0
-    n_steps = n_t - 1 + n_extra
-    step_times = t[0] + h * np.arange(n_steps + 1)
+    tau = np.asarray([] if tau_grid is None else tau_grid, dtype=float)
+    tau_steps = np.rint(tau / h).astype(int)
+    if np.any(tau_steps < 0) or np.any(np.abs(tau_steps * h - tau) > 1e-9 * h):
+        raise ValueError("tau grid points must be nonnegative multiples of the t step")
+    n_steps = n_t - 1 + int(tau_steps.max(initial=0))
+    sigma = noise_std(fluct, t[0] + h * np.arange(n_steps + 1))
 
     lam = -(1j * params.omega_q + params.kappa)
     r, c0, cm, c1 = _rk4_transfer(lam, h)
     gain = params.g_q * (c0 + cm + c1)  # constant forcing over each step
 
     ref_index = n_t - 1
+    lag_taus = {}  # step index -> indices of the tau points at that lag from t_ref
+    for m, lag in enumerate(tau_steps.tolist()):
+        lag_taus.setdefault(ref_index + lag, []).append(m)
 
-    def accumulate(lo: int):
-        trials = range(lo, min(lo + chunk_size, n_trials))
-        noise = np.ascontiguousarray(np.stack([
-            sample_fluctuation(fluct, step_times, seed=[seed, k]).values[:-1]
-            for k in trials
-        ]).T)  # (n_steps, chunk)
-        occ_s = np.zeros(n_t)
-        occ_ss = np.zeros(n_t)
-        tt_s = np.zeros(tau_steps.size, dtype=complex)
-        tt_ss = np.zeros(tau_steps.size)
-        z = np.zeros(noise.shape[1], dtype=complex)
-        z_ref = None
+    occ_sum = np.zeros(n_t)
+    occ_sumsq = np.zeros(n_t)
+    tt_sum = np.zeros(tau_steps.size, dtype=complex)
+    tt_sumsq = np.zeros(tau_steps.size)
+    buffer = np.empty((min(_MC_CHUNK, n_trials), n_steps))
+    for lo in range(0, n_trials, _MC_CHUNK):
+        noise = buffer[:min(_MC_CHUNK, n_trials - lo)]
+        for k, row in enumerate(noise, start=lo):
+            np.random.default_rng([seed, k]).standard_normal(out=row)
+        noise *= sigma
+        z = np.zeros(noise.shape[0], dtype=complex)
         for j in range(n_steps):
-            z = r * z + gain * noise[j]
+            z = r * z + gain * noise[:, j]
             idx = j + 1
             if idx < n_t:
                 mod2 = np.abs(z) ** 2
-                occ_s[idx] += mod2.sum()
-                occ_ss[idx] += (mod2 ** 2).sum()
+                occ_sum[idx] += mod2.sum()
+                occ_sumsq[idx] += (mod2 ** 2).sum()
             if idx == ref_index:
                 z_ref = np.conj(z)
-            if idx >= ref_index and tau_steps.size:
-                for m in np.nonzero(tau_steps == idx - ref_index)[0]:
-                    prod = z_ref * z
-                    tt_s[m] += prod.sum()
-                    tt_ss[m] += (np.abs(prod) ** 2).sum()
-        return occ_s, occ_ss, tt_s, tt_ss
+            if idx in lag_taus:
+                prod = z_ref * z
+                for m in lag_taus[idx]:
+                    tt_sum[m] += prod.sum()
+                    tt_sumsq[m] += (np.abs(prod) ** 2).sum()
 
-    partials = [accumulate(lo) for lo in range(0, n_trials, chunk_size)]
-    occ_sum = sum(p[0] for p in partials)
-    occ_sumsq = sum(p[1] for p in partials)
-    tt_sum = sum(p[2] for p in partials)
-    tt_sumsq = sum(p[3] for p in partials)
-
-    n = n_trials
-    mean_occ = occ_sum / n
-    var_occ = np.maximum(occ_sumsq / n - mean_occ ** 2, 0.0)
-    stderr_occ = np.sqrt(var_occ / n)
+    mean_occ, stderr_occ = _mean_stderr(occ_sum, occ_sumsq, n_trials)
     result = dict(n_trials=n_trials, seed=seed, times=t, mean_occupation=mean_occ,
                   stderr_occupation=stderr_occ, reference_time=float(t[-1]))
-    if tau is not None:
-        mean_tt = tt_sum / n
-        var_tt = np.maximum(tt_sumsq / n - np.abs(mean_tt) ** 2, 0.0)
-        result.update(tau=tau, mean_two_time=mean_tt,
-                      stderr_two_time=np.sqrt(var_tt / n))
+    if tau_grid is not None:
+        mean_tt, stderr_tt = _mean_stderr(tt_sum, tt_sumsq, n_trials)
+        result.update(tau=tau, mean_two_time=mean_tt, stderr_two_time=stderr_tt)
     return TrajectoryEnsemble(**result)
 
 

@@ -48,18 +48,27 @@ class ScenarioConfig:
     oracle: OracleSettings = field(default_factory=OracleSettings)
 
 
-def _grid(doc, path, errors, required=True):
-    if doc is None:
+def _mapping(doc: dict, path: str, errors: dict) -> dict:
+    """Section at the last key of ``path``; {} if absent, or if not a mapping (recorded)."""
+    value = doc.get(path.rsplit(".", 1)[-1]) or {}
+    if isinstance(value, dict):
+        return value
+    errors[path] = "must be a mapping"
+    return {}
+
+
+def _grid(grids, path, errors, required=True):
+    doc = _mapping(grids, path, errors)
+    if not doc:
         if required:
-            errors[path] = "missing grid"
+            errors.setdefault(path, "missing grid")
         return None
     stop = doc.get("stop")
     num = doc.get("num")
-    if stop is None or num is None:
-        errors[path] = "grid needs 'stop' and 'num'"
-        return None
-    if stop <= 0 or int(num) != num or num < 2:
-        errors[path] = f"grid needs stop > 0 and integer num >= 2, got stop={stop}, num={num}"
+    numeric = all(isinstance(v, (int, float)) and np.isfinite(v) for v in (stop, num))
+    if not (numeric and stop > 0 and int(num) == num and num >= 2):
+        errors[path] = (f"grid needs finite stop > 0 and integer num >= 2, "
+                        f"got stop={stop!r}, num={num!r}")
         return None
     return np.linspace(0.0, float(stop), int(num))
 
@@ -75,16 +84,17 @@ def load_scenario(path) -> ScenarioConfig:
     errors: dict = {}
 
     drive = None
-    try:
-        dd = doc.get("drive") or {}
-        drive = DriveParams(omega=float(dd.get("omega", 1.0)), n_max=dd.get("n_max", 1))
-    except (TypeError, ValueError) as exc:
-        errors["drive"] = str(exc)
+    dd = _mapping(doc, "drive", errors)
+    if "drive" not in errors:
+        try:
+            drive = DriveParams(omega=float(dd.get("omega", 1.0)), n_max=dd.get("n_max", 1))
+        except (TypeError, ValueError) as exc:
+            errors["drive"] = str(exc)
 
     spectrum = None
-    dip = doc.get("dipole") or {}
+    dip = _mapping(doc, "dipole", errors)
     if ("coeffs" in dip) == ("series" in dip):
-        errors["dipole"] = "give exactly one of 'coeffs' (inline) or 'series' (CSV path)"
+        errors.setdefault("dipole", "give exactly one of 'coeffs' (inline) or 'series' (CSV path)")
     elif drive is not None:
         try:
             if "coeffs" in dip:
@@ -97,19 +107,18 @@ def load_scenario(path) -> ScenarioConfig:
                     series_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                                                series_path)
                 spectrum = fourier_decompose(read_timeseries_csv(series_path), drive)
-        except OSError as exc:
-            errors["dipole.series"] = str(exc)
-        except (TypeError, ValueError) as exc:
-            errors["dipole"] = str(exc)
+        except (OSError, TypeError, ValueError) as exc:
+            errors["dipole.series" if "series" in dip else "dipole"] = str(exc)
 
     fluct = None
+    fdoc = _mapping(doc, "fluctuation", errors)
     try:
-        fluct = FluctuationModel(delta=float((doc.get("fluctuation") or {}).get("delta", 0.0)))
+        fluct = FluctuationModel(delta=float(fdoc.get("delta", 0.0)))
     except (TypeError, ValueError) as exc:
         errors["fluctuation.delta"] = str(exc)
 
     cavity = None
-    cav = doc.get("cavity") or {}
+    cav = _mapping(doc, "cavity", errors)
     has_kappa = cav.get("kappa") is not None
     has_bath = cav.get("g0") is not None or cav.get("c") is not None
     if has_kappa and has_bath:
@@ -118,7 +127,7 @@ def load_scenario(path) -> ScenarioConfig:
             "found kappa together with g0/c"
         )
     elif not has_kappa and not has_bath:
-        errors["cavity"] = "give exactly one of 'kappa' or ('g0', 'c')"
+        errors.setdefault("cavity", "give exactly one of 'kappa' or ('g0', 'c')")
     else:
         try:
             cavity = CavityParams(
@@ -132,12 +141,12 @@ def load_scenario(path) -> ScenarioConfig:
         except (TypeError, ValueError) as exc:
             errors["cavity"] = str(exc)
 
-    grids = doc.get("grids") or {}
-    t_grid = _grid(grids.get("t"), "grids.t", errors)
-    tau_grid = _grid(grids.get("tau"), "grids.tau", errors)
-    omega_grid = _grid(grids.get("omega"), "grids.omega", errors, required=False)
+    grids = _mapping(doc, "grids", errors)
+    t_grid = _grid(grids, "grids.t", errors)
+    tau_grid = _grid(grids, "grids.tau", errors)
+    omega_grid = _grid(grids, "grids.omega", errors, required=False)
 
-    conv = doc.get("conventions") or {}
+    conv = _mapping(doc, "conventions", errors)
     correlation_convention = conv.get("correlation", "tau-zero-consistent")
     try:
         tag_factor(CONVENTIONS, correlation_convention, "convention")
@@ -150,7 +159,7 @@ def load_scenario(path) -> ScenarioConfig:
         errors["conventions.normalization"] = str(exc)
 
     osettings = OracleSettings()
-    odoc = doc.get("oracle") or {}
+    odoc = _mapping(doc, "oracle", errors)
     try:
         osettings = OracleSettings(
             n_trials=int(odoc.get("n_trials", 2000)),
@@ -165,7 +174,10 @@ def load_scenario(path) -> ScenarioConfig:
     except (TypeError, ValueError) as exc:
         errors["oracle"] = str(exc)
 
-    outputs = tuple(doc.get("outputs") or DEFAULT_OUTPUTS)
+    outputs = doc.get("outputs") or DEFAULT_OUTPUTS
+    if not isinstance(outputs, (list, tuple)):
+        raise ScenarioError({**errors, "outputs": "must be a list of artifact names"})
+    outputs = tuple(outputs)
     known = tuple(ARTIFACTS)
     for name in outputs:
         if name not in known:

@@ -28,6 +28,11 @@ from .oracle import BathDiscretization, amplitude_ode_step, discrete_bath_decay,
 from .spectrum import integrated_power, power_spectrum, spectrum_from_correlation
 
 
+# A dipole with no lines, for the checks of the noise terms alone.
+_NO_DRIVE = DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=1),
+                           coeffs=np.zeros(2, dtype=complex))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -58,8 +63,9 @@ def _random_scenario(rng) -> tuple[CavityParams, DipoleSpectrum]:
     return params, spectrum
 
 
-def check_amplitude_and_occupation(seed: int = 1234, n_scenarios: int = 50):
+def check_amplitude_and_occupation(seed: int = 1234):
     """Criteria 1 and 2: closed-form amplitude and coherent occupation vs the ODE oracle."""
+    n_scenarios = 50
     rng = np.random.default_rng(seed)
     worst_amp = 0.0
     worst_occ = 0.0
@@ -80,20 +86,21 @@ def check_amplitude_and_occupation(seed: int = 1234, n_scenarios: int = 50):
     ]
 
 
-def _noise_benchmark(seed: int, n_trials: int = 10_000):
+def _noise_benchmark(seed: int):
+    """The (params, fluct, ensemble) that check_noise_law and check_qrt_convention judge."""
     params = CavityParams(omega_q=1.0, g_q=1.0, kappa=0.1)
     fluct = FluctuationModel(delta=0.2)
     dt = 0.02
     t = np.arange(0.0, 200.0 + dt / 2, dt)         # kappa*t up to 20
     tau = np.arange(0.0, 30.0 + dt / 2, 0.2)       # kappa*tau up to 3
     ensemble = monte_carlo_noise(params, fluct, t, tau_grid=tau,
-                                 n_trials=n_trials, seed=seed)
+                                 n_trials=10_000, seed=seed)
     return params, fluct, ensemble
 
 
-def check_noise_law(ensemble_bundle=None, seed: int = 1234):
+def check_noise_law(bundle):
     """Criterion 3: Monte-Carlo noise occupation vs delta g^2/(2 kappa)(1 - exp(-2 kappa t))."""
-    params, fluct, ens = ensemble_bundle or _noise_benchmark(seed)
+    params, fluct, ens = bundle
     picks = np.unique(np.linspace(1, ens.times.size - 1, 20).astype(int))
     worst = float(np.max(runner.noise_pulls(params, fluct, ens, picks)))
     return [CheckResult("Monte-Carlo noise occupation law", worst <= 5.0, worst, 5.0,
@@ -101,14 +108,12 @@ def check_noise_law(ensemble_bundle=None, seed: int = 1234):
                         f"{ens.n_trials} trials")]
 
 
-def check_qrt_convention(ensemble_bundle=None, seed: int = 1234):
+def check_qrt_convention(bundle):
     """Criterion 5: the MC two-time noise correlator adjudicates the tau = 0 factor."""
-    params, fluct, ens = ensemble_bundle or _noise_benchmark(seed)
-    empty = DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=1),
-                           coeffs=np.zeros(2, dtype=complex))
+    params, fluct, ens = bundle
     pulls = {}
     for conv in ("tau-zero-consistent", "as-written"):
-        model = stationary_correlation(params, empty, fluct, ens.tau, conv)
+        model = stationary_correlation(params, _NO_DRIVE, fluct, ens.tau, conv)
         pulls[conv] = float(np.max(np.abs(ens.mean_two_time - model.values)
                                    / ens.stderr_two_time))
     ok = pulls["tau-zero-consistent"] <= 5.0 < pulls["as-written"]
@@ -200,15 +205,13 @@ def check_spectrum_round_trip():
 
 def check_power_consistency():
     """Criterion 7: continuum quadrature vs the arctan formula, and the power bound sweep."""
-    drive = DriveParams(omega=1.0, n_max=1)
-    empty = DipoleSpectrum(drive=drive, coeffs=np.zeros(2, dtype=complex))
     fluct = FluctuationModel(delta=0.5)
     kappa = 0.1
     params = CavityParams(omega_q=1.0, g_q=0.05, kappa=kappa)
     omega = np.arange(0.0, params.omega_q + 200.0 * kappa, kappa / 20.0)
-    result = power_spectrum(params, empty, fluct, omega)
+    result = power_spectrum(params, _NO_DRIVE, fluct, omega)
     quad = float(np.trapezoid(result.continuum, omega))
-    report = integrated_power(params, empty, fluct)
+    report = integrated_power(params, _NO_DRIVE, fluct)
     err = abs(quad - report.p_fluctuation) / report.p_fluctuation
     results = [CheckResult("fluctuation power quadrature vs arctan form", err <= 1e-2,
                            err, 1e-2)]
@@ -219,7 +222,7 @@ def check_power_consistency():
     bound_ok = True
     for r in ratios:
         p = CavityParams(omega_q=float(r * kappa), g_q=0.05, g0=1.0, c=c)
-        rep = integrated_power(p, empty, fluct)
+        rep = integrated_power(p, _NO_DRIVE, fluct)
         powers.append(rep.p_fluctuation)
         bound_ok &= rep.p_fluctuation <= rep.p_fluctuation_max
     powers = np.array(powers)

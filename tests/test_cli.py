@@ -30,7 +30,11 @@ SCENARIO = {
 }
 
 # SHA-256 of every file SCENARIO writes, manifest.json and its four checks
-# included (numpy 2.4, OpenBLAS, x86-64).
+# included (numpy 2.4, OpenBLAS, x86-64), recorded with OpenBLAS's default
+# thread count on 2 cores.  LAPACK eigh in the bath oracle returns other last
+# bits with another thread count (OPENBLAS_NUM_THREADS=1 changes
+# bath_decay.csv and manifest.json), so the test holds on the same machine
+# and BLAS thread count only.
 FULL_OUTPUT_SHA256 = {
     "amplitude_oracle.csv": "fc294b833e2caef35d91f03e7028107c6510883505901abebf38135d6ed7445f",
     "bath_decay.csv": "1c4f52c6a869d77ae8136370ac264f046041864a822d16e791e29284ce25d8e3",
@@ -147,6 +151,26 @@ def test_non_finite_parameter_exit_code(tmp_path, capsys, section, name, value, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, value, path", [
+    ("drive", [1], "drive"),
+    ("cavity", [1], "cavity"),
+    ("oracle", [1], "oracle"),
+    ("conventions", [1], "conventions"),
+    ("grids", {"t": [1, 2], "tau": SCENARIO["grids"]["tau"]}, "grids.t"),
+    ("grids", {"t": {"stop": "abc", "num": 101}, "tau": SCENARIO["grids"]["tau"]},
+     "grids.t"),
+    ("outputs", 5, "outputs"),
+], ids=["drive", "cavity", "oracle", "conventions", "grid-list", "grid-stop-text",
+        "outputs-number"])
+def test_malformed_section_exit_code(tmp_path, capsys, section, value, path):
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, section: value}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"invalid config: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, value, message", [
     ("dipole", {"coeffs": [[0.0, 0.0], [float("nan"), 0.0], [0.0, 0.0], [0.125, 0.0]]},
      "dipole: coeffs must be finite, got ["),
@@ -204,6 +228,16 @@ def test_decompose_round_trip(config_path, tmp_path, capsys):
     assert code == EXIT_OK
     back = read_dipole_spectrum_json(out / "dipole_spectrum.json")
     assert np.max(np.abs(back.coeffs - reference.coeffs)) < 1e-9
+
+
+@pytest.mark.parametrize("body", ["t,d\n", "t\n0\n1\n"], ids=["header-only", "one-column"])
+def test_decompose_rejects_unusable_csv(config_path, tmp_path, capsys, body):
+    series_path = tmp_path / "dipole.csv"
+    series_path.write_text(body)
+    code = main(["decompose", "--config", str(config_path),
+                 "--input", str(series_path), "--out", str(tmp_path / "dec")])
+    assert code == EXIT_VALIDATION
+    assert f"invalid input: {series_path}: " in capsys.readouterr().err
 
 
 def test_verify_rejects_invalid_config(tmp_path, capsys):

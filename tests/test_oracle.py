@@ -3,7 +3,8 @@ import pytest
 
 from leaky_cavity.cavity import CavityParams, dipole_noise_occupation, mode_amplitude
 from leaky_cavity.cli import default_scenario_path
-from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel
+from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, \
+    sample_fluctuation
 from leaky_cavity.oracle import (
     BathDiscretization,
     _rk4_transfer,
@@ -86,16 +87,38 @@ def test_mc_matches_noise_occupation_law():
 
 
 def test_mc_is_deterministic_and_chunk_independent():
+    # one full chunk of trials and a partial one, against a per-trial reference
     params, fluct, t = mc_setup()
-    a = monte_carlo_noise(params, fluct, t, n_trials=96, seed=11, chunk_size=96)
-    a2 = monte_carlo_noise(params, fluct, t, n_trials=96, seed=11, chunk_size=96)
-    b = monte_carlo_noise(params, fluct, t, n_trials=96, seed=11, chunk_size=17)
-    # bitwise reproducible for a fixed chunking
-    assert np.array_equal(a.mean_occupation, a2.mean_occupation)
-    # chunking only reorders the reduction, so differences are round-off
-    assert np.allclose(a.mean_occupation, b.mean_occupation, rtol=1e-12, atol=1e-14)
-    d = monte_carlo_noise(params, fluct, t, n_trials=96, seed=12, chunk_size=96)
-    assert not np.array_equal(a.mean_occupation, d.mean_occupation)
+    tau = np.arange(0.0, 20.0 + 0.025, 2.0)
+    n_trials, seed = 512 + 17, 11
+    ens = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials, seed=seed)
+
+    h = t[1] - t[0]
+    lags = np.rint(tau / h).astype(int)
+    n_steps = t.size - 1 + lags.max()
+    step_times = h * np.arange(n_steps + 1)
+    r, c0, cm, c1 = _rk4_transfer(-(1j * params.omega_q + params.kappa), h)
+    gain = params.g_q * (c0 + cm + c1)
+    z = np.zeros((n_trials, n_steps + 1), dtype=complex)
+    for k in range(n_trials):
+        noise = sample_fluctuation(fluct, step_times, seed=[seed, k]).values
+        for j in range(n_steps):
+            z[k, j + 1] = r * z[k, j] + gain * noise[j]
+    occupation = np.abs(z[:, :t.size]) ** 2
+    two_time = np.conj(z[:, [t.size - 1]]) * z[:, t.size - 1 + lags]
+    for got_mean, got_stderr, samples in (
+            (ens.mean_occupation, ens.stderr_occupation, occupation),
+            (ens.mean_two_time, ens.stderr_two_time, two_time)):
+        np.testing.assert_allclose(got_mean, samples.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(got_stderr, samples.std(axis=0) / np.sqrt(n_trials),
+                                   rtol=1e-12)
+
+    again = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials, seed=seed)
+    assert np.array_equal(ens.mean_occupation, again.mean_occupation)
+    assert np.array_equal(ens.mean_two_time, again.mean_two_time)
+    other = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials,
+                              seed=seed + 1)
+    assert not np.array_equal(ens.mean_occupation, other.mean_occupation)
 
 
 def test_mc_two_time_decay():

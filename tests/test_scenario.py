@@ -141,6 +141,17 @@ def test_missing_series_file(tmp_path):
     assert "dipole.series" in exc.value.errors
 
 
+@pytest.mark.parametrize("body, message", [("t,d\n", "no data rows"),
+                                           ("t\n0\n1\n", "a value column")],
+                         ids=["header-only", "one-column"])
+def test_unusable_series_csv(tmp_path, body, message):
+    (tmp_path / "dipole.csv").write_text(body)
+    path = write_config(tmp_path, dipole={"series": "dipole.csv"})
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert message in exc.value.errors["dipole.series"]
+
+
 def test_non_mapping_config(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text("- just\n- a list\n")
