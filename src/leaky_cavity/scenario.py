@@ -167,6 +167,9 @@ def load_scenario(path) -> ScenarioConfig:
             bath_modes=int(odoc.get("bath_modes", 2000)),
             bath_half_width_kappas=float(odoc.get("bath_half_width_kappas", 40.0)),
         )
+        seed = osettings.seed
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+            errors["oracle.seed"] = "must be a non-negative integer"
         if osettings.n_trials < 2:
             errors["oracle.n_trials"] = "must be at least 2 (a standard error needs two trials)"
         if osettings.bath_modes < 100:

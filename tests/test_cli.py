@@ -30,16 +30,13 @@ SCENARIO = {
 }
 
 # SHA-256 of every file SCENARIO writes, manifest.json and its four checks
-# included (numpy 2.4, OpenBLAS, x86-64), recorded with OpenBLAS's default
-# thread count on 2 cores.  LAPACK eigh in the bath oracle returns other last
-# bits with another thread count (OPENBLAS_NUM_THREADS=1 changes
-# bath_decay.csv and manifest.json), so the test holds on the same machine
-# and BLAS thread count only.
+# included (numpy 2.4, OpenBLAS, x86-64); the same with OPENBLAS_NUM_THREADS=1
+# and 2.
 FULL_OUTPUT_SHA256 = {
     "amplitude_oracle.csv": "fc294b833e2caef35d91f03e7028107c6510883505901abebf38135d6ed7445f",
-    "bath_decay.csv": "1c4f52c6a869d77ae8136370ac264f046041864a822d16e791e29284ce25d8e3",
+    "bath_decay.csv": "e02c250a5c78223ed772d76efb66a54d0b5fe38195c510c5ffc5b6bb013b384c",
     "dipole_spectrum.json": "6a1aa7e031aa880e79757b84e02c9b3a8c26c2db3b444589b3511e3387f36fc9",
-    "manifest.json": "a218a0fd79e64bd9b66f3a8cc8679ad3a9694d824ed7ecbb4d346447e4e713e4",
+    "manifest.json": "01efe16a95b0d2904c9011f0ca4a5907cc3fe6c19180670645f1e242db91fd27",
     "mean_dipole.csv": "970a0d9b137e2e19ff33dae2499331183d7f813f2a92a317ab99d4c825b6046d",
     "noise_oracle.csv": "63b47bea71804827319bccb378b5d90c82ef66322cd14a257437d94317ab45b4",
     "noise_oracle_two_time.csv":
@@ -171,6 +168,17 @@ def test_malformed_section_exit_code(tmp_path, capsys, section, value, path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, "abc", -3, [1, 2], True],
+                         ids=["fraction", "integral-float", "text", "negative", "list", "bool"])
+def test_invalid_seed_exit_code(tmp_path, capsys, seed):
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "oracle": {**SCENARIO["oracle"], "seed": seed}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert "invalid config: oracle.seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, value, message", [
     ("dipole", {"coeffs": [[0.0, 0.0], [float("nan"), 0.0], [0.0, 0.0], [0.125, 0.0]]},
      "dipole: coeffs must be finite, got ["),
@@ -193,9 +201,13 @@ def test_non_finite_input_exit_code(tmp_path, capsys, section, value, message):
 def test_run_imports_no_scipy(tmp_path):
     code = (
         "import sys\n"
+        "import leaky_cavity.oracle as oracle, leaky_cavity.verification\n"
+        "from leaky_cavity.cavity import CavityParams\n"
         "from leaky_cavity.cli import default_scenario_path, main\n"
         "assert main(['run', '--config', str(default_scenario_path()),\n"
         f"             '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "oracle.discrete_bath_decay(oracle.BathDiscretization.for_damping(0.05, 1.0, 200, 2.0),\n"
+        "                           CavityParams(omega_q=1.0, g_q=0.1, kappa=0.05), [0.0, 1.0])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -7,6 +7,8 @@ from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, \
     sample_fluctuation
 from leaky_cavity.oracle import (
     BathDiscretization,
+    _arrowhead_spectrum,
+    _digamma,
     _rk4_transfer,
     _scan,
     amplitude_ode_step,
@@ -180,6 +182,51 @@ def test_discrete_bath_follows_pole_model():
     rate, residue = continuum_pole(bath)
     target = residue * np.exp(-rate * t)
     assert np.max(np.abs(np.abs(result.series.values) - target)) < 0.05
+
+
+@pytest.mark.parametrize("bath, omega_q", [
+    (BathDiscretization.for_damping(0.05, 1.0, 1000, 2.0), 1.0),
+    (BathDiscretization.for_damping(0.05, 1.0, 2000, 2.0), 1.0),
+    (BathDiscretization.for_damping(0.05, 1.0, 2001, 2.0), 1.0),
+    (BathDiscretization(n_modes=1500, center=1.0, half_width=2.0, g0=1e-4), 1.0),
+    (BathDiscretization.for_damping(0.05, 1.0, 1200, 2.0), 1.7),
+    (BathDiscretization(n_modes=400, center=1.0, half_width=2.0, g0=12.5 * 4.0 / 399), 1.0),
+    (BathDiscretization.for_damping(0.05, 1.0, 800, 2.0), 3.5),
+], ids=["markov-1000", "markov-2000", "odd-2001-on-mode", "weak-coupling", "off-centre",
+        "strong-coupling", "above-band"])
+def test_bath_matches_dense_eigh(bath, omega_q):
+    h = np.diag(np.concatenate([[omega_q], bath.frequencies()]))
+    h[0, 1:] = bath.g0
+    h[1:, 0] = bath.g0
+    evals, evecs = np.linalg.eigh(h)
+    weights = evecs[0] ** 2
+    t = np.linspace(0.0, 100.0, 256)
+    reference = (np.exp(-1j * np.outer(t, evals)) * weights).sum(axis=1)
+
+    got_evals, got_weights = _arrowhead_spectrum(bath, omega_q)
+    assert got_evals == pytest.approx(evals, abs=1e-12)
+    assert got_weights == pytest.approx(weights, abs=1e-12)
+    result = discrete_bath_decay(bath, CavityParams(omega_q=omega_q, g_q=0.1, kappa=0.05), t)
+    assert np.max(np.abs(result.series.values - reference)) <= 1e-12
+    assert result.norm_error <= 1e-12
+
+
+def test_uncoupled_bath_leaves_the_cavity_oscillating():
+    bath = BathDiscretization(n_modes=100, center=1.0, half_width=2.0, g0=0.0)
+    params = CavityParams(omega_q=1.3, g_q=0.1, kappa=0.05)
+    t = np.linspace(0.0, 50.0, 64)
+    result = discrete_bath_decay(bath, params, t)
+    assert result.series.values == pytest.approx(np.exp(-1j * params.omega_q * t), abs=1e-15)
+    assert result.norm_error == 0.0
+
+
+def test_digamma_matches_scipy():
+    from scipy.special import polygamma, psi
+
+    z = np.concatenate([np.linspace(0.5, 30.0, 2001), [4000.5, 1e5]])
+    digamma, trigamma = _digamma(z)
+    assert digamma == pytest.approx(psi(z), rel=1e-15, abs=2e-15)
+    assert trigamma == pytest.approx(polygamma(1, z), rel=2e-15)
 
 
 def test_discrete_bath_rejects_recurrence_horizon():
