@@ -89,6 +89,11 @@ def _cmd_decompose(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    seed = getattr(args, "seed_override", None)
+    if seed is not None and seed < 0:
+        print(f"invalid option: --seed-override: must be a non-negative integer, got {seed}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         if args.command == "run":
             return _cmd_run(args)

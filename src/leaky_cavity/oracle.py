@@ -23,6 +23,11 @@ _STABILITY_LIMIT = 0.1
 
 # Monte-Carlo trials drawn and filtered together; it bounds memory, not results.
 _MC_CHUNK = 512
+# Steps per block of the Monte-Carlo recursion (one GEMM row) and blocks per
+# slab (one GEMM): 256 steps x 512 trials keep the slab arrays at a few MB.
+# Like _MC_CHUNK, they bound work and memory; results agree to rounding.
+_MC_BLOCK = 16
+_MC_SLAB_BLOCKS = 16
 
 
 def _rk4_transfer(lam: complex, h: float):
@@ -102,6 +107,20 @@ def _mean_stderr(total, total_sq, n: int):
     return mean, np.sqrt(np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) / n)
 
 
+def _block_propagator(r: complex, gain: complex) -> np.ndarray:
+    """Real (L+2, 2L) matrix P with [x_0..x_{L-1}, Re z0, Im z0] @ P = [Re z_1..z_L | Im z_1..z_L].
+
+    L steps of z -> r z + gain x from z0 give z_{i+1} = r^(i+1) z0 +
+    sum_{m<=i} gain r^(i-m) x_m: the noise rows hold the lower-triangular
+    Toeplitz matrix gain r^(i-m), the carry rows r^(i+1) and i r^(i+1).
+    """
+    powers = r ** np.arange(_MC_BLOCK + 1)
+    lag = np.arange(_MC_BLOCK) - np.arange(_MC_BLOCK)[:, None]  # i - m at row m, column i
+    toeplitz = np.where(lag >= 0, gain * powers[np.maximum(lag, 0)], 0.0)
+    rows = np.vstack([toeplitz, powers[1:], 1j * powers[1:]])
+    return np.hstack([rows.real, rows.imag])
+
+
 def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
                       tau_grid=None, n_trials: int = 1000,
                       seed: int = 0) -> TrajectoryEnsemble:
@@ -113,6 +132,12 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     with the same 4th-order step and piecewise-constant forcing per step, and
     the ensemble reports mean and standard error of |d(t)|^2 on the t grid plus,
     when a tau grid is given, of conj(d(t_ref)) d(t_ref+tau) at t_ref = t_grid[-1].
+
+    The recursion runs in slabs of steps, each cut into blocks of L steps.  The
+    state at each block start (its carry) follows from the zero-start block
+    ends by a short scan; one real GEMM of the noise blocks, with the carries
+    as two extra columns, against ``_block_propagator`` then gives every state
+    of the slab.  The |d|^2 sums over trials are GEMVs with a ones vector.
     """
     t = np.asarray(t_grid, dtype=float)
     h = float(uniform_steps(t, "t")[0])
@@ -131,38 +156,64 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     r, c0, cm, c1 = _rk4_transfer(lam, h)
     gain = params.g_q * (c0 + cm + c1)  # constant forcing over each step
 
-    ref_index = n_t - 1
-    lag_taus = {}  # step index -> indices of the tau points at that lag from t_ref
-    for m, lag in enumerate(tau_steps.tolist()):
-        lag_taus.setdefault(ref_index + lag, []).append(m)
+    n_l = _MC_BLOCK
+    prop = _block_propagator(r, sigma * gain)  # takes the raw standard-normal draws
+    end_prop = prop[:n_l, [n_l - 1, 2 * n_l - 1]]  # zero-start state at each block end
+    r_block = r ** n_l
+    n_blocks = min(_MC_SLAB_BLOCKS, -(-n_steps // n_l))
+    slab = n_blocks * n_l
+    n_pad = -(-n_steps // slab) * slab  # the padding steps draw zero noise
 
-    occ_sum = np.zeros(n_t)
-    occ_sumsq = np.zeros(n_t)
+    # States kept per trial: t_ref, then t_ref + tau.  State s >= 1 comes out
+    # of step s - 1, at a (block, column) of one slab.
+    ref_index = n_t - 1
+    snaps = np.concatenate([[ref_index], ref_index + tau_steps])
+    snap_slab, snap_pos = np.divmod(snaps - 1, slab)
+
+    occ_sum = np.zeros(n_pad + 1)
+    occ_sumsq = np.zeros(n_pad + 1)
     tt_sum = np.zeros(tau_steps.size, dtype=complex)
     tt_sumsq = np.zeros(tau_steps.size)
-    buffer = np.empty((min(_MC_CHUNK, n_trials), n_steps))
+    rows = min(_MC_CHUNK, n_trials)
+    buffer = np.zeros((rows, n_pad))
+    aug = np.empty((rows, n_blocks, n_l + 2))   # noise blocks | Re, Im carry
+    states = np.empty((rows, n_blocks, 2 * n_l))  # Re z | Im z of each block
+    block_end = np.empty((rows, n_blocks, 2))
+    mod2 = np.empty((rows, slab))
+    col_sum = np.empty(slab)
+    ones = np.ones(rows)
+    kept = np.empty((rows, snaps.size), dtype=complex)
     for lo in range(0, n_trials, _MC_CHUNK):
-        noise = buffer[:min(_MC_CHUNK, n_trials - lo)]
+        m = min(_MC_CHUNK, n_trials - lo)
+        noise = buffer[:m]
         for k, row in enumerate(noise, start=lo):
-            np.random.default_rng([seed, k]).standard_normal(out=row)
-        noise *= sigma
-        z = np.zeros(noise.shape[0], dtype=complex)
-        for j in range(n_steps):
-            z = r * z + gain * noise[:, j]
-            idx = j + 1
-            if idx < n_t:
-                mod2 = np.abs(z) ** 2
-                occ_sum[idx] += mod2.sum()
-                occ_sumsq[idx] += (mod2 ** 2).sum()
-            if idx == ref_index:
-                z_ref = np.conj(z)
-            if idx in lag_taus:
-                prod = z_ref * z
-                for m in lag_taus[idx]:
-                    tt_sum[m] += prod.sum()
-                    tt_sumsq[m] += (np.abs(prod) ** 2).sum()
+            np.random.default_rng([seed, k]).standard_normal(out=row[:n_steps])
+        a, out, sq = aug[:m], states[:m], mod2[:m]
+        a_rows = a.reshape(m * n_blocks, n_l + 2)
+        carry = a[:, :, n_l:].view(complex)[..., 0]
+        ends = block_end[:m].view(complex)[..., 0]
+        z = np.zeros(m, dtype=complex)
+        for s0 in range(0, n_pad, slab):
+            a[:, :, :n_l] = noise[:, s0:s0 + slab].reshape(m, n_blocks, n_l)
+            np.matmul(a_rows[:, :n_l], end_prop, out=block_end[:m].reshape(m * n_blocks, 2))
+            for b in range(n_blocks):
+                carry[:, b] = z
+                z = r_block * z + ends[:, b]
+            np.matmul(a_rows, prop, out=out.reshape(m * n_blocks, 2 * n_l))
+            here = np.flatnonzero(snap_slab == s0 // slab)
+            blk, pos = np.divmod(snap_pos[here], n_l)
+            kept[:m, here] = out[:, blk, pos] + 1j * out[:, blk, n_l + pos]
+            if s0 + 1 < n_t:
+                np.square(out, out=out)
+                np.add(out[:, :, :n_l], out[:, :, n_l:], out=sq.reshape(m, n_blocks, n_l))
+                occ_sum[s0 + 1:s0 + slab + 1] += np.matmul(ones[:m], sq, out=col_sum)
+                np.square(sq, out=sq)
+                occ_sumsq[s0 + 1:s0 + slab + 1] += np.matmul(ones[:m], sq, out=col_sum)
+        prod = np.conj(kept[:m, :1]) * kept[:m, 1:]
+        tt_sum += prod.sum(axis=0)
+        tt_sumsq += (np.abs(prod) ** 2).sum(axis=0)
 
-    mean_occ, stderr_occ = _mean_stderr(occ_sum, occ_sumsq, n_trials)
+    mean_occ, stderr_occ = _mean_stderr(occ_sum[:n_t], occ_sumsq[:n_t], n_trials)
     result = dict(n_trials=n_trials, seed=seed, times=t, mean_occupation=mean_occ,
                   stderr_occupation=stderr_occ, reference_time=float(t[-1]))
     if tau_grid is not None:
@@ -260,6 +311,10 @@ _PSI_SHIFT = 10
 # seen over 3000 random baths (2-300 modes, g0/spacing from 1e-6 to 300, omega_q
 # on, off and outside the band) was 30.
 _SECULAR_PASSES = 100
+
+# Elements of the (times x modes) phase block summed at once by
+# discrete_bath_decay; it bounds memory, not results.
+_BATH_BLOCK_ELEMENTS = 1 << 18
 
 
 def _digamma(z):
@@ -386,7 +441,10 @@ def discrete_bath_decay(bath: BathDiscretization, params: CavityParams,
             f"{bath.recurrence_time:.3g}; increase n_modes or shrink the grid"
         )
     evals, weights = _arrowhead_spectrum(bath, params.omega_q)
-    alpha = (np.exp(-1j * np.outer(t, evals)) * weights).sum(axis=1)
+    alpha = np.empty(t.size, dtype=complex)
+    rows = max(1, _BATH_BLOCK_ELEMENTS // evals.size)
+    for lo in range(0, t.size, rows):
+        alpha[lo:lo + rows] = (np.exp(-1j * np.outer(t[lo:lo + rows], evals)) * weights).sum(axis=1)
     return BathDecayResult(
         series=TimeSeries(times=t, values=alpha),
         kappa_effective=bath.kappa_effective,

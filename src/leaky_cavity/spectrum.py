@@ -113,12 +113,17 @@ def spectrum_from_correlation(series: CorrelationSeries, omega_grid,
     trapezoidal weights.  The optional exponential taper exp(-eta tau) turns
     delta lines into narrow Lorentzians of unit integrated weight, trading
     resolution for tail decay.
+
+    The omega grid must be uniform, omega_k = omega_0 + k domega.  The sum is
+    then a chirp-z transform (Bluestein): with a = domega dtau and
+    kj = (k^2 + j^2 - (k-j)^2)/2 it is one FFT convolution with the chirp
+    exp(-i a m^2/2), in O((N_tau + N_omega) log) operations.
     """
     if not series.stationary:
         raise ValueError("spectrum_from_correlation requires a stationary series")
     tau = series.tau
     dtau = uniform_steps(tau, "tau")
-    vals = series.values.copy()
+    vals = series.values
     if window == "exponential":
         eta = taper_rate if taper_rate is not None else 5.0 / tau[-1]
         vals = vals * np.exp(-eta * tau)
@@ -128,10 +133,15 @@ def spectrum_from_correlation(series: CorrelationSeries, omega_grid,
     weights[0] *= 0.5
     weights[-1] *= 0.5
     omega = np.asarray(omega_grid, dtype=float)
-    out = np.empty(omega.size)
-    weighted = vals * weights
-    chunk = max(1, 8_000_000 // max(tau.size, 1))
-    for lo in range(0, omega.size, chunk):
-        block = omega[lo:lo + chunk]
-        out[lo:lo + chunk] = np.exp(1j * np.outer(block, tau)).dot(weighted).real
-    return out / np.pi
+    uniform_steps(omega, "omega")
+    n, m = tau.size, omega.size
+    a = (omega[-1] - omega[0]) / (m - 1) * (tau[-1] - tau[0]) / (n - 1)
+    # exp(i omega_k tau_j) = exp(i omega_0 tau_j) exp(i (omega_k - omega_0) tau_0) exp(i a k j)
+    u = vals * weights * np.exp(1j * omega[0] * tau) * np.exp(0.5j * a * np.arange(n) ** 2)
+    size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1
+    chirp = np.zeros(size, dtype=complex)
+    chirp[:m] = np.exp(-0.5j * a * np.arange(m) ** 2)
+    chirp[size - n + 1:] = np.exp(-0.5j * a * np.arange(n - 1, 0, -1) ** 2)
+    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(chirp))[:m]
+    phase = np.exp(1j * (omega - omega[0]) * tau[0]) * np.exp(0.5j * a * np.arange(m) ** 2)
+    return (phase * conv).real / np.pi

@@ -36,11 +36,11 @@ FULL_OUTPUT_SHA256 = {
     "amplitude_oracle.csv": "fc294b833e2caef35d91f03e7028107c6510883505901abebf38135d6ed7445f",
     "bath_decay.csv": "e02c250a5c78223ed772d76efb66a54d0b5fe38195c510c5ffc5b6bb013b384c",
     "dipole_spectrum.json": "6a1aa7e031aa880e79757b84e02c9b3a8c26c2db3b444589b3511e3387f36fc9",
-    "manifest.json": "01efe16a95b0d2904c9011f0ca4a5907cc3fe6c19180670645f1e242db91fd27",
+    "manifest.json": "f11dbd095c4cd41ec3a65e6ec2ab4f3d92c57b9f1bd701d66e641667185e5e82",
     "mean_dipole.csv": "970a0d9b137e2e19ff33dae2499331183d7f813f2a92a317ab99d4c825b6046d",
-    "noise_oracle.csv": "63b47bea71804827319bccb378b5d90c82ef66322cd14a257437d94317ab45b4",
+    "noise_oracle.csv": "57e1fa9a49bb5d68464827281f4cca5df88dfc772b7d06b3375be3ea0729b881",
     "noise_oracle_two_time.csv":
-        "008057ad4a12eeb7132771b463f13d269a1d813de06753bcd1c265d151ca7ecf",
+        "39ad9c8f4e34ae17a369a62576868911e09574229b847afa39eb94af0b0a680a",
     "occupation.csv": "2fe7480582f898917475519d7306e9e483b0f0306a120483775436469b1c7256",
     "power_report.json": "7655695286f85ce92f52690b1d71bea553fa28682f75585da8b5e0eb18923639",
     "spectrum.json": "cd8ed05c216a90d3632e8b8a339c560ddd3dd467bb9dce9918d3c0eb7e360f52",
@@ -176,6 +176,24 @@ def test_invalid_seed_exit_code(tmp_path, capsys, seed):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
     assert "invalid config: oracle.seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_negative_seed_override_is_refused_before_any_work(config_path, tmp_path, capsys,
+                                                           monkeypatch, command):
+    import leaky_cavity.cli as cli_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no oracle may run for a refused option")
+
+    monkeypatch.setattr(cli_mod.runner, "run", forbidden)
+    monkeypatch.setattr(cli_mod.verification, "run_all", forbidden)
+    out = tmp_path / "out"
+    argv = {"run": ["run", "--config", str(config_path), "--out", str(out)],
+            "verify": ["verify", "--config", str(config_path)]}[command]
+    assert main(argv + ["--seed-override", "-3"]) == EXIT_VALIDATION
+    assert "--seed-override: must be a non-negative integer, got -3" in capsys.readouterr().err
     assert not out.exists()
 
 

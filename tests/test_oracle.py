@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,9 @@ from leaky_cavity.cli import default_scenario_path
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, \
     sample_fluctuation
 from leaky_cavity.oracle import (
+    _BATH_BLOCK_ELEMENTS,
+    _MC_BLOCK,
+    _MC_SLAB_BLOCKS,
     BathDiscretization,
     _arrowhead_spectrum,
     _digamma,
@@ -88,32 +96,53 @@ def test_mc_matches_noise_occupation_law():
     assert np.max(pulls) < 5.0
 
 
+def per_step_reference(params, fluct, t, tau, n_trials, seed):
+    """Mean and standard error of the Monte-Carlo statistics from a plain per-step loop.
+
+    Each trial's noise comes from sample_fluctuation with the seed [seed, k];
+    the states advance one step at a time, z -> r z + gain x, for all trials
+    at once.  Returns (occupation, two-time) pairs of (mean, stderr), the
+    two-time pair None without a tau grid.
+    """
+    h = t[1] - t[0]
+    lags = np.rint(np.asarray([] if tau is None else tau) / h).astype(int)
+    n_steps = t.size - 1 + lags.max(initial=0)
+    step_times = h * np.arange(n_steps + 1)
+    r, c0, cm, c1 = _rk4_transfer(-(1j * params.omega_q + params.kappa), h)
+    gain = params.g_q * (c0 + cm + c1)
+    noise = np.array([sample_fluctuation(fluct, step_times, seed=[seed, k]).values
+                      for k in range(n_trials)])
+    z = np.zeros((n_trials, n_steps + 1), dtype=complex)
+    for j in range(n_steps):
+        z[:, j + 1] = r * z[:, j] + gain * noise[:, j]
+
+    def stats(samples):
+        return samples.mean(axis=0), samples.std(axis=0) / np.sqrt(n_trials)
+
+    occupation = stats(np.abs(z[:, :t.size]) ** 2)
+    if tau is None:
+        return occupation, None
+    return occupation, stats(np.conj(z[:, [t.size - 1]]) * z[:, t.size - 1 + lags])
+
+
+def assert_matches_reference(ens, reference):
+    (occ_mean, occ_stderr), two_time = reference
+    np.testing.assert_allclose(ens.mean_occupation, occ_mean, rtol=1e-12)
+    np.testing.assert_allclose(ens.stderr_occupation, occ_stderr, rtol=1e-12)
+    if two_time is None:
+        assert ens.mean_two_time is None and ens.stderr_two_time is None
+    else:
+        np.testing.assert_allclose(ens.mean_two_time, two_time[0], rtol=1e-12)
+        np.testing.assert_allclose(ens.stderr_two_time, two_time[1], rtol=1e-12)
+
+
 def test_mc_is_deterministic_and_chunk_independent():
-    # one full chunk of trials and a partial one, against a per-trial reference
+    # one full chunk of trials and a partial one, against a per-step reference
     params, fluct, t = mc_setup()
     tau = np.arange(0.0, 20.0 + 0.025, 2.0)
     n_trials, seed = 512 + 17, 11
     ens = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials, seed=seed)
-
-    h = t[1] - t[0]
-    lags = np.rint(tau / h).astype(int)
-    n_steps = t.size - 1 + lags.max()
-    step_times = h * np.arange(n_steps + 1)
-    r, c0, cm, c1 = _rk4_transfer(-(1j * params.omega_q + params.kappa), h)
-    gain = params.g_q * (c0 + cm + c1)
-    z = np.zeros((n_trials, n_steps + 1), dtype=complex)
-    for k in range(n_trials):
-        noise = sample_fluctuation(fluct, step_times, seed=[seed, k]).values
-        for j in range(n_steps):
-            z[k, j + 1] = r * z[k, j] + gain * noise[j]
-    occupation = np.abs(z[:, :t.size]) ** 2
-    two_time = np.conj(z[:, [t.size - 1]]) * z[:, t.size - 1 + lags]
-    for got_mean, got_stderr, samples in (
-            (ens.mean_occupation, ens.stderr_occupation, occupation),
-            (ens.mean_two_time, ens.stderr_two_time, two_time)):
-        np.testing.assert_allclose(got_mean, samples.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(got_stderr, samples.std(axis=0) / np.sqrt(n_trials),
-                                   rtol=1e-12)
+    assert_matches_reference(ens, per_step_reference(params, fluct, t, tau, n_trials, seed))
 
     again = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials, seed=seed)
     assert np.array_equal(ens.mean_occupation, again.mean_occupation)
@@ -121,6 +150,55 @@ def test_mc_is_deterministic_and_chunk_independent():
     other = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials,
                               seed=seed + 1)
     assert not np.array_equal(ens.mean_occupation, other.mean_occupation)
+
+
+# (n_t, tau lags in steps, trials).  The last state of the walk is always the
+# largest lag.  With 256-step slabs of 16-step blocks, n_t = 257 puts t_ref on
+# the last state of the first slab and n_t = 258 on the first of the second.
+@pytest.mark.parametrize("n_t, lags, n_trials", [
+    (1000, [0, 3, 3, 0, 517], 512 + 3),
+    (257, [0, 1, 300], 40),
+    (258, [0, 256, 255], 40),
+    (300, None, 40),
+    (2, [0], 5),
+    (2, [0, 2], 5),
+], ids=["ragged-duplicate-lags-partial-chunk", "ref-ends-slab", "ref-starts-slab",
+        "no-tau", "one-step", "three-steps"])
+def test_mc_slab_recursion_matches_per_step_loop(n_t, lags, n_trials):
+    assert _MC_BLOCK * _MC_SLAB_BLOCKS == 256
+    params, fluct, _ = mc_setup()
+    h = 0.05
+    t = h * np.arange(n_t)
+    tau = None if lags is None else h * np.array(lags, dtype=float)
+    ens = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials, seed=4)
+    assert_matches_reference(ens, per_step_reference(params, fluct, t, tau, n_trials, 4))
+
+
+def test_mc_is_independent_of_blas_threads():
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from leaky_cavity.cavity import CavityParams\n"
+        "from leaky_cavity.dipole import FluctuationModel\n"
+        "from leaky_cavity.oracle import monte_carlo_noise\n"
+        "t = np.arange(0.0, 60.0 + 0.025, 0.05)\n"
+        "ens = monte_carlo_noise(CavityParams(omega_q=1.0, g_q=1.0, kappa=0.1),\n"
+        "                        FluctuationModel(0.2), t, tau_grid=np.arange(0.0, 20.01, 0.5),\n"
+        "                        n_trials=600, seed=9)\n"
+        "arrays = (ens.mean_occupation, ens.stderr_occupation, ens.mean_two_time,\n"
+        "          ens.stderr_two_time)\n"
+        "print(hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_mc_two_time_decay():
@@ -209,6 +287,16 @@ def test_bath_matches_dense_eigh(bath, omega_q):
     result = discrete_bath_decay(bath, CavityParams(omega_q=omega_q, g_q=0.1, kappa=0.05), t)
     assert np.max(np.abs(result.series.values - reference)) <= 1e-12
     assert result.norm_error <= 1e-12
+
+
+def test_bath_sum_in_row_blocks_is_bit_equal_to_one_shot():
+    bath = BathDiscretization.for_damping(0.05, 1.0, 2000, 2.0)
+    params = CavityParams(omega_q=1.0, g_q=0.1, kappa=0.05)
+    t = np.linspace(0.0, 100.0, 301)
+    assert t.size > 2 * (_BATH_BLOCK_ELEMENTS // (bath.n_modes + 1))  # three blocks or more
+    evals, weights = _arrowhead_spectrum(bath, params.omega_q)
+    one_shot = (np.exp(-1j * np.outer(t, evals)) * weights).sum(axis=1)
+    assert np.array_equal(discrete_bath_decay(bath, params, t).series.values, one_shot)
 
 
 def test_uncoupled_bath_leaves_the_cavity_oscillating():

@@ -139,6 +139,68 @@ def test_transform_with_taper_preserves_line_weight():
     assert weight == pytest.approx(expected, rel=1e-2)
 
 
+def dense_wkt(series, omega, window="none", taper_rate=None):
+    """The Wiener-Khinchin sum with every exp(i omega tau) formed, for reference."""
+    tau = series.tau
+    vals = series.values
+    if window == "exponential":
+        vals = vals * np.exp(-(taper_rate if taper_rate is not None else 5.0 / tau[-1]) * tau)
+    weights = np.full(tau.size, tau[1] - tau[0])
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return np.exp(1j * np.outer(omega, tau)).dot(vals * weights).real / np.pi
+
+
+def criterion_6_case():
+    # the grids of verification.check_spectrum_round_trip, lines and continuum together
+    kappa = 0.1
+    params = CavityParams(omega_q=2.0, g_q=0.05, kappa=kappa)
+    spec = DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=3),
+                          coeffs=[0.0, 0.9, 0.1 * np.exp(0.4j), 1.0])
+    dtau = 0.01 / kappa
+    tau = np.arange(0.0, 30.0 / kappa + dtau / 2, dtau)
+    series = stationary_correlation(params, spec, FluctuationModel(0.2), tau,
+                                    "tau-zero-consistent")
+    return series, np.arange(0.0, 4.0, 2.0 * np.pi / tau[-1] / 16.0), {}
+
+
+def sweep_window_case():
+    # 20001 lags and a 16-point window far from omega = 0
+    rng = np.random.default_rng(5)
+    coeffs = rng.uniform(0.2, 1.0, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
+    spec = DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=15), coeffs=coeffs)
+    params = CavityParams(omega_q=11.3, g_q=0.1, kappa=0.2)
+    series = stationary_correlation(params, spec, FluctuationModel(0.2),
+                                    np.linspace(0.0, 200.0, 20001), "tau-zero-consistent")
+    return series, params.omega_q + params.kappa / 4.0 * np.arange(-8, 8), {}
+
+
+def taper_case():
+    spec = DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=1), coeffs=[0.0, 0.8])
+    params = CavityParams(omega_q=1.0, g_q=0.05, kappa=0.1)
+    tau = np.arange(0.0, 400.0, 0.05)
+    series = stationary_correlation(params, spec, FluctuationModel(0.0), tau,
+                                    "tau-zero-consistent")
+    eta = 10.0 / tau[-1]
+    omega = np.linspace(1.0 - 150 * eta, 1.0 + 150 * eta, 401)
+    return series, omega, {"window": "exponential", "taper_rate": eta}
+
+
+@pytest.mark.parametrize("case", [criterion_6_case, sweep_window_case, taper_case],
+                         ids=["criterion-6", "sweep-window", "exponential-taper"])
+def test_chirp_z_transform_matches_dense_sum(case):
+    series, omega, options = case()
+    reference = dense_wkt(series, omega, **options)
+    got = spectrum_from_correlation(series, omega, **options)
+    assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_transform_requires_uniform_omega_grid():
+    series, _, _ = criterion_6_case()
+    with pytest.raises(ValueError, match="uniform"):
+        spectrum_from_correlation(series, [1.0, 1.1, 1.3])
+
+
 def test_transform_error_contracts():
     params, spec, fluct = comb_case()
     tau = np.linspace(0.0, 10.0, 101)
