@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dipole import DipoleSpectrum, FluctuationModel, require_finite
+from .dipole import DipoleSpectrum, FluctuationModel, phase_table, require_finite
 
 _KAPPA_CONSISTENCY_RTOL = 1e-12
 
@@ -79,9 +79,10 @@ def _line_responses(params: CavityParams, spectrum: DipoleSpectrum, t: np.ndarra
     """
     detuning = params.omega_q - spectrum.harmonics()
     denom = 1j * detuning + params.kappa
-    osc = np.exp(1j * np.outer(t, detuning))
-    decay = np.exp(-params.kappa * t)[:, None]
-    return (osc - decay) * (spectrum.coeffs / denom)
+    resp = phase_table(t, detuning)
+    resp -= np.exp(-params.kappa * t)[:, None]
+    resp *= spectrum.coeffs / denom
+    return resp
 
 
 def mode_amplitude(params: CavityParams, spectrum: DipoleSpectrum, t):

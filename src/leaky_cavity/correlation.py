@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import CavityParams, dipole_noise_occupation, mode_amplitude
-from .dipole import DipoleSpectrum, FluctuationModel
+from .dipole import DipoleSpectrum, FluctuationModel, phase_table
 
 # Convention tag -> weight of C_Delta in the incoherent term.  "as-written"
 # reproduces the published stationary correlator (incoherent weight
@@ -93,8 +93,9 @@ def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     coherent_occ = abs(amp) ** 2  # equals the full-mode coherent occupation
     noise_occ = dipole_noise_occupation(params, fluct, t)
 
-    line_phases = np.exp(-1j * np.outer(tau, spectrum.harmonics()))
-    drive = (line_phases - decay[:, None]) @ (
+    line_phases = phase_table(tau, -spectrum.harmonics())
+    line_phases -= decay[:, None]
+    drive = line_phases @ (
         coeff.a_n * np.exp(-1j * spectrum.harmonics() * t)
     )
     values = decay * (coherent_occ + s * noise_occ) + amp * drive
@@ -115,10 +116,8 @@ def stationary_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     if np.any(tau < 0):
         raise ValueError("tau must be nonnegative; extend via C(-tau) = conj(C(tau))")
     coeff = coefficients(params, spectrum, fluct)
-    line_phases = np.exp(-1j * np.outer(tau, spectrum.harmonics()))
-    values = line_phases @ (np.abs(coeff.a_n) ** 2) + s * coeff.c_delta * np.exp(
-        -(1j * params.omega_q + params.kappa) * tau
-    )
+    lines = phase_table(tau, -spectrum.harmonics()) @ (np.abs(coeff.a_n) ** 2)
+    values = lines + s * coeff.c_delta * np.exp(-(1j * params.omega_q + params.kappa) * tau)
     return CorrelationSeries(tau=tau, values=values, convention=convention, t=None)
 
 

@@ -29,11 +29,29 @@ def require_finite(params) -> None:
 
 
 def uniform_steps(times, name: str = "time") -> np.ndarray:
-    """Steps of a uniform grid of at least two points; raises ValueError otherwise."""
+    """Steps of an increasing uniform grid of at least two points; raises ValueError otherwise."""
     steps = np.diff(times)
-    if steps.size == 0 or np.max(np.abs(steps - steps[0])) > _UNIFORM_RTOL * steps[0]:
+    if steps.size == 0:
+        raise ValueError(f"{name} grid is not uniform")
+    if not np.all(steps > 0):
+        raise ValueError(f"{name} grid must be increasing")
+    if np.max(np.abs(steps - steps[0])) > _UNIFORM_RTOL * steps[0]:
         raise ValueError(f"{name} grid is not uniform")
     return steps
+
+
+def phase_table(t, freqs) -> np.ndarray:
+    """Table exp(i t_j f_k) over the 1-d arrays t and freqs, built in one complex buffer.
+
+    The products t_j f_k fill the imaginary part of a zeroed buffer and exp is
+    taken in place, so callers can subtract or scale it in place too; pass
+    -freqs for exp(-i t f).  Equal to np.exp(1j * np.outer(t, freqs)) except
+    that a product of -0 keeps its sign in the imaginary part.
+    """
+    t = np.ravel(np.asarray(t, dtype=float))
+    table = np.zeros((t.size, np.size(freqs)), dtype=complex)
+    np.multiply.outer(t, np.asarray(freqs, dtype=float), out=table.imag)
+    return np.exp(table, out=table)
 
 
 @dataclass(frozen=True)
@@ -86,9 +104,8 @@ class DipoleSpectrum:
         all closed forms in :mod:`leaky_cavity.cavity` are driven by it.
         """
         t = np.asarray(t, dtype=float)
-        phases = np.exp(-1j * np.outer(t, self.harmonics()))
-        out = phases @ self.coeffs
-        return out if t.ndim else complex(out)
+        out = phase_table(t, -self.harmonics()) @ self.coeffs
+        return out if t.ndim else complex(out[0])
 
     def to_dict(self) -> dict:
         return {

@@ -1,10 +1,13 @@
 """Deterministic CSV/JSON writers for the result types.
 
 All numbers are written with 17 significant digits so identical inputs give
-byte-identical files.
+byte-identical files.  Each file is written to a temporary file beside it and
+moved into place, so a failed write leaves any earlier file untouched.
 """
 
 import json
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -17,19 +20,38 @@ from .spectrum import PowerReport, SpectrumResult
 
 _NUMBER = "{:.17g}"
 
+# CSV rows formatted and written at a time; it bounds memory, not bytes.
+_ROW_BATCH = 4096
+
 
 def _fmt(x: float) -> str:
     return _NUMBER.format(float(x))
 
 
+@contextmanager
+def _atomic_open(path):
+    """Text handle on a temporary file that replaces ``path`` when the block succeeds.
+
+    On error the temporary file is removed and ``path`` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_rows(path, header: str, columns, comments=()):
     """Write one CSV row per index of the equal-length 1-d arrays ``columns``."""
-    row = ",".join([_NUMBER] * len(columns))
-    lines = [f"# {c}" for c in comments]
-    lines.append(header)
-    lines.extend(map(row.format, *(col.tolist() for col in columns)))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    row = ",".join([_NUMBER] * len(columns)) + "\n"
+    with _atomic_open(path) as fh:
+        fh.write("".join(f"# {c}\n" for c in comments) + header + "\n")
+        for lo in range(0, len(columns[0]), _ROW_BATCH):
+            batch = (col[lo:lo + _ROW_BATCH].tolist() for col in columns)
+            fh.write("".join(map(row.format, *batch)))
 
 
 def write_timeseries_csv(path, series: TimeSeries, label: str = "value"):
@@ -82,7 +104,7 @@ def write_ensemble_csv(path, ensemble: TrajectoryEnsemble, which: str = "occupat
 
 
 def _write_json(path, doc: dict):
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

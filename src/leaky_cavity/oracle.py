@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cavity import CavityParams
-from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, noise_std, uniform_steps
+from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, noise_std, phase_table, \
+    uniform_steps
 
 # Half weight of the delta function at the boundary of the memory-kernel
 # integral, int_0^t f(t') delta(t-t') dt' = f(t)/2; it is what makes the
@@ -28,6 +29,11 @@ _MC_CHUNK = 512
 # Like _MC_CHUNK, they bound work and memory; results agree to rounding.
 _MC_BLOCK = 16
 _MC_SLAB_BLOCKS = 16
+# Slabs of normals drawn per trial at a time: the draw tile holds
+# _MC_CHUNK x (8 x 256) floats whatever the walk's length.  Drawing a
+# generator's stream in pieces gives the same normals, so results do not
+# depend on it.
+_MC_TILE_SLABS = 8
 
 
 def _rk4_transfer(lam: complex, h: float):
@@ -138,6 +144,9 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     ends by a short scan; one real GEMM of the noise blocks, with the carries
     as two extra columns, against ``_block_propagator`` then gives every state
     of the slab.  The |d|^2 sums over trials are GEMVs with a ones vector.
+    Each trial's generator stays open across its chunk and fills one row of a
+    fixed draw tile at a time, so memory grows with n_steps only through the
+    per-step sums.
     """
     t = np.asarray(t_grid, dtype=float)
     h = float(uniform_steps(t, "t")[0])
@@ -175,7 +184,8 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     tt_sum = np.zeros(tau_steps.size, dtype=complex)
     tt_sumsq = np.zeros(tau_steps.size)
     rows = min(_MC_CHUNK, n_trials)
-    buffer = np.zeros((rows, n_pad))
+    tile = min(_MC_TILE_SLABS * slab, n_pad)
+    draws = np.empty((rows, tile))
     aug = np.empty((rows, n_blocks, n_l + 2))   # noise blocks | Re, Im carry
     states = np.empty((rows, n_blocks, 2 * n_l))  # Re z | Im z of each block
     block_end = np.empty((rows, n_blocks, 2))
@@ -185,30 +195,34 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     kept = np.empty((rows, snaps.size), dtype=complex)
     for lo in range(0, n_trials, _MC_CHUNK):
         m = min(_MC_CHUNK, n_trials - lo)
-        noise = buffer[:m]
-        for k, row in enumerate(noise, start=lo):
-            np.random.default_rng([seed, k]).standard_normal(out=row[:n_steps])
+        streams = [np.random.default_rng([seed, k]) for k in range(lo, lo + m)]
+        noise = draws[:m]
         a, out, sq = aug[:m], states[:m], mod2[:m]
         a_rows = a.reshape(m * n_blocks, n_l + 2)
         carry = a[:, :, n_l:].view(complex)[..., 0]
         ends = block_end[:m].view(complex)[..., 0]
         z = np.zeros(m, dtype=complex)
-        for s0 in range(0, n_pad, slab):
-            a[:, :, :n_l] = noise[:, s0:s0 + slab].reshape(m, n_blocks, n_l)
-            np.matmul(a_rows[:, :n_l], end_prop, out=block_end[:m].reshape(m * n_blocks, 2))
-            for b in range(n_blocks):
-                carry[:, b] = z
-                z = r_block * z + ends[:, b]
-            np.matmul(a_rows, prop, out=out.reshape(m * n_blocks, 2 * n_l))
-            here = np.flatnonzero(snap_slab == s0 // slab)
-            blk, pos = np.divmod(snap_pos[here], n_l)
-            kept[:m, here] = out[:, blk, pos] + 1j * out[:, blk, n_l + pos]
-            if s0 + 1 < n_t:
-                np.square(out, out=out)
-                np.add(out[:, :, :n_l], out[:, :, n_l:], out=sq.reshape(m, n_blocks, n_l))
-                occ_sum[s0 + 1:s0 + slab + 1] += np.matmul(ones[:m], sq, out=col_sum)
-                np.square(sq, out=sq)
-                occ_sumsq[s0 + 1:s0 + slab + 1] += np.matmul(ones[:m], sq, out=col_sum)
+        for t0 in range(0, n_pad, tile):
+            width = min(tile, n_steps - t0)
+            for stream, row in zip(streams, noise):
+                stream.standard_normal(out=row[:width])
+            noise[:, width:] = 0.0  # the padding steps draw zero noise
+            for s0 in range(t0, min(t0 + tile, n_pad), slab):
+                a[:, :, :n_l] = noise[:, s0 - t0:s0 - t0 + slab].reshape(m, n_blocks, n_l)
+                np.matmul(a_rows[:, :n_l], end_prop, out=block_end[:m].reshape(m * n_blocks, 2))
+                for b in range(n_blocks):
+                    carry[:, b] = z
+                    z = r_block * z + ends[:, b]
+                np.matmul(a_rows, prop, out=out.reshape(m * n_blocks, 2 * n_l))
+                here = np.flatnonzero(snap_slab == s0 // slab)
+                blk, pos = np.divmod(snap_pos[here], n_l)
+                kept[:m, here] = out[:, blk, pos] + 1j * out[:, blk, n_l + pos]
+                if s0 + 1 < n_t:
+                    np.square(out, out=out)
+                    np.add(out[:, :, :n_l], out[:, :, n_l:], out=sq.reshape(m, n_blocks, n_l))
+                    occ_sum[s0 + 1:s0 + slab + 1] += np.matmul(ones[:m], sq, out=col_sum)
+                    np.square(sq, out=sq)
+                    occ_sumsq[s0 + 1:s0 + slab + 1] += np.matmul(ones[:m], sq, out=col_sum)
         prod = np.conj(kept[:m, :1]) * kept[:m, 1:]
         tt_sum += prod.sum(axis=0)
         tt_sumsq += (np.abs(prod) ** 2).sum(axis=0)
@@ -444,7 +458,9 @@ def discrete_bath_decay(bath: BathDiscretization, params: CavityParams,
     alpha = np.empty(t.size, dtype=complex)
     rows = max(1, _BATH_BLOCK_ELEMENTS // evals.size)
     for lo in range(0, t.size, rows):
-        alpha[lo:lo + rows] = (np.exp(-1j * np.outer(t[lo:lo + rows], evals)) * weights).sum(axis=1)
+        block = phase_table(t[lo:lo + rows], -evals)
+        block *= weights
+        alpha[lo:lo + rows] = block.sum(axis=1)
     return BathDecayResult(
         series=TimeSeries(times=t, values=alpha),
         kappa_effective=bath.kappa_effective,

@@ -1,7 +1,6 @@
 """Scenario execution: compute the requested artifacts and write a manifest."""
 
 import hashlib
-import json
 import os
 from dataclasses import replace
 
@@ -183,7 +182,5 @@ def run(config_path, output_dir, seed_override: int | None = None) -> dict:
         "files": {os.path.basename(p): _sha256(p) for p in written},
         "checks": checks,
     }
-    with open(os.path.join(output_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    lcio._write_json(os.path.join(output_dir, "manifest.json"), manifest)
     return manifest

@@ -9,8 +9,10 @@ from leaky_cavity.dipole import (
     TimeSeries,
     clipped_cosine_signal,
     fourier_decompose,
+    phase_table,
     sample_fluctuation,
     synthesize_mean_dipole,
+    uniform_steps,
 )
 
 
@@ -168,6 +170,43 @@ def test_fluctuation_requires_uniform_grid():
     t = np.array([0.0, 0.1, 0.3, 0.35])
     with pytest.raises(ValueError, match="not uniform"):
         sample_fluctuation(FluctuationModel(0.1), t, seed=0)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, 0.1, 0.3, 0.35], "omega grid is not uniform"),
+    ([1.0], "omega grid is not uniform"),
+    ([3.0, 2.0, 1.0], "omega grid must be increasing"),
+    ([1.0, 1.0, 1.0], "omega grid must be increasing"),
+    ([0.0, 1.0, 2.0, 1.5], "omega grid must be increasing"),
+], ids=["ragged", "one-point", "uniform-descending", "constant", "turns-back"])
+def test_uniform_steps_names_the_fault(grid, message):
+    with pytest.raises(ValueError, match=message):
+        uniform_steps(np.array(grid), "omega")
+
+
+def bits(values):
+    """The bytes of each float of a complex array, so +0 and -0 differ."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def test_phase_table_is_bit_equal_to_dense_exp():
+    t = np.concatenate([[0.0, -0.0, -3.5, 1e8, -1e12, 1e15], np.linspace(-50.0, 50.0, 301)])
+    f = np.array([0.0, -0.0, 1.0, -2.0, 0.3, 1e6, -1e9, 10.9])
+    assert np.array_equal(bits(phase_table(t, -f)), bits(np.exp(-1j * np.outer(t, f))))
+    plus = phase_table(t, f)
+    dense = np.exp(1j * np.outer(t, f))
+    assert np.array_equal(plus, dense)
+    # 1j * x adds +0 to x, so only a product of -0 keeps its sign here
+    assert np.array_equal(bits(plus.real), bits(dense.real))
+    assert np.array_equal(bits(plus.imag + 0.0), bits(dense.imag))
+    assert phase_table(0.5, f).shape == (1, f.size)
+
+
+def test_positive_frequency_signal_of_a_scalar_time():
+    spec = DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=2), coeffs=[0.1, 0.2 - 0.3j, 0.05j])
+    value = spec.positive_frequency_signal(0.7)
+    assert isinstance(value, complex)
+    assert value == spec.positive_frequency_signal(np.array([0.7]))[0]
 
 
 def test_spectrum_serialization_round_trip():

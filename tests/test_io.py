@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from leaky_cavity import io as lcio
 from leaky_cavity.cavity import CavityParams, occupation
 from leaky_cavity.correlation import stationary_correlation
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, TimeSeries
@@ -124,3 +125,41 @@ def test_ensemble_csv(tmp_path):
         write_ensemble_csv(path, ens, which="two_time")
     with pytest.raises(ValueError, match="unknown ensemble table"):
         write_ensemble_csv(path, ens, which="spectrum")
+
+
+def one_shot_rows(header, columns, comments=()):
+    """The CSV text of _write_rows built by joining every line at once."""
+    lines = [f"# {c}" for c in comments] + [header]
+    lines += [",".join("{:.17g}".format(v) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+BATCH = lcio._ROW_BATCH
+
+
+@pytest.mark.parametrize("n", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3])
+def test_batched_rows_equal_one_shot_join(tmp_path, n):
+    rng = np.random.default_rng(n)
+    columns = (np.arange(n) * 0.1, rng.normal(size=n) * 1e-300, -rng.normal(size=n) * 1e300)
+    path = tmp_path / "rows.csv"
+    lcio._write_rows(path, "t,a,b", columns, comments=["first", "second=2"])
+    assert path.read_bytes() == one_shot_rows("t,a,b", columns, ["first", "second=2"]).encode()
+
+
+def test_failed_write_leaves_the_target_untouched(tmp_path, monkeypatch):
+    # the third row cannot be formatted, after the first batch is written
+    monkeypatch.setattr(lcio, "_ROW_BATCH", 2)
+    column = np.array([1.0, 2.0, "three", 4.0], dtype=object)
+    fresh = tmp_path / "fresh.csv"
+    with pytest.raises(ValueError):
+        lcio._write_rows(fresh, "x", (column,))
+    assert list(tmp_path.iterdir()) == []
+
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier run\n")
+    with pytest.raises(ValueError):
+        lcio._write_rows(kept, "x", (column,))
+    with pytest.raises(TypeError):
+        lcio._write_json(kept, {"a": 1.0, "b": object()})
+    assert kept.read_text() == "earlier run\n"
+    assert list(tmp_path.iterdir()) == [kept]

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from leaky_cavity import oracle
 from leaky_cavity.cavity import CavityParams, dipole_noise_occupation, mode_amplitude
 from leaky_cavity.cli import default_scenario_path
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, \
@@ -14,6 +16,7 @@ from leaky_cavity.oracle import (
     _BATH_BLOCK_ELEMENTS,
     _MC_BLOCK,
     _MC_SLAB_BLOCKS,
+    _MC_TILE_SLABS,
     BathDiscretization,
     _arrowhead_spectrum,
     _digamma,
@@ -154,24 +157,56 @@ def test_mc_is_deterministic_and_chunk_independent():
 
 # (n_t, tau lags in steps, trials).  The last state of the walk is always the
 # largest lag.  With 256-step slabs of 16-step blocks, n_t = 257 puts t_ref on
-# the last state of the first slab and n_t = 258 on the first of the second.
+# the last state of the first slab and n_t = 258 on the first of the second;
+# the 4395-step walk covers two 2048-step draw tiles and part of a third.
 @pytest.mark.parametrize("n_t, lags, n_trials", [
     (1000, [0, 3, 3, 0, 517], 512 + 3),
+    (4000, [0, 5, 396], 24),
     (257, [0, 1, 300], 40),
     (258, [0, 256, 255], 40),
     (300, None, 40),
     (2, [0], 5),
     (2, [0, 2], 5),
-], ids=["ragged-duplicate-lags-partial-chunk", "ref-ends-slab", "ref-starts-slab",
-        "no-tau", "one-step", "three-steps"])
+], ids=["ragged-duplicate-lags-partial-chunk", "spans-draw-tiles", "ref-ends-slab",
+        "ref-starts-slab", "no-tau", "one-step", "three-steps"])
 def test_mc_slab_recursion_matches_per_step_loop(n_t, lags, n_trials):
     assert _MC_BLOCK * _MC_SLAB_BLOCKS == 256
+    assert _MC_TILE_SLABS * 256 == 2048
     params, fluct, _ = mc_setup()
     h = 0.05
     t = h * np.arange(n_t)
     tau = None if lags is None else h * np.array(lags, dtype=float)
     ens = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials, seed=4)
     assert_matches_reference(ens, per_step_reference(params, fluct, t, tau, n_trials, 4))
+
+
+def ensemble_arrays(ens):
+    return (ens.mean_occupation, ens.stderr_occupation, ens.mean_two_time, ens.stderr_two_time)
+
+
+def test_mc_is_independent_of_the_draw_tile(monkeypatch):
+    # 4999 + 700 steps: three 2048-step tiles by default, 23 one-slab tiles
+    params, fluct, _ = mc_setup()
+    t = 0.05 * np.arange(5000)
+    tau = 0.05 * np.array([0.0, 1.0, 700.0])
+    default = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=515, seed=8)
+    monkeypatch.setattr(oracle, "_MC_TILE_SLABS", 1)
+    one_slab = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=515, seed=8)
+    for a, b in zip(ensemble_arrays(default), ensemble_arrays(one_slab)):
+        assert np.array_equal(a, b)
+
+
+def test_mc_memory_does_not_grow_with_the_walk():
+    # a whole-walk draw buffer alone would hold 40 x 100k floats, 32 MB
+    params, fluct, _ = mc_setup()
+    t = 0.05 * np.arange(100_001)
+    tracemalloc.start()
+    try:
+        monte_carlo_noise(params, fluct, t, n_trials=40, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_mc_is_independent_of_blas_threads():

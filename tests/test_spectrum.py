@@ -199,6 +199,8 @@ def test_transform_requires_uniform_omega_grid():
     series, _, _ = criterion_6_case()
     with pytest.raises(ValueError, match="uniform"):
         spectrum_from_correlation(series, [1.0, 1.1, 1.3])
+    with pytest.raises(ValueError, match="omega grid must be increasing"):
+        spectrum_from_correlation(series, [3.0, 2.0, 1.0])
 
 
 def test_transform_error_contracts():
