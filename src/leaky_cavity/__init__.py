@@ -15,8 +15,6 @@ from .dipole import (
     TimeSeries,
     fourier_decompose,
     synthesize_mean_dipole,
-    sample_fluctuation,
-    clipped_cosine_signal,
 )
 from .cavity import (
     CavityParams,
@@ -28,9 +26,7 @@ from .cavity import (
     dipole_noise_occupation,
 )
 from .correlation import (
-    CorrelationCoefficients,
     CorrelationSeries,
-    coefficients,
     two_time_correlation,
     stationary_correlation,
 )
@@ -60,8 +56,6 @@ __all__ = [
     "TimeSeries",
     "fourier_decompose",
     "synthesize_mean_dipole",
-    "sample_fluctuation",
-    "clipped_cosine_signal",
     "CavityParams",
     "OccupationCurve",
     "kappa_from_coupling",
@@ -69,9 +63,7 @@ __all__ = [
     "occupation",
     "occupation_longtime",
     "dipole_noise_occupation",
-    "CorrelationCoefficients",
     "CorrelationSeries",
-    "coefficients",
     "two_time_correlation",
     "stationary_correlation",
     "SpectrumResult",

@@ -3,7 +3,10 @@
 All expressions assume vacuum initial conditions for the cavity and the
 environment; the drive enters through the positive-frequency part of the mean
 dipole (rotating-wave-like truncation), and dipole white noise adds an
-incoherent occupation that saturates at delta*g_q^2/(2*kappa).
+incoherent occupation that saturates at delta*g_q^2/(2*kappa).  The two
+per-line quantities the correlators and spectra are built from, the line
+response A_N and the noise weight C_Delta, are ``line_amplitudes`` and
+``noise_saturation``.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +38,6 @@ class CavityParams:
     kappa: float | None = None
     g0: float | None = None
     c: float | None = None
-    q: int | None = None
 
     def __post_init__(self):
         if self.omega_q <= 0:
@@ -99,46 +101,45 @@ def mode_amplitude(params: CavityParams, spectrum: DipoleSpectrum, t):
 
 
 def occupation(params: CavityParams, spectrum: DipoleSpectrum,
-               fluct: FluctuationModel, t, mode: str = "full") -> OccupationCurve:
+               fluct: FluctuationModel, t) -> OccupationCurve:
     """Photon occupation <a_q^dagger a_q>(t), coherent plus dipole-noise parts.
 
-    mode "full" keeps the N != M interference terms of the double harmonic sum
-    (the coherent part is then exactly |mode_amplitude|^2); mode "diagonal"
-    keeps only N = M, the truncation valid after averaging out fast
-    oscillations.
+    The coherent part keeps the N != M interference terms of the double
+    harmonic sum, so it is exactly |mode_amplitude|^2.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     resp = _line_responses(params, spectrum, t_arr)
-    if mode == "full":
-        coherent = params.g_q ** 2 * np.abs(resp.sum(axis=1)) ** 2
-    elif mode == "diagonal":
-        coherent = params.g_q ** 2 * (np.abs(resp) ** 2).sum(axis=1)
-    else:
-        raise ValueError(f"mode must be 'full' or 'diagonal', got {mode!r}")
+    coherent = params.g_q ** 2 * np.abs(resp.sum(axis=1)) ** 2
     noise = dipole_noise_occupation(params, fluct, t_arr)
     return OccupationCurve(times=t_arr, coherent=coherent, noise=noise)
 
 
+def line_amplitudes(params: CavityParams, spectrum: DipoleSpectrum) -> np.ndarray:
+    """Stationary response A_N = g_q d_N / (i(omega_q - omega_N) + kappa) of each harmonic line."""
+    detuning = params.omega_q - spectrum.harmonics()
+    return params.g_q * spectrum.coeffs / (1j * detuning + params.kappa)
+
+
+def noise_saturation(params: CavityParams, fluct: FluctuationModel) -> float:
+    """Incoherent weight C_Delta = delta g_q^2 / (2 kappa), the saturated dipole-noise occupation."""
+    return fluct.delta * params.g_q ** 2 / (2.0 * params.kappa)
+
+
 def dipole_noise_occupation(params: CavityParams, fluct: FluctuationModel, t):
-    """Incoherent occupation <D^dagger D>(t) = delta g_q^2/(2 kappa) (1 - exp(-2 kappa t))."""
+    """Incoherent occupation <D^dagger D>(t) = C_Delta (1 - exp(-2 kappa t))."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be nonnegative")
-    out = fluct.delta * params.g_q ** 2 / (2.0 * params.kappa) * (
-        1.0 - np.exp(-2.0 * params.kappa * t_arr)
-    )
+    out = noise_saturation(params, fluct) * (1.0 - np.exp(-2.0 * params.kappa * t_arr))
     return out if np.ndim(t) else float(out)
 
 
 def occupation_longtime(params: CavityParams, spectrum: DipoleSpectrum,
                         fluct: FluctuationModel) -> float:
-    """Stationary occupation g_q^2 [sum_N |d_N|^2/((omega_q-omega_N)^2+kappa^2) + delta/(2 kappa)].
+    """Stationary occupation sum_N |A_N|^2 + C_Delta.
 
     The balance between drive gain and cavity loss; the N != M cross terms
     average to zero in this limit.
     """
-    if params.kappa <= 0:
-        raise ValueError("no stationary state: kappa must be positive")
-    detuning = params.omega_q - spectrum.harmonics()
-    coherent = np.sum(np.abs(spectrum.coeffs) ** 2 / (detuning ** 2 + params.kappa ** 2))
-    return float(params.g_q ** 2 * (coherent + fluct.delta / (2.0 * params.kappa)))
+    coherent = np.sum(np.abs(line_amplitudes(params, spectrum)) ** 2)
+    return float(coherent + noise_saturation(params, fluct))

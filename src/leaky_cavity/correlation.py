@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavity import CavityParams, dipole_noise_occupation, mode_amplitude
+from .cavity import CavityParams, dipole_noise_occupation, line_amplitudes, mode_amplitude, \
+    noise_saturation
 from .dipole import DipoleSpectrum, FluctuationModel, phase_table
 
 # Convention tag -> weight of C_Delta in the incoherent term.  "as-written"
@@ -27,19 +28,6 @@ def tag_factor(table: dict, tag: str, kind: str) -> float:
         return table[tag]
     except (KeyError, TypeError):
         raise ValueError(f"{kind} must be one of {tuple(table)}, got {tag!r}") from None
-
-
-@dataclass(frozen=True)
-class CorrelationCoefficients:
-    """Per-line response A_N = g_q d_N / (i(omega_q-omega_N)+kappa) and incoherent weight C_Delta."""
-
-    a_n: np.ndarray = field(repr=False)
-    c_delta: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_n", np.asarray(self.a_n, dtype=complex))
-        if self.c_delta < 0:
-            raise ValueError("c_delta must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -64,15 +52,6 @@ class CorrelationSeries:
         return self.t is None
 
 
-def coefficients(params: CavityParams, spectrum: DipoleSpectrum,
-                 fluct: FluctuationModel) -> CorrelationCoefficients:
-    """Line coefficients A_N and the incoherent weight C_Delta = delta g_q^2/(2 kappa)."""
-    detuning = params.omega_q - spectrum.harmonics()
-    a_n = params.g_q * spectrum.coeffs / (1j * detuning + params.kappa)
-    c_delta = fluct.delta * params.g_q ** 2 / (2.0 * params.kappa)
-    return CorrelationCoefficients(a_n=a_n, c_delta=c_delta)
-
-
 def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,
                          fluct: FluctuationModel, t: float, tau_grid,
                          convention: str) -> CorrelationSeries:
@@ -86,17 +65,16 @@ def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     tau = np.asarray(tau_grid, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be nonnegative; extend via C(-tau) = conj(C(tau))")
-    coeff = coefficients(params, spectrum, fluct)
     decay = np.exp(-(1j * params.omega_q + params.kappa) * tau)
 
     amp = mode_amplitude(params, spectrum, t)  # <a_q^dagger(t)>
-    coherent_occ = abs(amp) ** 2  # equals the full-mode coherent occupation
+    coherent_occ = abs(amp) ** 2  # equals the coherent occupation
     noise_occ = dipole_noise_occupation(params, fluct, t)
 
     line_phases = phase_table(tau, -spectrum.harmonics())
     line_phases -= decay[:, None]
     drive = line_phases @ (
-        coeff.a_n * np.exp(-1j * spectrum.harmonics() * t)
+        line_amplitudes(params, spectrum) * np.exp(-1j * spectrum.harmonics() * t)
     )
     values = decay * (coherent_occ + s * noise_occ) + amp * drive
     return CorrelationSeries(tau=tau, values=values, convention=convention, t=float(t))
@@ -115,17 +93,8 @@ def stationary_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     tau = np.asarray(tau_grid, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be nonnegative; extend via C(-tau) = conj(C(tau))")
-    coeff = coefficients(params, spectrum, fluct)
-    lines = phase_table(tau, -spectrum.harmonics()) @ (np.abs(coeff.a_n) ** 2)
-    values = lines + s * coeff.c_delta * np.exp(-(1j * params.omega_q + params.kappa) * tau)
+    weights = np.abs(line_amplitudes(params, spectrum)) ** 2
+    lines = phase_table(tau, -spectrum.harmonics()) @ weights
+    decay = np.exp(-(1j * params.omega_q + params.kappa) * tau)
+    values = lines + s * noise_saturation(params, fluct) * decay
     return CorrelationSeries(tau=tau, values=values, convention=convention, t=None)
-
-
-def hermitian_extension(series: CorrelationSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Extend a tau >= 0 series to the full axis via C(-tau) = conj(C(tau))."""
-    tau = series.tau
-    if tau[0] != 0.0:
-        raise ValueError("extension requires the grid to start at tau = 0")
-    full_tau = np.concatenate([-tau[:0:-1], tau])
-    full_vals = np.concatenate([np.conj(series.values[:0:-1]), series.values])
-    return full_tau, full_vals

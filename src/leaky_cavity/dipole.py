@@ -116,12 +116,6 @@ class DipoleSpectrum:
             "dc_retained": True,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DipoleSpectrum":
-        coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
-        drive = DriveParams(omega=float(doc["omega"]), n_max=len(coeffs) - 1)
-        return cls(drive=drive, coeffs=coeffs)
-
 
 @dataclass(frozen=True)
 class FluctuationModel:
@@ -207,29 +201,3 @@ def noise_std(model: FluctuationModel, times) -> float:
     """Standard deviation sqrt(delta/dt) of each white-noise sample; dt is the mean grid step."""
     return float(np.sqrt(model.delta / float(uniform_steps(times).mean())))
 
-
-def sample_fluctuation(model: FluctuationModel, times, seed) -> TimeSeries:
-    """Draw one realization of the discretized white noise on a uniform grid.
-
-    Each sample is an independent N(0, delta/dt) variate, the increment-style
-    discretization whose correlation tends to delta * delta(t-t') as dt -> 0.
-    Identical seeds give identical series.
-    """
-    times = np.asarray(times, dtype=float)
-    rng = np.random.default_rng(seed)
-    vals = rng.normal(0.0, noise_std(model, times), size=times.size)
-    return TimeSeries(times=times, values=vals)
-
-
-def clipped_cosine_signal(drive: DriveParams, times, amplitude: float = 1.0,
-                          clip_level: float = 0.5) -> TimeSeries:
-    """Toy anharmonic dipole: a cosine clipped at +-clip_level.
-
-    Convenience generator of an odd-harmonic comb for demos and tests; it makes
-    no claim of modeling a physical strong-field dipole.
-    """
-    if clip_level <= 0:
-        raise ValueError("clip_level must be positive")
-    t = np.asarray(times, dtype=float)
-    raw = amplitude * np.cos(drive.omega * t)
-    return TimeSeries(times=t, values=np.clip(raw, -clip_level, clip_level))

@@ -113,11 +113,6 @@ def write_dipole_spectrum_json(path, spectrum: DipoleSpectrum):
     _write_json(path, spectrum.to_dict())
 
 
-def read_dipole_spectrum_json(path) -> DipoleSpectrum:
-    with open(path) as fh:
-        return DipoleSpectrum.from_dict(json.load(fh))
-
-
 def write_spectrum_json(path, result: SpectrumResult):
     doc = {
         "lines": [[_fmt(w), _fmt(s)] for w, s in result.lines],

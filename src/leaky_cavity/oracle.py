@@ -11,14 +11,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cavity import CavityParams
+from .cavity import CavityParams, kappa_from_coupling
 from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, noise_std, phase_table, \
     uniform_steps
-
-# Half weight of the delta function at the boundary of the memory-kernel
-# integral, int_0^t f(t') delta(t-t') dt' = f(t)/2; it is what makes the
-# realized decay rate pi*g0^2/dOmega rather than 2*pi*g0^2/dOmega.
-DELTA_ENDPOINT_WEIGHT = 0.5
 
 _STABILITY_LIMIT = 0.1
 
@@ -259,8 +254,13 @@ class BathDiscretization:
 
     @property
     def kappa_effective(self) -> float:
-        """Decay rate realized by this discretization, pi g0^2 / spacing."""
-        return DELTA_ENDPOINT_WEIGHT * 2.0 * np.pi * self.g0 ** 2 / self.spacing
+        """Decay rate realized by this discretization, kappa_from_coupling(g0, spacing).
+
+        The flat band's memory kernel is 2 pi g0^2/spacing times delta(t - t'),
+        and a delta at the end of the integral int_0^t counts half, which
+        makes the rate pi g0^2 / spacing.
+        """
+        return kappa_from_coupling(self.g0, self.spacing) if self.g0 else 0.0
 
     @property
     def recurrence_time(self) -> float:
@@ -272,7 +272,7 @@ class BathDiscretization:
                     half_width: float) -> "BathDiscretization":
         """Choose the per-mode coupling so kappa_effective equals the target."""
         bath = cls(n_modes=n_modes, center=center, half_width=half_width, g0=0.0)
-        g0 = np.sqrt(kappa * bath.spacing / (DELTA_ENDPOINT_WEIGHT * 2.0 * np.pi))
+        g0 = np.sqrt(kappa * bath.spacing / np.pi)  # kappa_from_coupling inverted
         return replace(bath, g0=g0)
 
     def frequencies(self) -> np.ndarray:

@@ -70,8 +70,7 @@ def _dipole(config, target):
 
 
 def _occupation(config, target):
-    curve = occupation(config.cavity, config.spectrum, config.fluctuation,
-                       config.t_grid, mode="full")
+    curve = occupation(config.cavity, config.spectrum, config.fluctuation, config.t_grid)
     lcio.write_occupation_csv(target("occupation.csv"), curve)
 
 

@@ -16,6 +16,9 @@ from .correlation import CONVENTIONS, tag_factor
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, fourier_decompose
 from .spectrum import NORMALIZATIONS
 
+# Relative slack in cavity.omega_q == cavity.q * drive.omega.
+_Q_RTOL = 1e-12
+
 
 class ScenarioError(ValueError):
     """Invalid configuration; ``errors`` maps field paths to messages."""
@@ -136,10 +139,20 @@ def load_scenario(path) -> ScenarioConfig:
                 kappa=cav.get("kappa"),
                 g0=cav.get("g0"),
                 c=cav.get("c"),
-                q=cav.get("q"),
             )
         except (TypeError, ValueError) as exc:
             errors["cavity"] = str(exc)
+    # q, the harmonic the cavity is tuned to, is checked and not stored
+    q = cav.get("q")
+    if q is not None:
+        if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+            errors["cavity.q"] = f"must be a positive integer, got {q!r}"
+        elif cavity is not None and drive is not None:
+            # float bounds against the int q compare exactly, so no q overflows
+            ratio = cavity.omega_q / drive.omega
+            if not (1.0 - _Q_RTOL) * ratio <= q <= (1.0 + _Q_RTOL) * ratio:
+                errors["cavity.q"] = (f"omega_q = {cavity.omega_q} is not q * omega = "
+                                      f"{q} * {drive.omega}")
 
     grids = _mapping(doc, "grids", errors)
     t_grid = _grid(grids, "grids.t", errors)

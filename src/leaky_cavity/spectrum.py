@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavity import CavityParams
-from .correlation import CorrelationSeries, coefficients, tag_factor
+from .cavity import CavityParams, line_amplitudes, noise_saturation
+from .correlation import CorrelationSeries, tag_factor
 from .dipole import DipoleSpectrum, FluctuationModel, uniform_steps
 
 # Normalization tag -> factor on the continuum and the fluctuation power.
@@ -67,9 +67,9 @@ def power_spectrum(params: CavityParams, spectrum: DipoleSpectrum,
     if omega_grid is None:
         omega_grid = default_omega_grid(params, spectrum)
     omega = np.asarray(omega_grid, dtype=float)
-    coeff = coefficients(params, spectrum, fluct)
-    lines = np.column_stack([spectrum.harmonics(), np.abs(coeff.a_n) ** 2])
-    continuum = factor * 2.0 * coeff.c_delta * params.kappa / (
+    lines = np.column_stack([spectrum.harmonics(),
+                             np.abs(line_amplitudes(params, spectrum)) ** 2])
+    continuum = factor * 2.0 * noise_saturation(params, fluct) * params.kappa / (
         (omega - params.omega_q) ** 2 + params.kappa ** 2
     )
     truncated = bool(
@@ -91,9 +91,8 @@ def integrated_power(params: CavityParams, spectrum: DipoleSpectrum,
     limit, equal to c delta (g_q/g0)^2 when the bath coupling is given.
     """
     factor = tag_factor(NORMALIZATIONS, normalization, "normalization")
-    coeff = coefficients(params, spectrum, fluct)
-    p_coherent = float(np.sum(np.abs(coeff.a_n) ** 2))
-    p_fluct = factor * 2.0 * coeff.c_delta * (
+    p_coherent = float(np.sum(np.abs(line_amplitudes(params, spectrum)) ** 2))
+    p_fluct = factor * 2.0 * noise_saturation(params, fluct) * (
         np.pi / 2.0 + np.arctan(params.omega_q / params.kappa)
     )
     if params.g0 is not None and params.c is not None:
@@ -104,15 +103,11 @@ def integrated_power(params: CavityParams, spectrum: DipoleSpectrum,
                        p_fluctuation_max=float(p_max), normalization=normalization)
 
 
-def spectrum_from_correlation(series: CorrelationSeries, omega_grid,
-                              window: str = "none",
-                              taper_rate: float | None = None) -> np.ndarray:
+def spectrum_from_correlation(series: CorrelationSeries, omega_grid) -> np.ndarray:
     """Numerical half-range Wiener-Khinchin transform of a stationary correlator.
 
     S(omega) = (1/pi) Re[ sum_j w_j C(tau_j) exp(i omega tau_j) dtau ] with
-    trapezoidal weights.  The optional exponential taper exp(-eta tau) turns
-    delta lines into narrow Lorentzians of unit integrated weight, trading
-    resolution for tail decay.
+    trapezoidal weights.
 
     The omega grid must be uniform, omega_k = omega_0 + k domega.  The sum is
     then a chirp-z transform (Bluestein): with a = domega dtau and
@@ -123,12 +118,6 @@ def spectrum_from_correlation(series: CorrelationSeries, omega_grid,
         raise ValueError("spectrum_from_correlation requires a stationary series")
     tau = series.tau
     dtau = uniform_steps(tau, "tau")
-    vals = series.values
-    if window == "exponential":
-        eta = taper_rate if taper_rate is not None else 5.0 / tau[-1]
-        vals = vals * np.exp(-eta * tau)
-    elif window != "none":
-        raise ValueError(f"window must be 'none' or 'exponential', got {window!r}")
     weights = np.full(tau.size, dtau[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -137,7 +126,7 @@ def spectrum_from_correlation(series: CorrelationSeries, omega_grid,
     n, m = tau.size, omega.size
     a = (omega[-1] - omega[0]) / (m - 1) * (tau[-1] - tau[0]) / (n - 1)
     # exp(i omega_k tau_j) = exp(i omega_0 tau_j) exp(i (omega_k - omega_0) tau_0) exp(i a k j)
-    u = vals * weights * np.exp(1j * omega[0] * tau) * np.exp(0.5j * a * np.arange(n) ** 2)
+    u = series.values * weights * np.exp(1j * omega[0] * tau) * np.exp(0.5j * a * np.arange(n) ** 2)
     size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1
     chirp = np.zeros(size, dtype=complex)
     chirp[:m] = np.exp(-0.5j * a * np.arange(m) ** 2)

@@ -75,7 +75,7 @@ def check_amplitude_and_occupation(seed: int = 1234):
         t = np.arange(0.0, t_end, amplitude_ode_step(params, spectrum))
         ode = integrate_amplitude_ode(params, spectrum, t)
         worst_amp = max(worst_amp, runner.amplitude_deviation(params, spectrum, ode))
-        occ = occupation(params, spectrum, FluctuationModel(0.0), t, mode="full")
+        occ = occupation(params, spectrum, FluctuationModel(0.0), t)
         ref = np.abs(ode.values) ** 2
         worst_occ = max(worst_occ, np.max(np.abs(occ.coherent - ref)) / np.max(ref))
     return [
@@ -135,7 +135,7 @@ def check_longtime_limit():
     fluct = FluctuationModel(delta=0.2)
     t0 = 30.0 / params.kappa
     t = np.linspace(t0, t0 + drive.period, 4001)
-    curve = occupation(params, spectrum, fluct, t, mode="full")
+    curve = occupation(params, spectrum, fluct, t)
     average = float(np.trapezoid(curve.total, t) / drive.period)
     target = occupation_longtime(params, spectrum, fluct)
     err = abs(average - target) / target

@@ -46,6 +46,14 @@ def test_params_reject_inconsistent_kappa():
         CavityParams(omega_q=1.0, g_q=0.1, kappa=0.5, g0=1.0, c=np.pi)
 
 
+@pytest.mark.parametrize("kappa", [0.0, -0.1])
+def test_params_require_damping(kappa):
+    # every stationary form (occupation_longtime, the correlators' limits)
+    # relies on this: without damping there is no stationary state
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        CavityParams(omega_q=1.0, g_q=0.1, kappa=kappa)
+
+
 def test_amplitude_vanishes_at_t0():
     params, spec = three_line_case()
     assert mode_amplitude(params, spec, 0.0) == 0.0
@@ -91,7 +99,7 @@ def test_full_mode_occupation_equals_squared_oracle_amplitude():
     h = 0.005 / params.omega_q
     t = np.arange(0.0, 30.0, h)
     ode = integrate_amplitude_ode(params, spec, t)
-    curve = occupation(params, spec, FluctuationModel(0.0), t, mode="full")
+    curve = occupation(params, spec, FluctuationModel(0.0), t)
     ref = np.abs(ode.values) ** 2
     assert np.max(np.abs(curve.coherent - ref)) / np.max(ref) < 1e-8
 
@@ -114,20 +122,9 @@ def test_longtime_matches_period_average():
     fluct = FluctuationModel(0.1)
     t0 = 30.0 / params.kappa
     t = np.linspace(t0, t0 + spec.drive.period, 4001)
-    curve = occupation(params, spec, fluct, t, mode="full")
+    curve = occupation(params, spec, fluct, t)
     average = np.trapezoid(curve.total, t) / spec.drive.period
     assert average == pytest.approx(occupation_longtime(params, spec, fluct), rel=1e-3)
-
-
-def test_diagonal_mode_is_period_averaged_full_mode():
-    params, spec = three_line_case()
-    fluct = FluctuationModel(0.0)
-    t0 = 30.0 / params.kappa
-    t = np.linspace(t0, t0 + spec.drive.period, 4001)
-    full = occupation(params, spec, fluct, t, mode="full")
-    diag = occupation(params, spec, fluct, t0, mode="diagonal")
-    average = np.trapezoid(full.coherent, t) / spec.drive.period
-    assert average == pytest.approx(diag.coherent[0], rel=1e-3)
 
 
 def test_noise_occupation_half_life_value():
@@ -160,19 +157,8 @@ def test_occupation_positive_for_random_parameters():
                               kappa=float(10 ** rng.uniform(-2, 0)))
         t = rng.uniform(0.0, 50.0, size=32)
         t.sort()
-        for mode in ("full", "diagonal"):
-            curve = occupation(params, spec, FluctuationModel(float(rng.uniform(0, 1))),
-                               t, mode=mode)
-            assert np.all(curve.noise >= 0)
-            assert np.all(curve.total >= 0)
-            assert np.allclose(curve.total, curve.coherent + curve.noise)
+        curve = occupation(params, spec, FluctuationModel(float(rng.uniform(0, 1))), t)
+        assert np.all(curve.noise >= 0)
+        assert np.all(curve.total >= 0)
+        assert np.allclose(curve.total, curve.coherent + curve.noise)
 
-
-def test_longtime_requires_damping():
-    params, spec = three_line_case()
-    bad = object.__new__(CavityParams)
-    object.__setattr__(bad, "omega_q", 1.0)
-    object.__setattr__(bad, "g_q", 0.1)
-    object.__setattr__(bad, "kappa", 0.0)
-    with pytest.raises(ValueError, match="no stationary state"):
-        occupation_longtime(bad, spec, FluctuationModel(0.0))

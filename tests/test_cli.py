@@ -12,7 +12,7 @@ import yaml
 
 from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
-from leaky_cavity.io import read_dipole_spectrum_json, write_timeseries_csv
+from leaky_cavity.io import write_timeseries_csv
 from leaky_cavity.runner import run
 
 SCENARIO = {
@@ -237,6 +237,66 @@ def test_run_imports_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("q, message", [
+    (2, "omega_q = 3.0 is not q * omega = 2 * 1.0"),
+    (10 ** 400, "omega_q = 3.0 is not q * omega = 1000"),
+    (3.0, "must be a positive integer, got 3.0"),
+    (0, "must be a positive integer, got 0"),
+    (True, "must be a positive integer, got True"),
+    ("3", "must be a positive integer, got '3'"),
+], ids=["other-harmonic", "huge", "float", "zero", "bool", "text"])
+def test_cavity_q_must_name_the_tuned_harmonic(tmp_path, capsys, q, message):
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "cavity": {**SCENARIO["cavity"], "q": q}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"invalid config: cavity.q: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_tracer_binds_to_the_package(config_path, tmp_path, monkeypatch):
+    """perfbench's tracer and workloads still run against the package.
+
+    The tracer reads call arguments by name (t, spectrum, tau_grid,
+    omega_grid, series, result, which, ...) and the sweep-series workload
+    calls library names and result attributes directly, so a rename in the
+    package breaks the benchmark without failing any other test.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+    import workloads
+    import leaky_cavity.cli as cli_mod
+
+    sweep = workloads.SweepSeries(workloads.SweepSeries.default_seed, str(tmp_path))
+    Path(sweep.scenario_path()).write_text(config_path.read_text())
+    series_path = tmp_path / "dipole.csv"
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sweep.setup()
+        t = np.linspace(0.0, 4 * sweep.config.drive.period, 4001)
+        write_timeseries_csv(series_path, synthesize_mean_dipole(sweep.config.spectrum, t),
+                             label="d")
+        tracer.op = 1
+        assert cli_mod.main(["run", "--config", str(config_path),
+                             "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert cli_mod.main(["decompose", "--config", str(config_path),
+                             "--input", str(series_path), "--out", str(tmp_path / "dec")]) == EXIT_OK
+        assert sweep.check(sweep.op()) == []
+        metrics = tracer.layer_metrics(1)
+    finally:
+        tracer.uninstall()
+    assert not hasattr(cli_mod.main, "__wrapped__")  # uninstalled
+    for name in ("cavity.points", "correlation.points", "spectrum.wkt_terms", "io.bytes_read",
+                 "io.bytes_written", "io.rows_written", "oracle.rk4_steps",
+                 "oracle.mc_trial_steps", "oracle.bath_modes", "runner.run.self_s",
+                 "cavity.occupation.self_s", "spectrum.spectrum_from_correlation.self_s"):
+        assert metrics[name][0] > 0, name
+    assert metrics["oracle.bath_modes"][0] == SCENARIO["oracle"]["bath_modes"]
+    assert metrics["verification.checks_failed"][0] == 0
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path / "out")])
@@ -256,8 +316,10 @@ def test_decompose_round_trip(config_path, tmp_path, capsys):
     code = main(["decompose", "--config", str(config_path),
                  "--input", str(series_path), "--out", str(out)])
     assert code == EXIT_OK
-    back = read_dipole_spectrum_json(out / "dipole_spectrum.json")
-    assert np.max(np.abs(back.coeffs - reference.coeffs)) < 1e-9
+    doc = json.loads((out / "dipole_spectrum.json").read_text())
+    back = np.array([complex(re, im) for re, im in doc["coeffs"]])
+    assert doc["omega"] == drive.omega
+    assert np.max(np.abs(back - reference.coeffs)) < 1e-9
 
 
 @pytest.mark.parametrize("body", ["t,d\n", "t\n0\n1\n"], ids=["header-only", "one-column"])

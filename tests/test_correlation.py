@@ -1,16 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from leaky_cavity.cavity import CavityParams, occupation, occupation_longtime
+from leaky_cavity.cavity import CavityParams, line_amplitudes, noise_saturation, occupation, \
+    occupation_longtime
 from leaky_cavity.correlation import (
     CONVENTIONS,
     CorrelationSeries,
-    coefficients,
-    hermitian_extension,
     stationary_correlation,
     two_time_correlation,
 )
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel
+from leaky_cavity.oracle import amplitude_ode_step, integrate_amplitude_ode
+from leaky_cavity.verification import _random_scenario
 
 
 def comb_case():
@@ -25,9 +28,9 @@ def test_coefficients_resonant_line():
     drive = DriveParams(omega=1.0, n_max=1)
     spec = DipoleSpectrum(drive=drive, coeffs=[0.0, 0.7j])
     params = CavityParams(omega_q=1.0, g_q=0.05, kappa=0.1)
-    coeff = coefficients(params, spec, FluctuationModel(0.4))
-    assert coeff.a_n[1] == pytest.approx(params.g_q * 0.7j / params.kappa)
-    assert coeff.c_delta == pytest.approx(0.4 * params.g_q ** 2 / (2 * params.kappa))
+    assert line_amplitudes(params, spec)[1] == pytest.approx(params.g_q * 0.7j / params.kappa)
+    assert noise_saturation(params, FluctuationModel(0.4)) == pytest.approx(
+        0.4 * params.g_q ** 2 / (2 * params.kappa))
 
 
 def test_vacuum_reference_time_gives_zero():
@@ -41,7 +44,7 @@ def test_vacuum_reference_time_gives_zero():
 def test_tau_zero_matches_occupation_only_in_consistent_convention():
     params, spec, fluct = comb_case()
     t = 12.3
-    occ = occupation(params, spec, fluct, t, mode="full")
+    occ = occupation(params, spec, fluct, t)
     consistent = two_time_correlation(params, spec, fluct, t, [0.0],
                                       "tau-zero-consistent")
     written = two_time_correlation(params, spec, fluct, t, [0.0], "as-written")
@@ -78,6 +81,26 @@ def test_two_time_approaches_stationary(convention):
     assert np.max(np.abs(averaged - limit.values)) / scale < 1e-9
 
 
+def test_two_time_correlation_matches_ode_oracle():
+    # With delta = 0 the driven cavity stays in a coherent state, so the
+    # correlator factorizes into conj(alpha(t)) alpha(t + tau) of the RK4
+    # oracle.  Scenarios are drawn like criterion 1's, with kappa in
+    # [0.1, 1] so that kappa t <= 3 and kappa tau <= 3 stay within ~1e5 steps.
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        params, spec = _random_scenario(rng)
+        params = replace(params, kappa=float(10.0 ** rng.uniform(-1, 0)))
+        h = amplitude_ode_step(params, spec)
+        ref = int(rng.uniform(0.5, 3.0) / params.kappa / h)
+        grid = h * np.arange(ref + int(3.0 / params.kappa / h) + 1)
+        alpha = integrate_amplitude_ode(params, spec, grid).values
+        lags = np.arange(0, grid.size - ref, 37)
+        series = two_time_correlation(params, spec, FluctuationModel(0.0), grid[ref],
+                                      grid[ref + lags] - grid[ref], "tau-zero-consistent")
+        expected = np.conj(alpha[ref]) * alpha[ref + lags]
+        assert np.max(np.abs(series.values - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+
 def test_stationary_noise_only():
     params = CavityParams(omega_q=2.0, g_q=0.3, kappa=0.1)
     spec = DipoleSpectrum(drive=DriveParams(1.0, 1), coeffs=[0.0, 0.0])
@@ -101,20 +124,6 @@ def test_stationary_coherent_part_has_constant_modulus():
     assert np.allclose(mods, mods[0], rtol=1e-12)
     # elastic line: phase advances at the drive frequency
     assert np.allclose(series.values, mods[0] * np.exp(-1j * drive.omega * tau))
-
-
-def test_hermitian_extension():
-    params, spec, fluct = comb_case()
-    tau = np.linspace(0.0, 10.0, 101)
-    series = stationary_correlation(params, spec, fluct, tau, "tau-zero-consistent")
-    full_tau, full_vals = hermitian_extension(series)
-    assert full_tau.size == 2 * tau.size - 1
-    assert np.allclose(full_tau, -full_tau[::-1])
-    assert np.allclose(full_vals, np.conj(full_vals[::-1]))
-    shifted = CorrelationSeries(tau=tau + 1.0, values=series.values,
-                                convention=series.convention)
-    with pytest.raises(ValueError, match="tau = 0"):
-        hermitian_extension(shifted)
 
 
 def test_error_contracts():

@@ -10,8 +10,8 @@ import pytest
 from leaky_cavity import oracle
 from leaky_cavity.cavity import CavityParams, dipole_noise_occupation, mode_amplitude
 from leaky_cavity.cli import default_scenario_path
-from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, \
-    sample_fluctuation
+from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, TimeSeries, \
+    noise_std
 from leaky_cavity.oracle import (
     _BATH_BLOCK_ELEMENTS,
     _MC_BLOCK,
@@ -97,6 +97,17 @@ def test_mc_matches_noise_occupation_law():
     probe = slice(40, None, 120)
     pulls = np.abs(ens.mean_occupation[probe] - expected[probe]) / ens.stderr_occupation[probe]
     assert np.max(pulls) < 5.0
+
+
+def sample_fluctuation(model, times, seed) -> TimeSeries:
+    """One realization of the discretized white noise: independent N(0, delta/dt) samples.
+
+    The draws of trial k of the Monte-Carlo oracle with seed [seed, k];
+    identical seeds give identical series.
+    """
+    times = np.asarray(times, dtype=float)
+    rng = np.random.default_rng(seed)
+    return TimeSeries(times=times, values=rng.normal(0.0, noise_std(model, times), times.size))
 
 
 def per_step_reference(params, fluct, t, tau, n_trials, seed):

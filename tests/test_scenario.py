@@ -27,8 +27,6 @@ def write_config(tmp_path, **overrides):
 
 def test_shipped_scenario_loads():
     config = load_scenario(default_scenario_path())
-    assert config.cavity.q == 3
-    assert config.cavity.omega_q == config.cavity.q * config.drive.omega
     assert config.spectrum.coeffs[1] == 0.375
     assert config.correlation_convention == "tau-zero-consistent"
     assert config.t_grid[0] == 0.0

@@ -121,34 +121,13 @@ def test_transform_recovers_lorentzian():
     assert np.max(np.abs(numeric - analytic)) / np.max(analytic) < 1e-3
 
 
-def test_transform_with_taper_preserves_line_weight():
-    drive = DriveParams(omega=1.0, n_max=1)
-    spec = DipoleSpectrum(drive=drive, coeffs=[0.0, 0.8])
-    params = CavityParams(omega_q=1.0, g_q=0.05, kappa=0.1)
-    tau = np.arange(0.0, 400.0, 0.05)
-    series = stationary_correlation(params, spec, FluctuationModel(0.0), tau,
-                                    "tau-zero-consistent")
-    eta = 10.0 / tau[-1]
-    # the tapered line is a Lorentzian of half-width eta; +-150 eta leaves
-    # ~0.4% of its weight in the tails
-    omega = np.linspace(drive.omega - 150 * eta, drive.omega + 150 * eta, 4001)
-    numeric = spectrum_from_correlation(series, omega, window="exponential",
-                                        taper_rate=eta)
-    weight = np.trapezoid(numeric, omega)
-    expected = power_spectrum(params, spec, FluctuationModel(0.0)).lines[1, 1]
-    assert weight == pytest.approx(expected, rel=1e-2)
-
-
-def dense_wkt(series, omega, window="none", taper_rate=None):
+def dense_wkt(series, omega):
     """The Wiener-Khinchin sum with every exp(i omega tau) formed, for reference."""
     tau = series.tau
-    vals = series.values
-    if window == "exponential":
-        vals = vals * np.exp(-(taper_rate if taper_rate is not None else 5.0 / tau[-1]) * tau)
     weights = np.full(tau.size, tau[1] - tau[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return np.exp(1j * np.outer(omega, tau)).dot(vals * weights).real / np.pi
+    return np.exp(1j * np.outer(omega, tau)).dot(series.values * weights).real / np.pi
 
 
 def criterion_6_case():
@@ -161,7 +140,7 @@ def criterion_6_case():
     tau = np.arange(0.0, 30.0 / kappa + dtau / 2, dtau)
     series = stationary_correlation(params, spec, FluctuationModel(0.2), tau,
                                     "tau-zero-consistent")
-    return series, np.arange(0.0, 4.0, 2.0 * np.pi / tau[-1] / 16.0), {}
+    return series, np.arange(0.0, 4.0, 2.0 * np.pi / tau[-1] / 16.0)
 
 
 def sweep_window_case():
@@ -172,31 +151,20 @@ def sweep_window_case():
     params = CavityParams(omega_q=11.3, g_q=0.1, kappa=0.2)
     series = stationary_correlation(params, spec, FluctuationModel(0.2),
                                     np.linspace(0.0, 200.0, 20001), "tau-zero-consistent")
-    return series, params.omega_q + params.kappa / 4.0 * np.arange(-8, 8), {}
+    return series, params.omega_q + params.kappa / 4.0 * np.arange(-8, 8)
 
 
-def taper_case():
-    spec = DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=1), coeffs=[0.0, 0.8])
-    params = CavityParams(omega_q=1.0, g_q=0.05, kappa=0.1)
-    tau = np.arange(0.0, 400.0, 0.05)
-    series = stationary_correlation(params, spec, FluctuationModel(0.0), tau,
-                                    "tau-zero-consistent")
-    eta = 10.0 / tau[-1]
-    omega = np.linspace(1.0 - 150 * eta, 1.0 + 150 * eta, 401)
-    return series, omega, {"window": "exponential", "taper_rate": eta}
-
-
-@pytest.mark.parametrize("case", [criterion_6_case, sweep_window_case, taper_case],
-                         ids=["criterion-6", "sweep-window", "exponential-taper"])
+@pytest.mark.parametrize("case", [criterion_6_case, sweep_window_case],
+                         ids=["criterion-6", "sweep-window"])
 def test_chirp_z_transform_matches_dense_sum(case):
-    series, omega, options = case()
-    reference = dense_wkt(series, omega, **options)
-    got = spectrum_from_correlation(series, omega, **options)
+    series, omega = case()
+    reference = dense_wkt(series, omega)
+    got = spectrum_from_correlation(series, omega)
     assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_transform_requires_uniform_omega_grid():
-    series, _, _ = criterion_6_case()
+    series, _ = criterion_6_case()
     with pytest.raises(ValueError, match="uniform"):
         spectrum_from_correlation(series, [1.0, 1.1, 1.3])
     with pytest.raises(ValueError, match="omega grid must be increasing"):
@@ -206,7 +174,6 @@ def test_transform_requires_uniform_omega_grid():
 def test_transform_error_contracts():
     params, spec, fluct = comb_case()
     tau = np.linspace(0.0, 10.0, 101)
-    series = stationary_correlation(params, spec, fluct, tau, "as-written")
     from leaky_cavity.correlation import two_time_correlation
 
     finite = two_time_correlation(params, spec, fluct, 1.0, tau, "as-written")
@@ -215,7 +182,5 @@ def test_transform_error_contracts():
     ragged = stationary_correlation(params, spec, fluct, tau ** 2, "as-written")
     with pytest.raises(ValueError, match="uniform"):
         spectrum_from_correlation(ragged, [0.0])
-    with pytest.raises(ValueError, match="window"):
-        spectrum_from_correlation(series, [0.0], window="hann")
     with pytest.raises(ValueError, match="normalization"):
         power_spectrum(params, spec, fluct, normalization="unit")
