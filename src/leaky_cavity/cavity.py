@@ -9,11 +9,13 @@ response A_N and the noise weight C_Delta, are ``line_amplitudes`` and
 ``noise_saturation``.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dipole import DipoleSpectrum, FluctuationModel, phase_table, require_finite
+from .dipole import DipoleSpectrum, FluctuationModel, _phase_row_blocks, phase_table, \
+    require_finite
 
 _KAPPA_CONSISTENCY_RTOL = 1e-12
 
@@ -72,19 +74,37 @@ class OccupationCurve:
         return self.coherent + self.noise
 
 
-def _line_responses(params: CavityParams, spectrum: DipoleSpectrum, t: np.ndarray):
-    """Per-harmonic response d_N * (exp(i(omega_q-omega_N)t) - exp(-kappa t)) / (i(omega_q-omega_N)+kappa).
+@functools.lru_cache(maxsize=1)
+def _response_sum(params: CavityParams, harmonics: bytes, coeffs: bytes, t: bytes) -> np.ndarray:
+    """Read-only sum over N of d_N (exp(i D_N t) - exp(-kappa t)) / (i D_N + kappa).
 
-    This is exp(-(i omega_q + kappa) t) times the drive integral
+    With the detuning D_N = omega_q - omega_N, each term is
+    exp(-(i omega_q + kappa) t) times the drive integral
     int_0^t exp((i omega_q + kappa)t') d_N exp(-i omega_N t') dt', written in a
-    form that stays finite for arbitrarily large kappa*t.
+    form that stays finite for arbitrarily large kappa*t.  The arguments are
+    the raw bytes of the comb frequencies, the coefficients d_N and the times,
+    so the one cached sum is shared by ``occupation`` and ``mode_amplitude`` at
+    the same cavity and grid, and an array changed in place is a new key.  The
+    lines are summed in row blocks of ``phase_table``, which bounds memory and
+    leaves every bit as in the one-table sum.
     """
-    detuning = params.omega_q - spectrum.harmonics()
-    denom = 1j * detuning + params.kappa
-    resp = phase_table(t, detuning)
-    resp -= np.exp(-params.kappa * t)[:, None]
-    resp *= spectrum.coeffs / denom
-    return resp
+    t = np.frombuffer(t)
+    detuning = params.omega_q - np.frombuffer(harmonics)
+    weights = np.frombuffer(coeffs, dtype=complex) / (1j * detuning + params.kappa)
+    decay = np.exp(-params.kappa * t)
+    total = np.empty(t.size, dtype=complex)
+    for rows in _phase_row_blocks(t.size, detuning.size):
+        block = phase_table(t[rows], detuning)
+        block -= decay[rows, None]
+        block *= weights
+        total[rows] = block.sum(axis=1)
+    total.flags.writeable = False
+    return total
+
+
+def _line_response_sum(params: CavityParams, spectrum: DipoleSpectrum, t: np.ndarray):
+    return _response_sum(params, spectrum.harmonics().tobytes(), spectrum.coeffs.tobytes(),
+                         t.tobytes())
 
 
 def mode_amplitude(params: CavityParams, spectrum: DipoleSpectrum, t):
@@ -95,7 +115,7 @@ def mode_amplitude(params: CavityParams, spectrum: DipoleSpectrum, t):
     oscillating at the dipole harmonics once kappa*t >> 1.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    resp = _line_responses(params, spectrum, t_arr).sum(axis=1)
+    resp = _line_response_sum(params, spectrum, t_arr)
     out = params.g_q * np.conj(resp) * np.exp(1j * params.omega_q * t_arr)
     return out if np.ndim(t) else complex(out[0])
 
@@ -108,8 +128,7 @@ def occupation(params: CavityParams, spectrum: DipoleSpectrum,
     harmonic sum, so it is exactly |mode_amplitude|^2.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    resp = _line_responses(params, spectrum, t_arr)
-    coherent = params.g_q ** 2 * np.abs(resp.sum(axis=1)) ** 2
+    coherent = params.g_q ** 2 * np.abs(_line_response_sum(params, spectrum, t_arr)) ** 2
     noise = dipole_noise_occupation(params, fluct, t_arr)
     return OccupationCurve(times=t_arr, coherent=coherent, noise=noise)
 

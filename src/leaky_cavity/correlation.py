@@ -7,6 +7,7 @@ the incoherent term because the as-published tau = 0 value carries the noise
 occupation twice (see ``CONVENTIONS``); the Monte-Carlo oracle adjudicates.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,23 @@ def tag_factor(table: dict, tag: str, kind: str) -> float:
         return table[tag]
     except (KeyError, TypeError):
         raise ValueError(f"{kind} must be one of {tuple(table)}, got {tag!r}") from None
+
+
+@functools.lru_cache(maxsize=1)
+def _comb_phases(tau: bytes, harmonics: bytes) -> np.ndarray:
+    """Read-only table exp(-i omega_N tau_j) of a lag grid against the harmonic comb.
+
+    It depends on neither the cavity nor the coefficients, so a detuning scan
+    over one comb and one lag grid builds it once; the arguments are the raw
+    bytes of both arrays, so an array changed in place is a new key.
+    """
+    table = phase_table(np.frombuffer(tau), -np.frombuffer(harmonics))
+    table.flags.writeable = False
+    return table
+
+
+def _comb_table(spectrum: DipoleSpectrum, tau: np.ndarray) -> np.ndarray:
+    return _comb_phases(tau.tobytes(), spectrum.harmonics().tobytes())
 
 
 @dataclass(frozen=True)
@@ -71,9 +89,8 @@ def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     coherent_occ = abs(amp) ** 2  # equals the coherent occupation
     noise_occ = dipole_noise_occupation(params, fluct, t)
 
-    line_phases = phase_table(tau, -spectrum.harmonics())
-    line_phases -= decay[:, None]
-    drive = line_phases @ (
+    # one dense product: row blocks would round a few results differently
+    drive = (_comb_table(spectrum, tau) - decay[:, None]) @ (
         line_amplitudes(params, spectrum) * np.exp(-1j * spectrum.harmonics() * t)
     )
     values = decay * (coherent_occ + s * noise_occ) + amp * drive
@@ -94,7 +111,7 @@ def stationary_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     if np.any(tau < 0):
         raise ValueError("tau must be nonnegative; extend via C(-tau) = conj(C(tau))")
     weights = np.abs(line_amplitudes(params, spectrum)) ** 2
-    lines = phase_table(tau, -spectrum.harmonics()) @ weights
+    lines = _comb_table(spectrum, tau) @ weights
     decay = np.exp(-(1j * params.omega_q + params.kappa) * tau)
     values = lines + s * noise_saturation(params, fluct) * decay
     return CorrelationSeries(tau=tau, values=values, convention=convention, t=None)

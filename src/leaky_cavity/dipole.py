@@ -19,6 +19,10 @@ _PERIOD_TOL = 1e-9
 # Largest step deviation, relative to the first step, that still counts as uniform.
 _UNIFORM_RTOL = 1e-9
 
+# Elements of one row block of a phase table that is summed over its columns;
+# it bounds memory, not results, since each row is summed on its own.
+_PHASE_BLOCK_ELEMENTS = 1 << 18
+
 
 def require_finite(params) -> None:
     """Raise ValueError naming the first real-valued field of a dataclass that is NaN or infinite."""
@@ -46,12 +50,20 @@ def phase_table(t, freqs) -> np.ndarray:
     The products t_j f_k fill the imaginary part of a zeroed buffer and exp is
     taken in place, so callers can subtract or scale it in place too; pass
     -freqs for exp(-i t f).  Equal to np.exp(1j * np.outer(t, freqs)) except
-    that a product of -0 keeps its sign in the imaginary part.
+    that a product of -0 keeps its sign in the imaginary part.  A table that
+    is cached to be shared across calls (the correlators' comb table) is made
+    read-only, and its users subtract from it into a new array.
     """
     t = np.ravel(np.asarray(t, dtype=float))
     table = np.zeros((t.size, np.size(freqs)), dtype=complex)
     np.multiply.outer(t, np.asarray(freqs, dtype=float), out=table.imag)
     return np.exp(table, out=table)
+
+
+def _phase_row_blocks(n_rows: int, n_cols: int) -> list:
+    """Row slices over range(n_rows), each of one row or at most _PHASE_BLOCK_ELEMENTS elements."""
+    rows = max(1, _PHASE_BLOCK_ELEMENTS // n_cols)
+    return [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
 
 
 @dataclass(frozen=True)

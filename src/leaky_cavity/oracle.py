@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cavity import CavityParams, kappa_from_coupling
-from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, noise_std, phase_table, \
-    uniform_steps
+from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, _phase_row_blocks, noise_std, \
+    phase_table, uniform_steps
 
 _STABILITY_LIMIT = 0.1
 
@@ -326,10 +326,6 @@ _PSI_SHIFT = 10
 # on, off and outside the band) was 30.
 _SECULAR_PASSES = 100
 
-# Elements of the (times x modes) phase block summed at once by
-# discrete_bath_decay; it bounds memory, not results.
-_BATH_BLOCK_ELEMENTS = 1 << 18
-
 
 def _digamma(z):
     """Digamma psi(z) and trigamma psi'(z) of an array z > 0.
@@ -456,11 +452,10 @@ def discrete_bath_decay(bath: BathDiscretization, params: CavityParams,
         )
     evals, weights = _arrowhead_spectrum(bath, params.omega_q)
     alpha = np.empty(t.size, dtype=complex)
-    rows = max(1, _BATH_BLOCK_ELEMENTS // evals.size)
-    for lo in range(0, t.size, rows):
-        block = phase_table(t[lo:lo + rows], -evals)
+    for rows in _phase_row_blocks(t.size, evals.size):
+        block = phase_table(t[rows], -evals)
         block *= weights
-        alpha[lo:lo + rows] = block.sum(axis=1)
+        alpha[rows] = block.sum(axis=1)
     return BathDecayResult(
         series=TimeSeries(times=t, values=alpha),
         kappa_effective=bath.kappa_effective,

@@ -171,24 +171,24 @@ def load_scenario(path) -> ScenarioConfig:
     except ValueError as exc:
         errors["conventions.normalization"] = str(exc)
 
-    osettings = OracleSettings()
     odoc = _mapping(doc, "oracle", errors)
-    try:
-        osettings = OracleSettings(
-            n_trials=int(odoc.get("n_trials", 2000)),
-            seed=odoc.get("seed"),
-            bath_modes=int(odoc.get("bath_modes", 2000)),
-            bath_half_width_kappas=float(odoc.get("bath_half_width_kappas", 40.0)),
-        )
-        seed = osettings.seed
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-            errors["oracle.seed"] = "must be a non-negative integer"
-        if osettings.n_trials < 2:
-            errors["oracle.n_trials"] = "must be at least 2 (a standard error needs two trials)"
-        if osettings.bath_modes < 100:
-            errors["oracle.bath_modes"] = "must be at least 100 for a meaningful bath"
-    except (TypeError, ValueError) as exc:
-        errors["oracle"] = str(exc)
+    settings = {key: odoc.get(key, value) for key, value in vars(OracleSettings()).items()}
+    for key, least, below in (("n_trials", 2, "(a standard error needs two trials)"),
+                              ("bath_modes", 100, "for a meaningful bath")):
+        value = settings[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            errors[f"oracle.{key}"] = f"must be an integer, got {value!r}"
+        elif value < least:
+            errors[f"oracle.{key}"] = f"must be at least {least} {below}"
+    seed = settings["seed"]
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        errors["oracle.seed"] = "must be a non-negative integer"
+    half_width = settings["bath_half_width_kappas"]
+    if isinstance(half_width, bool) or not isinstance(half_width, (int, float)):
+        errors["oracle.bath_half_width_kappas"] = f"must be a number, got {half_width!r}"
+    else:
+        settings["bath_half_width_kappas"] = float(half_width)
+    osettings = OracleSettings(**settings)
 
     outputs = doc.get("outputs") or DEFAULT_OUTPUTS
     if not isinstance(outputs, (list, tuple)):
@@ -202,7 +202,8 @@ def load_scenario(path) -> ScenarioConfig:
     if "noise_oracle" in outputs and osettings.seed is None:
         errors["oracle.seed"] = "seed is mandatory when Monte-Carlo output is requested"
 
-    if cavity is not None and "bath_oracle" in outputs and "oracle.bath_modes" not in errors:
+    if (cavity is not None and "bath_oracle" in outputs
+            and not {"oracle.bath_modes", "oracle.bath_half_width_kappas"} & errors.keys()):
         horizon = BATH_KAPPA_T / cavity.kappa
         try:
             recurrence = oracle_bath(cavity, osettings).recurrence_time

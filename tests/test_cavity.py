@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from leaky_cavity import cavity, dipole
 from leaky_cavity.cavity import (
     CavityParams,
     dipole_noise_occupation,
@@ -9,7 +10,7 @@ from leaky_cavity.cavity import (
     occupation,
     occupation_longtime,
 )
-from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel
+from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, phase_table
 from leaky_cavity.oracle import integrate_amplitude_ode
 
 
@@ -162,3 +163,69 @@ def test_occupation_positive_for_random_parameters():
         assert np.all(curve.total >= 0)
         assert np.allclose(curve.total, curve.coherent + curve.noise)
 
+
+def _one_table_response_sum(params, harmonics, coeffs, t):
+    """The line-response sum built as one (t x lines) table, the reference for the row blocks."""
+    detuning = params.omega_q - harmonics
+    denom = 1j * detuning + params.kappa
+    resp = phase_table(t, detuning)
+    resp -= np.exp(-params.kappa * t)[:, None]
+    resp *= coeffs / denom
+    return resp.sum(axis=1)
+
+
+# Two lines is the smallest comb (n_max >= 1).  A one-column table is not
+# bit-equal: numpy then multiplies down the rows, and which element lands in
+# the vector tail depends on where a block starts.
+@pytest.mark.parametrize("n_lines", [2, 4, 16])
+@pytest.mark.parametrize("block_rows", [1, 3, None], ids=["one-row", "three-rows", "default"])
+def test_blocked_response_sum_is_bit_equal_to_one_table(monkeypatch, block_rows, n_lines):
+    if block_rows is not None:
+        monkeypatch.setattr(dipole, "_PHASE_BLOCK_ELEMENTS", block_rows * n_lines)
+    b = max(1, dipole._PHASE_BLOCK_ELEMENTS // n_lines)
+    rng = np.random.default_rng(n_lines)
+    harmonics = 0.7 * np.arange(n_lines, dtype=float)
+    coeffs = rng.normal(size=n_lines) + 1j * rng.normal(size=n_lines)
+    params = CavityParams(omega_q=2.1, g_q=0.05, kappa=0.3)
+    for n_rows in sorted({1, b - 1, b, b + 1}):
+        t = np.sort(rng.uniform(0.0, 50.0, n_rows))
+        cavity._response_sum.cache_clear()
+        got = cavity._response_sum(params, harmonics.tobytes(), coeffs.tobytes(), t.tobytes())
+        want = _one_table_response_sum(params, harmonics, coeffs, t)
+        assert got.view(np.uint8).tobytes() == want.view(np.uint8).tobytes(), n_rows
+
+
+def test_response_cache_follows_arrays_changed_in_place():
+    params, spec = three_line_case()
+    t = np.linspace(0.0, 40.0, 401)
+    occupation(params, spec, FluctuationModel(0.2), t)
+    t *= 0.5
+    resp = _one_table_response_sum(params, spec.harmonics(), spec.coeffs, t)
+    want = params.g_q * np.conj(resp) * np.exp(1j * params.omega_q * t)
+    assert mode_amplitude(params, spec, t).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("other", [
+    DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=3), coeffs=[0.0, 0.375, 0.2j, 0.126]),
+    DipoleSpectrum(drive=DriveParams(omega=1.1, n_max=3), coeffs=[0.0, 0.375, 0.2j, 0.125]),
+], ids=["coeffs", "omega"])
+def test_response_cache_never_shared_between_spectra(other):
+    params, spec = three_line_case()
+    t = np.linspace(0.0, 40.0, 401)
+    cavity._response_sum.cache_clear()
+    cold = mode_amplitude(params, other, t)
+    mode_amplitude(params, spec, t)
+    after_spec = mode_amplitude(params, other, t)
+    assert cold.tobytes() == after_spec.tobytes()
+    assert not np.array_equal(cold, mode_amplitude(params, spec, t))
+
+
+def test_cached_response_is_read_only():
+    params, spec = three_line_case()
+    t = np.linspace(0.0, 40.0, 401)
+    occupation(params, spec, FluctuationModel(0.0), t)
+    cached = cavity._response_sum(params, spec.harmonics().tobytes(), spec.coeffs.tobytes(),
+                                  t.tobytes())
+    assert cavity._response_sum.cache_info().hits >= 1
+    with pytest.raises(ValueError):
+        cached[0] = 0.0

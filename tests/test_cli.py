@@ -179,6 +179,30 @@ def test_invalid_seed_exit_code(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_trials", 2.5, "must be an integer, got 2.5"),
+    ("n_trials", "abc", "must be an integer, got 'abc'"),
+    ("n_trials", True, "must be an integer, got True"),
+    ("n_trials", None, "must be an integer, got None"),
+    ("bath_modes", 2000.9, "must be an integer, got 2000.9"),
+    ("bath_modes", 400.0, "must be an integer, got 400.0"),
+    ("bath_modes", False, "must be an integer, got False"),
+    ("bath_half_width_kappas", "wide", "must be a number, got 'wide'"),
+    ("bath_half_width_kappas", True, "must be a number, got True"),
+], ids=["n-trials-fraction", "n-trials-text", "n-trials-bool", "n-trials-null",
+        "bath-modes-fraction", "bath-modes-integral-float", "bath-modes-bool",
+        "half-width-text", "half-width-bool"])
+def test_oracle_settings_name_their_bad_field(tmp_path, capsys, field, value, message):
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "oracle": {**SCENARIO["oracle"], field: value}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"invalid config: oracle.{field}: {message}" in err
+    assert "oracle.seed" not in err  # the scenario's seed is valid and must not be reported
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_negative_seed_override_is_refused_before_any_work(config_path, tmp_path, capsys,
                                                            monkeypatch, command):

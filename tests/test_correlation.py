@@ -3,15 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from leaky_cavity.cavity import CavityParams, line_amplitudes, noise_saturation, occupation, \
-    occupation_longtime
+from leaky_cavity import cavity, correlation
+from leaky_cavity.cavity import CavityParams, line_amplitudes, mode_amplitude, noise_saturation, \
+    occupation, occupation_longtime
 from leaky_cavity.correlation import (
     CONVENTIONS,
     CorrelationSeries,
     stationary_correlation,
     two_time_correlation,
 )
-from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel
+from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, phase_table
 from leaky_cavity.oracle import amplitude_ode_step, integrate_amplitude_ode
 from leaky_cavity.verification import _random_scenario
 
@@ -145,3 +146,79 @@ def test_stationary_flag():
     finite = two_time_correlation(params, spec, fluct, 3.0, tau, "as-written")
     assert not finite.stationary
     assert finite.t == 3.0
+
+
+def _correlators(params, spec, fluct, tau):
+    """Bytes of both correlators at one cavity and lag grid, t = 7 for the finite-time one."""
+    conv = "tau-zero-consistent"
+    return (two_time_correlation(params, spec, fluct, 7.0, tau, conv).values.tobytes(),
+            stationary_correlation(params, spec, fluct, tau, conv).values.tobytes())
+
+
+def test_correlators_are_byte_equal_with_warm_and_cold_cache():
+    params, spec, fluct = comb_case()
+    tau = np.linspace(0.0, 80.0, 1601)
+    for call in (lambda: two_time_correlation(params, spec, fluct, 7.0, tau, "as-written"),
+                 lambda: stationary_correlation(params, spec, fluct, tau, "as-written")):
+        correlation._comb_phases.cache_clear()
+        cold = call().values.tobytes()
+        assert call().values.tobytes() == cold
+        assert correlation._comb_phases.cache_info().hits == 1
+
+
+def test_comb_cache_follows_arrays_changed_in_place():
+    params, spec, fluct = comb_case()
+    tau = np.linspace(0.0, 80.0, 1601)
+    _correlators(params, spec, fluct, tau)
+    tau *= 0.5
+    lines = phase_table(tau, -spec.harmonics()) @ np.abs(line_amplitudes(params, spec)) ** 2
+    want = lines + noise_saturation(params, fluct) * np.exp(
+        -(1j * params.omega_q + params.kappa) * tau)  # the tau-zero-consistent weight is 1
+    assert _correlators(params, spec, fluct, tau)[1] == want.tobytes()
+
+
+@pytest.mark.parametrize("coeffs, omega", [
+    ([0.0, 0.9, 0.0, 0.4 * np.exp(0.7j), 0.0, 0.16], 1.0),
+    ([0.0, 0.9, 0.0, 0.4 * np.exp(0.7j), 0.0, 0.15], 1.1),
+], ids=["coeffs", "omega"])
+def test_comb_cache_never_shared_between_spectra(coeffs, omega):
+    params, spec, fluct = comb_case()
+    other = DipoleSpectrum(drive=DriveParams(omega=omega, n_max=spec.drive.n_max), coeffs=coeffs)
+    tau = np.linspace(0.0, 80.0, 1601)
+    correlation._comb_phases.cache_clear()
+    cold = _correlators(params, other, fluct, tau)
+    _correlators(params, spec, fluct, tau)
+    assert _correlators(params, other, fluct, tau) == cold
+    assert _correlators(params, spec, fluct, tau) != cold
+
+
+def test_cached_comb_table_is_read_only():
+    params, spec, fluct = comb_case()
+    tau = np.linspace(0.0, 80.0, 1601)
+    stationary_correlation(params, spec, fluct, tau, "as-written")
+    table = correlation._comb_phases(tau.tobytes(), spec.harmonics().tobytes())
+    assert correlation._comb_phases.cache_info().hits >= 1
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
+def test_detuning_scan_builds_each_phase_table_once(monkeypatch):
+    rows = {cavity: 0, correlation: 0}
+    for module in rows:
+        def counting(t, freqs, module=module, build=module.phase_table):
+            rows[module] += np.size(t)
+            return build(t, freqs)
+        monkeypatch.setattr(module, "phase_table", counting)
+    cavity._response_sum.cache_clear()
+    correlation._comb_phases.cache_clear()
+    _, spec, fluct = comb_case()
+    t = np.linspace(0.0, 60.0, 1201)
+    tau = np.linspace(0.0, 80.0, 1601)
+    points = [CavityParams(omega_q=w, g_q=0.05, kappa=0.1) for w in (1.0, 2.0, 3.0)]
+    for params in points:
+        occupation(params, spec, fluct, t)
+        mode_amplitude(params, spec, t)
+        two_time_correlation(params, spec, fluct, float(t[-1]), tau, "as-written")
+        stationary_correlation(params, spec, fluct, tau, "as-written")
+    assert rows[correlation] == tau.size
+    assert rows[cavity] == len(points) * (t.size + 1)  # + the scalar-t amplitude of each two-time

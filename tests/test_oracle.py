@@ -10,10 +10,9 @@ import pytest
 from leaky_cavity import oracle
 from leaky_cavity.cavity import CavityParams, dipole_noise_occupation, mode_amplitude
 from leaky_cavity.cli import default_scenario_path
-from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, TimeSeries, \
-    noise_std
+from leaky_cavity.dipole import _PHASE_BLOCK_ELEMENTS, DipoleSpectrum, DriveParams, \
+    FluctuationModel, TimeSeries, noise_std
 from leaky_cavity.oracle import (
-    _BATH_BLOCK_ELEMENTS,
     _MC_BLOCK,
     _MC_SLAB_BLOCKS,
     _MC_TILE_SLABS,
@@ -339,7 +338,7 @@ def test_bath_sum_in_row_blocks_is_bit_equal_to_one_shot():
     bath = BathDiscretization.for_damping(0.05, 1.0, 2000, 2.0)
     params = CavityParams(omega_q=1.0, g_q=0.1, kappa=0.05)
     t = np.linspace(0.0, 100.0, 301)
-    assert t.size > 2 * (_BATH_BLOCK_ELEMENTS // (bath.n_modes + 1))  # three blocks or more
+    assert t.size > 2 * (_PHASE_BLOCK_ELEMENTS // (bath.n_modes + 1))  # three blocks or more
     evals, weights = _arrowhead_spectrum(bath, params.omega_q)
     one_shot = (np.exp(-1j * np.outer(t, evals)) * weights).sum(axis=1)
     assert np.array_equal(discrete_bath_decay(bath, params, t).series.values, one_shot)
