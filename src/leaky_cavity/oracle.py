@@ -47,10 +47,13 @@ def _rk4_transfer(lam: complex, h: float):
 
 def _scan(r: complex, forcing: np.ndarray) -> np.ndarray:
     """Cumulative states of z_{n+1} = r z_n + forcing_n starting from z_0 = 0."""
-    states = [0j]
+    z = 0j
+    states = [z]
+    append = states.append
     for f in forcing.tolist():
-        states.append(r * states[-1] + f)
-    return np.array(states)
+        z = r * z + f
+        append(z)
+    return np.array(states, dtype=complex)
 
 
 def _check_step(params: CavityParams, h: float):
@@ -109,39 +112,100 @@ def _mean_stderr(total, total_sq, n: int):
 
 
 def _block_propagator(r: complex, gain: complex) -> np.ndarray:
-    """Real (L+2, 2L) matrix P with [x_0..x_{L-1}, Re z0, Im z0] @ P = [Re z_1..z_L | Im z_1..z_L].
+    """Real (L+2, 2L) matrix P with [x_0..x_{L-1}, Re z0, Im z0] @ P = [Re z_1, Im z_1, ..., Im z_L].
 
     L steps of z -> r z + gain x from z0 give z_{i+1} = r^(i+1) z0 +
     sum_{m<=i} gain r^(i-m) x_m: the noise rows hold the lower-triangular
-    Toeplitz matrix gain r^(i-m), the carry rows r^(i+1) and i r^(i+1).
+    Toeplitz matrix gain r^(i-m), the carry rows r^(i+1) and i r^(i+1).  The
+    columns interleave real and imaginary parts, so a product row viewed as
+    complex is z_1..z_L.
     """
     powers = r ** np.arange(_MC_BLOCK + 1)
     lag = np.arange(_MC_BLOCK) - np.arange(_MC_BLOCK)[:, None]  # i - m at row m, column i
     toeplitz = np.where(lag >= 0, gain * powers[np.maximum(lag, 0)], 0.0)
     rows = np.vstack([toeplitz, powers[1:], 1j * powers[1:]])
-    return np.hstack([rows.real, rows.imag])
+    return np.ascontiguousarray(rows).view(float)
+
+
+def _pick_indices(picks, n_t: int) -> np.ndarray:
+    """The sorted, unique integer indices ``picks`` into a grid of n_t points; all if None."""
+    if picks is None:
+        return np.arange(n_t)
+    p = np.asarray(picks)
+    if p.ndim != 1 or p.size == 0 or p.dtype.kind not in "iu":
+        raise ValueError("picks must be a non-empty 1-d array of integer indices into t_grid")
+    if np.any(np.diff(p) <= 0):
+        raise ValueError("picks must be sorted and unique")
+    if p[0] < 0 or p[-1] >= n_t:
+        raise ValueError(f"picks must lie in [0, {n_t - 1}], got {p[0]}..{p[-1]}")
+    return p
+
+
+def _as_slice(index: np.ndarray):
+    """A sorted, unique ``index`` as a slice if it has no gaps, so gathers copy no temporary."""
+    if index[-1] - index[0] == index.size - 1:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _slab_reads(picked: np.ndarray, snaps: np.ndarray, slab: int, tile: int) -> dict:
+    """What the Monte-Carlo walk forms and reads in each slab that holds a read state.
+
+    State s >= 1 comes out of step s - 1, at position s - 1 - s0 of the slab
+    starting at step s0; state 0 is the vacuum.  Maps each such s0 to
+    (sel, k, k_occ, span, cols, here, snap_cols): the k blocks to form, as
+    indices into the draw tile (a slice when consecutive), of which the first
+    k_occ hold a pick (picks lie at or before t_ref = snaps[0], snapshots at
+    or after it); the slice ``span`` of ``picked`` in the slab and their state
+    columns among the formed blocks (None without picks); the indices
+    ``here`` of ``snaps`` in the slab and their columns.
+    """
+    n_l = _MC_BLOCK
+    reads = {}
+    for s0 in slab * np.union1d((picked[picked > 0] - 1) // slab, (snaps - 1) // slab):
+        lo, hi = np.searchsorted(picked, [s0 + 1, s0 + slab + 1])
+        pos = picked[lo:hi] - 1 - s0
+        here = np.flatnonzero((snaps - 1) // slab == s0 // slab)
+        snap_pos = snaps[here] - 1 - s0
+        kind = np.zeros(slab // n_l, dtype=int)  # 2: holds a pick, 1: a snapshot only
+        kind[snap_pos // n_l] = 1
+        kind[pos // n_l] = 2
+        blocks = np.flatnonzero(kind)
+        column = np.empty(kind.size, dtype=int)
+        column[blocks] = n_l * np.arange(blocks.size)
+        cols = _as_slice(column[pos // n_l] + pos % n_l) if hi > lo else None
+        reads[int(s0)] = (_as_slice(blocks + s0 % tile // n_l), blocks.size,
+                          np.count_nonzero(kind == 2), slice(lo, hi), cols, here,
+                          column[snap_pos // n_l] + snap_pos % n_l)
+    return reads
 
 
 def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
-                      tau_grid=None, n_trials: int = 1000,
-                      seed: int = 0) -> TrajectoryEnsemble:
+                      tau_grid=None, n_trials: int = 1000, seed: int = 0,
+                      picks=None) -> TrajectoryEnsemble:
     """Estimate <D^dagger D> statistics by averaging noise-driven trajectories.
 
     Each trial draws one white-noise realization (seeded by (seed, trial) so
     trials are independent and the ensemble is reproducible), pushes it through
     the damped filter d(t) = g_q int_0^t exp(-(i omega_q+kappa)(t-t')) dd(t') dt'
     with the same 4th-order step and piecewise-constant forcing per step, and
-    the ensemble reports mean and standard error of |d(t)|^2 on the t grid plus,
-    when a tau grid is given, of conj(d(t_ref)) d(t_ref+tau) at t_ref = t_grid[-1].
+    the ensemble reports mean and standard error of |d(t)|^2 at t_grid[picks]
+    (every point when ``picks`` is None) plus, when a tau grid is given, of
+    conj(d(t_ref)) d(t_ref+tau) at t_ref = t_grid[-1].  ``picks`` are sorted,
+    unique integer indices into t_grid; the walk, its draws and its step are
+    those of the whole grid whatever they are.
 
-    The recursion runs in slabs of steps, each cut into blocks of L steps.  The
-    state at each block start (its carry) follows from the zero-start block
-    ends by a short scan; one real GEMM of the noise blocks, with the carries
-    as two extra columns, against ``_block_propagator`` then gives every state
-    of the slab.  The |d|^2 sums over trials are GEMVs with a ones vector.
-    Each trial's generator stays open across its chunk and fills one row of a
-    fixed draw tile at a time, so memory grows with n_steps only through the
-    per-step sums.
+    The recursion runs in blocks of L steps.  The zero-start end state of every
+    block of a draw tile comes from one GEMM of the tile, and a short scan
+    turns them into each block's start state (its carry).  States are formed
+    only in the blocks that hold a read state (a pick, t_ref or t_ref + tau):
+    per slab those blocks, with their carries as two extra columns, are
+    gathered and multiplied by ``_block_propagator`` in one real GEMM, and the
+    |d|^2 sums over trials are GEMVs with a ones vector over every state of
+    the blocks that hold a pick.  Each trial's generator stays open across its
+    chunk and fills one row of a fixed draw tile at a time, so apart from the
+    step grid that sigma is measured on, memory grows with the walk only
+    through the sums at the picks.
     """
     t = np.asarray(t_grid, dtype=float)
     h = float(uniform_steps(t, "t")[0])
@@ -149,6 +213,7 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
         raise ValueError("t grid must start at 0 (vacuum initial condition)")
     _check_step(params, h)
     n_t = t.size
+    picked = _pick_indices(picks, n_t)
     tau = np.asarray([] if tau_grid is None else tau_grid, dtype=float)
     tau_steps = np.rint(tau / h).astype(int)
     if np.any(tau_steps < 0) or np.any(np.abs(tau_steps * h - tau) > 1e-9 * h):
@@ -162,29 +227,32 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
 
     n_l = _MC_BLOCK
     prop = _block_propagator(r, sigma * gain)  # takes the raw standard-normal draws
-    end_prop = prop[:n_l, [n_l - 1, 2 * n_l - 1]]  # zero-start state at each block end
+    # Zero-start state at each block end.  Column-major, the product takes one
+    # BLAS kernel whatever the tile's height; a row-major copy switches kernels
+    # with the height and moves last bits.
+    end_prop = np.asfortranarray(prop[:n_l, -2:])
     r_block = r ** n_l
     n_blocks = min(_MC_SLAB_BLOCKS, -(-n_steps // n_l))
     slab = n_blocks * n_l
     n_pad = -(-n_steps // slab) * slab  # the padding steps draw zero noise
+    tile = min(_MC_TILE_SLABS * slab, n_pad)
 
-    # States kept per trial: t_ref, then t_ref + tau.  State s >= 1 comes out
-    # of step s - 1, at a (block, column) of one slab.
+    # Read: the picked states, then t_ref and t_ref + tau.
     ref_index = n_t - 1
     snaps = np.concatenate([[ref_index], ref_index + tau_steps])
-    snap_slab, snap_pos = np.divmod(snaps - 1, slab)
+    reads = _slab_reads(picked, snaps, slab, tile)
 
-    occ_sum = np.zeros(n_pad + 1)
-    occ_sumsq = np.zeros(n_pad + 1)
+    total = np.zeros(picked.size)  # sums over trials at the picks; the vacuum stays 0
+    total_sq = np.zeros(picked.size)
     tt_sum = np.zeros(tau_steps.size, dtype=complex)
     tt_sumsq = np.zeros(tau_steps.size)
     rows = min(_MC_CHUNK, n_trials)
-    tile = min(_MC_TILE_SLABS * slab, n_pad)
     draws = np.empty((rows, tile))
-    aug = np.empty((rows, n_blocks, n_l + 2))   # noise blocks | Re, Im carry
-    states = np.empty((rows, n_blocks, 2 * n_l))  # Re z | Im z of each block
-    block_end = np.empty((rows, n_blocks, 2))
-    mod2 = np.empty((rows, slab))
+    block_end = np.empty((rows * (tile // n_l), 2))
+    carries = np.empty((rows, tile // n_l), dtype=complex)
+    aug = np.empty(rows * n_blocks * (n_l + 2))  # noise blocks | Re, Im carry
+    states = np.empty(rows * slab * 2)  # Re z, Im z of each state of the formed blocks
+    mod2 = np.empty(rows * slab)
     col_sum = np.empty(slab)
     ones = np.ones(rows)
     kept = np.empty((rows, snaps.size), dtype=complex)
@@ -192,38 +260,47 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
         m = min(_MC_CHUNK, n_trials - lo)
         streams = [np.random.default_rng([seed, k]) for k in range(lo, lo + m)]
         noise = draws[:m]
-        a, out, sq = aug[:m], states[:m], mod2[:m]
-        a_rows = a.reshape(m * n_blocks, n_l + 2)
-        carry = a[:, :, n_l:].view(complex)[..., 0]
-        ends = block_end[:m].view(complex)[..., 0]
+        noise_blocks = noise.reshape(m, tile // n_l, n_l)
+        ends = block_end[:m * (tile // n_l)].view(complex).reshape(m, tile // n_l)
         z = np.zeros(m, dtype=complex)
         for t0 in range(0, n_pad, tile):
             width = min(tile, n_steps - t0)
             for stream, row in zip(streams, noise):
                 stream.standard_normal(out=row[:width])
             noise[:, width:] = 0.0  # the padding steps draw zero noise
+            np.matmul(noise.reshape(m * (tile // n_l), n_l), end_prop,
+                      out=block_end[:m * (tile // n_l)])
+            for b in range(min(tile, n_pad - t0) // n_l):
+                carries[:m, b] = z
+                z = r_block * z + ends[:, b]
             for s0 in range(t0, min(t0 + tile, n_pad), slab):
-                a[:, :, :n_l] = noise[:, s0 - t0:s0 - t0 + slab].reshape(m, n_blocks, n_l)
-                np.matmul(a_rows[:, :n_l], end_prop, out=block_end[:m].reshape(m * n_blocks, 2))
-                for b in range(n_blocks):
-                    carry[:, b] = z
-                    z = r_block * z + ends[:, b]
-                np.matmul(a_rows, prop, out=out.reshape(m * n_blocks, 2 * n_l))
-                here = np.flatnonzero(snap_slab == s0 // slab)
-                blk, pos = np.divmod(snap_pos[here], n_l)
-                kept[:m, here] = out[:, blk, pos] + 1j * out[:, blk, n_l + pos]
-                if s0 + 1 < n_t:
-                    np.square(out, out=out)
-                    np.add(out[:, :, :n_l], out[:, :, n_l:], out=sq.reshape(m, n_blocks, n_l))
-                    occ_sum[s0 + 1:s0 + slab + 1] += np.matmul(ones[:m], sq, out=col_sum)
+                if s0 not in reads:
+                    continue
+                sel, k, k_occ, span, cols, here, snap_cols = reads[s0]
+                a = aug[:m * k * (n_l + 2)].reshape(m, k, n_l + 2)
+                a[:, :, :n_l] = noise_blocks[:, sel]
+                a[:, :, n_l:].view(complex)[..., 0] = carries[:m, sel]
+                out = states[:m * k * 2 * n_l].reshape(m, 2 * k * n_l)
+                np.matmul(a.reshape(m * k, n_l + 2), prop, out=out.reshape(m * k, 2 * n_l))
+                kept[:m, here] = out[:, 2 * snap_cols] + 1j * out[:, 2 * snap_cols + 1]
+                if cols is not None:
+                    width_occ = k_occ * n_l
+                    part = out[:, :2 * width_occ]
+                    sq = mod2[:m * width_occ].reshape(m, width_occ)
+                    col = col_sum[:width_occ]
+                    np.square(part, out=part)
+                    np.add(part[:, 0::2], part[:, 1::2], out=sq)
+                    total[span] += np.matmul(ones[:m], sq, out=col)[cols]
                     np.square(sq, out=sq)
-                    occ_sumsq[s0 + 1:s0 + slab + 1] += np.matmul(ones[:m], sq, out=col_sum)
+                    total_sq[span] += np.matmul(ones[:m], sq, out=col)[cols]
         prod = np.conj(kept[:m, :1]) * kept[:m, 1:]
         tt_sum += prod.sum(axis=0)
         tt_sumsq += (np.abs(prod) ** 2).sum(axis=0)
 
-    mean_occ, stderr_occ = _mean_stderr(occ_sum[:n_t], occ_sumsq[:n_t], n_trials)
-    result = dict(n_trials=n_trials, seed=seed, times=t, mean_occupation=mean_occ,
+    times = t if picks is None else t[picked]
+    del picked, reads  # with every point picked both grow with the grid; free them first
+    mean_occ, stderr_occ = _mean_stderr(total, total_sq, n_trials)
+    result = dict(n_trials=n_trials, seed=seed, times=times, mean_occupation=mean_occ,
                   stderr_occupation=stderr_occ, reference_time=float(t[-1]))
     if tau_grid is not None:
         mean_tt, stderr_tt = _mean_stderr(tt_sum, tt_sumsq, n_trials)

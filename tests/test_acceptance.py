@@ -43,6 +43,13 @@ def test_criterion_3_monte_carlo_noise_law(noise_bundle):
     report(verification.check_noise_law(noise_bundle))
 
 
+def test_noise_benchmark_reports_twenty_times(noise_bundle):
+    _, _, ens = noise_bundle
+    t = np.arange(0.0, 200.0 + 0.01, 0.02)
+    assert np.array_equal(ens.times, t[np.unique(np.linspace(1, t.size - 1, 20).astype(int))])
+    assert ens.times.size == ens.mean_occupation.size == ens.stderr_occupation.size == 20
+
+
 def test_noise_gate_calls_shipped_noise_law(noise_bundle, monkeypatch):
     from leaky_cavity import cavity
 

@@ -209,16 +209,28 @@ def test_detuning_scan_builds_each_phase_table_once(monkeypatch):
             rows[module] += np.size(t)
             return build(t, freqs)
         monkeypatch.setattr(module, "phase_table", counting)
-    cavity._response_sum.cache_clear()
-    correlation._comb_phases.cache_clear()
     _, spec, fluct = comb_case()
     t = np.linspace(0.0, 60.0, 1201)
     tau = np.linspace(0.0, 80.0, 1601)
     points = [CavityParams(omega_q=w, g_q=0.05, kappa=0.1) for w in (1.0, 2.0, 3.0)]
-    for params in points:
-        occupation(params, spec, fluct, t)
-        mode_amplitude(params, spec, t)
-        two_time_correlation(params, spec, fluct, float(t[-1]), tau, "as-written")
-        stationary_correlation(params, spec, fluct, tau, "as-written")
-    assert rows[correlation] == tau.size
-    assert rows[cavity] == len(points) * (t.size + 1)  # + the scalar-t amplitude of each two-time
+    # the sweep's order, then the scalar-t amplitude of the two-time between the
+    # grid's occupation and amplitude
+    for order in (("occupation", "amplitude", "two-time", "stationary"),
+                  ("occupation", "two-time", "amplitude", "stationary")):
+        rows.update({cavity: 0, correlation: 0})
+        cavity._response_sum.cache_clear()
+        correlation._comb_phases.cache_clear()
+        for params in points:
+            calls = {
+                "occupation": lambda: occupation(params, spec, fluct, t),
+                "amplitude": lambda: mode_amplitude(params, spec, t),
+                "two-time": lambda: two_time_correlation(params, spec, fluct, float(t[-1]),
+                                                         tau, "as-written"),
+                "stationary": lambda: stationary_correlation(params, spec, fluct, tau,
+                                                             "as-written"),
+            }
+            for name in order:
+                calls[name]()
+        assert rows[correlation] == tau.size, order
+        # + the scalar-t amplitude of each two-time, which leaves the grid's response cached
+        assert rows[cavity] == len(points) * (t.size + 1), order

@@ -138,10 +138,10 @@ def per_step_reference(params, fluct, t, tau, n_trials, seed):
     return occupation, stats(np.conj(z[:, [t.size - 1]]) * z[:, t.size - 1 + lags])
 
 
-def assert_matches_reference(ens, reference):
+def assert_matches_reference(ens, reference, picks=slice(None)):
     (occ_mean, occ_stderr), two_time = reference
-    np.testing.assert_allclose(ens.mean_occupation, occ_mean, rtol=1e-12)
-    np.testing.assert_allclose(ens.stderr_occupation, occ_stderr, rtol=1e-12)
+    np.testing.assert_allclose(ens.mean_occupation, occ_mean[picks], rtol=1e-12)
+    np.testing.assert_allclose(ens.stderr_occupation, occ_stderr[picks], rtol=1e-12)
     if two_time is None:
         assert ens.mean_two_time is None and ens.stderr_two_time is None
     else:
@@ -165,29 +165,68 @@ def test_mc_is_deterministic_and_chunk_independent():
     assert not np.array_equal(ens.mean_occupation, other.mean_occupation)
 
 
-# (n_t, tau lags in steps, trials).  The last state of the walk is always the
-# largest lag.  With 256-step slabs of 16-step blocks, n_t = 257 puts t_ref on
-# the last state of the first slab and n_t = 258 on the first of the second;
-# the 4395-step walk covers two 2048-step draw tiles and part of a third.
-@pytest.mark.parametrize("n_t, lags, n_trials", [
-    (1000, [0, 3, 3, 0, 517], 512 + 3),
-    (4000, [0, 5, 396], 24),
-    (257, [0, 1, 300], 40),
-    (258, [0, 256, 255], 40),
-    (300, None, 40),
-    (2, [0], 5),
-    (2, [0, 2], 5),
+# (n_t, tau lags in steps, trials, picks).  The last state of the walk is
+# always the largest lag.  With 256-step slabs of 16-step blocks, n_t = 257
+# puts t_ref on the last state of the first slab and n_t = 258 on the first of
+# the second; the 4395-step walk covers two 2048-step draw tiles and part of a
+# third.  State s >= 1 is the (s - 1) % 16-th of its block: states 1 and 16
+# open and close the first block, 17 opens the second, 256 closes the first
+# slab and 257 opens the second; state 2048 closes the first draw tile.
+@pytest.mark.parametrize("n_t, lags, n_trials, picks", [
+    (1000, [0, 3, 3, 0, 517], 512 + 3, None),
+    (4000, [0, 5, 396], 24, None),
+    (257, [0, 1, 300], 40, None),
+    (258, [0, 256, 255], 40, None),
+    (300, None, 40, None),
+    (2, [0], 5, None),
+    (2, [0, 2], 5, None),
+    (1000, [0, 3, 517], 512 + 3, [0, 1, 16, 17, 256, 257, 600, 999]),
+    (4000, None, 24, [0, 2047, 2048, 2049, 3999]),
+    (258, [0, 256, 255], 40, [257]),
+    (300, [0, 40], 40, [150]),
+    (300, None, 40, [0]),
 ], ids=["ragged-duplicate-lags-partial-chunk", "spans-draw-tiles", "ref-ends-slab",
-        "ref-starts-slab", "no-tau", "one-step", "three-steps"])
-def test_mc_slab_recursion_matches_per_step_loop(n_t, lags, n_trials):
+        "ref-starts-slab", "no-tau", "one-step", "three-steps",
+        "picks-block-and-slab-edges-partial-chunk", "picks-across-draw-tiles",
+        "picks-t-ref-only", "single-pick", "vacuum-pick-only"])
+def test_mc_slab_recursion_matches_per_step_loop(n_t, lags, n_trials, picks):
     assert _MC_BLOCK * _MC_SLAB_BLOCKS == 256
     assert _MC_TILE_SLABS * 256 == 2048
     params, fluct, _ = mc_setup()
     h = 0.05
     t = h * np.arange(n_t)
     tau = None if lags is None else h * np.array(lags, dtype=float)
-    ens = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials, seed=4)
-    assert_matches_reference(ens, per_step_reference(params, fluct, t, tau, n_trials, 4))
+    ens = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials, seed=4,
+                            picks=picks)
+    picked = slice(None) if picks is None else np.array(picks)
+    assert np.array_equal(ens.times, t[picked])
+    assert_matches_reference(ens, per_step_reference(params, fluct, t, tau, n_trials, 4),
+                             picked)
+
+
+def test_mc_forms_only_the_blocks_that_are_read():
+    # verify's ensemble: 20 picks on 10 001 points and 151 snapshots 10 steps
+    # apart from t_ref, an 11 500-step walk of 719 blocks
+    n_t = 10_001
+    picks = np.unique(np.linspace(1, n_t - 1, 20).astype(int))
+    snaps = n_t - 1 + np.concatenate([[0], 10 * np.arange(151)])
+    reads = oracle._slab_reads(picks, snaps, 256, 2048)
+    assert sum(k for _, k, *_ in reads.values()) == 114
+    assert sum(k_occ for _, _, k_occ, *_ in reads.values()) == 20
+    every = oracle._slab_reads(np.arange(n_t), snaps, 256, 2048)
+    assert sum(k for _, k, *_ in every.values()) == 719
+
+
+def test_mc_picks_none_is_every_point():
+    params, fluct, _ = mc_setup()
+    t = 0.05 * np.arange(700)
+    tau = 0.05 * np.array([0.0, 30.0, 300.0])
+    every = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=515, seed=6)
+    picked = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=515, seed=6,
+                               picks=np.arange(t.size))
+    assert np.array_equal(every.times, picked.times)
+    for a, b in zip(ensemble_arrays(every), ensemble_arrays(picked)):
+        assert np.array_equal(a, b)
 
 
 def ensemble_arrays(ens):
@@ -217,6 +256,30 @@ def test_mc_memory_does_not_grow_with_the_walk():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_mc_memory_with_picks_does_not_grow_with_the_walk():
+    # Beyond the transient step grid that sigma is measured on, which
+    # noise_std holds for a moment, nothing grows with the walk: at 200k steps
+    # the per-step sums alone would take 3.2 MB.
+    params, fluct, t = mc_setup()
+    monte_carlo_noise(params, fluct, t, n_trials=4, seed=2, picks=[1])  # first-call caches
+    excess = []
+    for n_t in (20_001, 200_001):
+        t = 0.05 * np.arange(n_t)
+        picks = np.unique(np.linspace(1, n_t - 1, 20).astype(int))
+        tracemalloc.start()
+        try:
+            noise_std(fluct, t[0] + 0.05 * np.arange(n_t))
+            grid = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            ens = monte_carlo_noise(params, fluct, t, n_trials=8, seed=2, picks=picks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.times.size == picks.size
+        excess.append(peak - grid)
+    assert max(excess) < 1.5e6
 
 
 def test_mc_is_independent_of_blas_threads():
@@ -265,6 +328,12 @@ def test_mc_error_contracts():
         monte_carlo_noise(params, fluct, t, tau_grid=[0.0, 0.07], n_trials=4)
     with pytest.raises(ValueError, match="step too large"):
         monte_carlo_noise(params, fluct, np.arange(0.0, 10.0, 0.5), n_trials=4)
+    bad_picks = {"out of range": [0, t.size], "negative": [-1, 3], "unsorted": [5, 2],
+                 "duplicated": [2, 2, 7], "non-integer": [1.0, 2.0], "empty": [],
+                 "two-dimensional": [[1, 2]]}
+    for picks in bad_picks.values():
+        with pytest.raises(ValueError, match="picks"):
+            monte_carlo_noise(params, fluct, t, n_trials=4, picks=picks)
 
 
 def test_bath_discretization_bookkeeping():
