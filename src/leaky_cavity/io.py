@@ -1,12 +1,16 @@
 """Deterministic CSV/JSON writers for the result types.
 
 All numbers are written with 17 significant digits so identical inputs give
-byte-identical files.  Each file is written to a temporary file beside it and
-moved into place, so a failed write leaves any earlier file untouched.
+byte-identical files, and read back bit for bit.  Numbers cross the text
+boundary in bulk, in C: a CSV batch is one printf-style template applied to a
+float block, and a CSV is parsed by ``numpy.loadtxt``.  Each file is written to
+a temporary file beside it and moved into place, so a failed write leaves any
+earlier file untouched.
 """
 
 import json
 import os
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,14 +22,14 @@ from .oracle import TrajectoryEnsemble
 from .spectrum import PowerReport, SpectrumResult
 
 
-_NUMBER = "{:.17g}"
+_NUMBER = "%.17g"
 
 # CSV rows formatted and written at a time; it bounds memory, not bytes.
 _ROW_BATCH = 4096
 
 
 def _fmt(x: float) -> str:
-    return _NUMBER.format(float(x))
+    return _NUMBER % float(x)
 
 
 @contextmanager
@@ -45,13 +49,20 @@ def _atomic_open(path):
 
 
 def _write_rows(path, header: str, columns, comments=()):
-    """Write one CSV row per index of the equal-length 1-d arrays ``columns``."""
+    """Write one CSV row per index of the equal-length 1-d arrays ``columns``.
+
+    Each batch is copied into a float block (a cell that is no number raises
+    ``ValueError``) and formatted by one ``%`` of the row template repeated.
+    """
     row = ",".join([_NUMBER] * len(columns)) + "\n"
+    n = len(columns[0])
     with _atomic_open(path) as fh:
         fh.write("".join(f"# {c}\n" for c in comments) + header + "\n")
-        for lo in range(0, len(columns[0]), _ROW_BATCH):
-            batch = (col[lo:lo + _ROW_BATCH].tolist() for col in columns)
-            fh.write("".join(map(row.format, *batch)))
+        for lo in range(0, n, _ROW_BATCH):
+            block = np.empty((min(_ROW_BATCH, n - lo), len(columns)))
+            for j, col in enumerate(columns):
+                block[:, j] = col[lo:lo + _ROW_BATCH]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_timeseries_csv(path, series: TimeSeries, label: str = "value"):
@@ -104,9 +115,9 @@ def write_ensemble_csv(path, ensemble: TrajectoryEnsemble, which: str = "occupat
 
 
 def _write_json(path, doc: dict):
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with _atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_dipole_spectrum_json(path, spectrum: DipoleSpectrum):
@@ -135,14 +146,27 @@ def write_power_report_json(path, report: PowerReport):
 
 
 def read_timeseries_csv(path) -> TimeSeries:
+    """Columns t, value or t, re, im after a header; blank and ``#`` lines are skipped.
+
+    A ``#`` also ends a data line.  A cell that is no number, or a row with
+    another column count, raises ``ValueError`` naming ``path``.
+    """
     with open(path) as fh:
-        body = [ln.strip() for ln in fh
-                if ln.strip() and not ln.lstrip().startswith("#")]
-    if len(body) < 2:  # the first non-comment line is the header
+        header = fh.readline()
+        while header and (not header.strip() or header.lstrip().startswith("#")):
+            header = fh.readline()
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if len(data) == 0:
         raise ValueError(f"{path}: no data rows")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in body[1:]])
     if data.shape[1] < 2:
         raise ValueError(f"{path}: need a time column and a value column")
-    if data.shape[1] >= 3:
-        return TimeSeries(times=data[:, 0], values=data[:, 1] + 1j * data[:, 2])
+    if data.shape[1] >= 3:  # not re + 1j*im, which turns a -0 into 0 and an infinite im into nan
+        values = np.ascontiguousarray(data[:, 1:3]).view(complex)[:, 0]
+        return TimeSeries(times=data[:, 0], values=values)
     return TimeSeries(times=data[:, 0], values=data[:, 1])

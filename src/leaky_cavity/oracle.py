@@ -48,12 +48,10 @@ def _rk4_transfer(lam: complex, h: float):
 def _scan(r: complex, forcing: np.ndarray) -> np.ndarray:
     """Cumulative states of z_{n+1} = r z_n + forcing_n starting from z_0 = 0."""
     z = 0j
-    states = [z]
-    append = states.append
-    for f in forcing.tolist():
-        z = r * z + f
-        append(z)
-    return np.array(states, dtype=complex)
+    states = np.empty(forcing.size + 1, dtype=complex)
+    states[0] = z
+    states[1:] = [z := r * z + f for f in forcing.tolist()]
+    return states
 
 
 def _check_step(params: CavityParams, h: float):

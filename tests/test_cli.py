@@ -346,7 +346,12 @@ def test_decompose_round_trip(config_path, tmp_path, capsys):
     assert np.max(np.abs(back - reference.coeffs)) < 1e-9
 
 
-@pytest.mark.parametrize("body", ["t,d\n", "t\n0\n1\n"], ids=["header-only", "one-column"])
+BAD_CELLS = [("t,d\n0,1\n0.5,abc\n", "could not convert string 'abc'"),
+             ("t,d\n0,1\n0.5,2,3\n", "number of columns changed from 2 to 3")]
+
+
+@pytest.mark.parametrize("body", ["t,d\n", "t\n0\n1\n"] + [body for body, _ in BAD_CELLS],
+                         ids=["header-only", "one-column", "non-numeric", "ragged"])
 def test_decompose_rejects_unusable_csv(config_path, tmp_path, capsys, body):
     series_path = tmp_path / "dipole.csv"
     series_path.write_text(body)
@@ -354,6 +359,20 @@ def test_decompose_rejects_unusable_csv(config_path, tmp_path, capsys, body):
                  "--input", str(series_path), "--out", str(tmp_path / "dec")])
     assert code == EXIT_VALIDATION
     assert f"invalid input: {series_path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, message", BAD_CELLS, ids=["non-numeric", "ragged"])
+def test_run_reports_a_bad_series_cell_under_its_field(tmp_path, capsys, body, message):
+    series_path = tmp_path / "dipole.csv"
+    series_path.write_text(body)
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "dipole": {"series": "dipole.csv"}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"invalid config: dipole.series: {series_path}: " in err
+    assert message in err
+    assert not out.exists()
 
 
 def test_verify_rejects_invalid_config(tmp_path, capsys):

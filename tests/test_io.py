@@ -1,4 +1,7 @@
 import json
+import re
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,11 +138,21 @@ def one_shot_rows(header, columns, comments=()):
 
 BATCH = lcio._ROW_BATCH
 
+# signed zero, the smallest subnormal and normal, the largest finite values,
+# a value with no short binary form, a small integer and one above 2**53
+EDGES = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1, 3.0, 1e16])
 
-@pytest.mark.parametrize("n", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3])
+
+@pytest.mark.parametrize("n", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3, "edges"])
 def test_batched_rows_equal_one_shot_join(tmp_path, n):
-    rng = np.random.default_rng(n)
-    columns = (np.arange(n) * 0.1, rng.normal(size=n) * 1e-300, -rng.normal(size=n) * 1e300)
+    if n == "edges":  # tiled past one batch, so a partial batch holds them too
+        edges = np.tile(EDGES, BATCH // EDGES.size + 2)
+        columns = (edges, -edges, np.roll(edges, 3))
+    else:
+        rng = np.random.default_rng(n)
+        columns = (np.arange(n) * 0.1, rng.normal(size=n) * 1e-300,
+                   -rng.normal(size=n) * 1e300)
     path = tmp_path / "rows.csv"
     lcio._write_rows(path, "t,a,b", columns, comments=["first", "second=2"])
     assert path.read_bytes() == one_shot_rows("t,a,b", columns, ["first", "second=2"]).encode()
@@ -162,3 +175,98 @@ def test_failed_write_leaves_the_target_untouched(tmp_path, monkeypatch):
         lcio._write_json(kept, {"a": 1.0, "b": object()})
     assert kept.read_text() == "earlier run\n"
     assert list(tmp_path.iterdir()) == [kept]
+
+
+def test_fmt_is_the_row_number_format():
+    bits = np.random.default_rng(3).integers(0, 2**64, size=2000, dtype=np.uint64)
+    values = np.concatenate([EDGES, -EDGES, [np.inf, -np.inf, np.nan], bits.view(np.float64)])
+    assert [lcio._fmt(v) for v in values] == ["{:.17g}".format(v) for v in values.tolist()]
+
+
+def float_parse(path):
+    """The reader's parse before numpy.loadtxt: ``float()`` on every cell."""
+    with open(path) as fh:
+        body = [ln.strip() for ln in fh
+                if ln.strip() and not ln.lstrip().startswith("#")]
+    return np.array([[float(v) for v in ln.split(",")] for ln in body[1:]])
+
+
+def assert_same_bits(series, table):
+    assert np.array_equal(series.times.view(np.uint64), table[:, 0].view(np.uint64))
+    if table.shape[1] >= 3:
+        values = np.column_stack([series.values.real, series.values.imag])
+        assert np.array_equal(values.view(np.uint64), table[:, 1:3].view(np.uint64))
+    else:
+        assert np.array_equal(series.values.view(np.uint64), table[:, 1].view(np.uint64))
+
+
+def test_read_is_bit_equal_to_float_parse(tmp_path):
+    bits = np.random.default_rng(4).integers(0, 2**64, size=(5000, 3), dtype=np.uint64)
+    bits = bits.view(np.float64)
+    # times must increase; positive ones never overflow in the reader's difference check
+    times = np.unique(np.abs(bits[np.isfinite(bits[:, 0]), 0]))
+    edge_values = np.column_stack([EDGES, -EDGES[::-1]])
+    for t, values in [(times, bits[:times.size, 1:]), (np.arange(EDGES.size), edge_values)]:
+        written = tmp_path / "written.csv"
+        complex_values = np.ascontiguousarray(values).view(complex)[:, 0]
+        write_timeseries_csv(written, TimeSeries(times=t, values=complex_values))
+        assert_same_bits(read_timeseries_csv(written), float_parse(written))
+    # more digits than the writer gives, and cases that round near a tie or underflow
+    hard = ["0.1000000000000000055511151231257827", "2.2250738585072011e-308",
+            "9007199254740993", "2.4703282292062328e-324", "2.4703282292062327e-324",
+            "1.7976931348623158e308", "1.7976931348623159e308", "1e-400", "-0", "+1.5",
+            ".5", "5.", "1E5", "Infinity", "-inf", "nan", "123456789012345678901234567890"]
+    typed = tmp_path / "typed.csv"
+    typed.write_text("t,d\n" + "".join(f"{i},{h}\n" for i, h in enumerate(hard)))
+    assert_same_bits(read_timeseries_csv(typed), float_parse(typed))
+
+
+@pytest.mark.parametrize("text", [
+    "t,d\r\n0,1.5\r\n0.5,2.5\r\n",
+    "# made elsewhere\n\n  # indented note\nt,d\n0,1.5\n0.5,2.5\n",
+    "t,d\n\n0,1.5\n\n# between rows\n0.5,2.5\n\n",
+    "  t , d \n  0 ,\t1.5 \n0.5 , 2.5\t\n",
+    "t,d\n0.25,-3e-7\n",
+    "t,d_re,d_im\n0,1.5,-2\n0.5,2.5,1e-300\n",
+], ids=["crlf", "comments-before-header", "blank-lines", "padded-cells",
+        "single-row", "complex"])
+def test_read_layouts(tmp_path, text):
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode())
+    assert_same_bits(read_timeseries_csv(path), float_parse(path))
+
+
+def test_read_hash_ends_a_data_line(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("t,d\n0,1.5 # a note\n0.5,2.5\n")
+    assert np.array_equal(read_timeseries_csv(path).values, [1.5, 2.5])
+
+
+@pytest.mark.parametrize("body, message", [
+    ("t,d\n0,1\n0.5,abc\n", "could not convert string 'abc'"),
+    ("t,d\n0,1\n0.5,2,3\n", "number of columns changed from 2 to 3"),
+    ("t,d\n1_0,2\n", "could not convert string '1_0'"),  # float() took it
+    ("t,d\n0,1\n   \n1,2\n", "number of columns changed from 2 to 1"),  # once skipped
+], ids=["non-numeric", "ragged", "underscore", "spaces-only-row"])
+def test_read_errors_name_the_file(tmp_path, body, message):
+    path = tmp_path / "series.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+        read_timeseries_csv(path)
+
+
+def test_json_is_written_in_one_call(tmp_path, monkeypatch):
+    writes = []
+    atomic_open = lcio._atomic_open
+
+    @contextmanager
+    def counting_open(path):
+        with atomic_open(path) as fh:
+            yield SimpleNamespace(write=lambda text: writes.append(text) or fh.write(text))
+
+    monkeypatch.setattr(lcio, "_atomic_open", counting_open)
+    doc = {"b": [1.5, {"c": None}], "a": "x"}
+    path = tmp_path / "doc.json"
+    lcio._write_json(path, doc)
+    assert len(writes) == 1
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
