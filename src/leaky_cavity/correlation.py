@@ -70,6 +70,15 @@ class CorrelationSeries:
         return self.t is None
 
 
+def _lag_decay(params: CavityParams, tau_grid, convention: str):
+    """Convention weight s, the lag grid tau >= 0 and its decay exp(-(i omega_q + kappa) tau)."""
+    s = tag_factor(CONVENTIONS, convention, "convention")
+    tau = np.asarray(tau_grid, dtype=float)
+    if np.any(tau < 0):
+        raise ValueError("tau must be nonnegative; extend via C(-tau) = conj(C(tau))")
+    return s, tau, np.exp(-(1j * params.omega_q + params.kappa) * tau)
+
+
 def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,
                          fluct: FluctuationModel, t: float, tau_grid,
                          convention: str) -> CorrelationSeries:
@@ -79,11 +88,7 @@ def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     integral evaluated in closed form per line (all N, M cross terms retained),
     and the incoherent dipole-noise term weighted by the convention factor.
     """
-    s = tag_factor(CONVENTIONS, convention, "convention")
-    tau = np.asarray(tau_grid, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("tau must be nonnegative; extend via C(-tau) = conj(C(tau))")
-    decay = np.exp(-(1j * params.omega_q + params.kappa) * tau)
+    s, tau, decay = _lag_decay(params, tau_grid, convention)
 
     amp = mode_amplitude(params, spectrum, t)  # <a_q^dagger(t)>
     coherent_occ = abs(amp) ** 2  # equals the coherent occupation
@@ -106,12 +111,8 @@ def stationary_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     limit (the rest dephase); the non-decaying lines carry the elastic
     scattering, the exponentially decaying term the dipole noise.
     """
-    s = tag_factor(CONVENTIONS, convention, "convention")
-    tau = np.asarray(tau_grid, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("tau must be nonnegative; extend via C(-tau) = conj(C(tau))")
+    s, tau, decay = _lag_decay(params, tau_grid, convention)
     weights = np.abs(line_amplitudes(params, spectrum)) ** 2
     lines = _comb_table(spectrum, tau) @ weights
-    decay = np.exp(-(1j * params.omega_q + params.kappa) * tau)
     values = lines + s * noise_saturation(params, fluct) * decay
     return CorrelationSeries(tau=tau, values=values, convention=convention, t=None)

@@ -143,7 +143,7 @@ class FluctuationModel:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Samples on a strictly increasing time grid."""
+    """Samples on a strictly increasing time grid of finite span."""
 
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -153,17 +153,20 @@ class TimeSeries:
         v = np.asarray(self.values)
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
             raise ValueError("times and values must be 1-d arrays of equal length")
-        if t.size >= 2 and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):  # compared, not subtracted, so nothing overflows
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+        if t.size and not math.isfinite(self.span):
+            raise ValueError(f"time span must be finite, got {float(t[0])} to {float(t[-1])}")
 
     def __len__(self) -> int:
         return self.times.size
 
     @property
     def span(self) -> float:
-        return float(self.times[-1] - self.times[0])
+        # Python floats, which overflow to inf without a numpy warning
+        return float(self.times[-1]) - float(self.times[0])
 
 
 def fourier_decompose(signal: TimeSeries, drive: DriveParams) -> DipoleSpectrum:
@@ -209,7 +212,7 @@ def synthesize_mean_dipole(spectrum: DipoleSpectrum, times) -> TimeSeries:
     return TimeSeries(times=times, values=vals)
 
 
-def noise_std(model: FluctuationModel, times) -> float:
-    """Standard deviation sqrt(delta/dt) of each white-noise sample; dt is the mean grid step."""
-    return float(np.sqrt(model.delta / float(uniform_steps(times).mean())))
+def noise_std(model: FluctuationModel, dt: float) -> float:
+    """Standard deviation sqrt(delta/dt) of each white-noise sample over a step dt."""
+    return float(np.sqrt(model.delta / dt))
 

@@ -54,17 +54,24 @@ def _scan(r: complex, forcing: np.ndarray) -> np.ndarray:
     return states
 
 
-def _check_step(params: CavityParams, h: float):
-    if h * max(params.omega_q, params.kappa) > _STABILITY_LIMIT:
-        raise ValueError(
-            f"step too large: h*max(omega_q, kappa) = {h * max(params.omega_q, params.kappa):.3g} "
-            f"exceeds {_STABILITY_LIMIT}"
-        )
+def _rk4_grid(params: CavityParams, t: np.ndarray):
+    """Step h of the uniform grid t, held to the stability limit, and the cavity's RK4 transfer."""
+    h = float(uniform_steps(t, "t")[0])
+    rate = max(params.omega_q, params.kappa)
+    if h * rate > _STABILITY_LIMIT:
+        raise ValueError(f"step too large: h*max(omega_q, kappa) = {h * rate:.3g} "
+                         f"exceeds {_STABILITY_LIMIT}")
+    return h, _rk4_transfer(-(1j * params.omega_q + params.kappa), h)
 
 
 def amplitude_ode_step(params: CavityParams, spectrum: DipoleSpectrum) -> float:
     """Step 0.005/max(omega_q, top harmonic, kappa) of the amplitude oracle against the closed form."""
     return 0.005 / max(params.omega_q, spectrum.harmonics()[-1], params.kappa)
+
+
+def noise_step(params: CavityParams) -> float:
+    """Step 0.02/max(omega_q, kappa) of the Monte-Carlo noise oracle against the closed form."""
+    return 0.02 / max(params.omega_q, params.kappa)
 
 
 def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
@@ -76,14 +83,11 @@ def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
     Returns <a_q(t)> on the grid; the conjugate is what mode_amplitude computes.
     """
     t = np.asarray(t_grid, dtype=float)
-    h = float(uniform_steps(t, "t")[0])
-    _check_step(params, h)
+    h, (r, c0, cm, c1) = _rk4_grid(params, t)
     nodes = t[:-1]
     f0 = mean_dipole.positive_frequency_signal(nodes)
     fm = mean_dipole.positive_frequency_signal(nodes + h / 2.0)
     f1 = mean_dipole.positive_frequency_signal(nodes + h)
-    lam = -(1j * params.omega_q + params.kappa)
-    r, c0, cm, c1 = _rk4_transfer(lam, h)
     forcing = params.g_q * (c0 * f0 + cm * fm + c1 * f1)
     return TimeSeries(times=t, values=_scan(r, forcing))
 
@@ -201,15 +205,13 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     gathered and multiplied by ``_block_propagator`` in one real GEMM, and the
     |d|^2 sums over trials are GEMVs with a ones vector over every state of
     the blocks that hold a pick.  Each trial's generator stays open across its
-    chunk and fills one row of a fixed draw tile at a time, so apart from the
-    step grid that sigma is measured on, memory grows with the walk only
-    through the sums at the picks.
+    chunk and fills one row of a fixed draw tile at a time, so memory grows
+    with the walk only through the sums at the picks.
     """
     t = np.asarray(t_grid, dtype=float)
-    h = float(uniform_steps(t, "t")[0])
+    h, (r, c0, cm, c1) = _rk4_grid(params, t)
     if t[0] != 0.0:
         raise ValueError("t grid must start at 0 (vacuum initial condition)")
-    _check_step(params, h)
     n_t = t.size
     picked = _pick_indices(picks, n_t)
     tau = np.asarray([] if tau_grid is None else tau_grid, dtype=float)
@@ -217,10 +219,7 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     if np.any(tau_steps < 0) or np.any(np.abs(tau_steps * h - tau) > 1e-9 * h):
         raise ValueError("tau grid points must be nonnegative multiples of the t step")
     n_steps = n_t - 1 + int(tau_steps.max(initial=0))
-    sigma = noise_std(fluct, t[0] + h * np.arange(n_steps + 1))
-
-    lam = -(1j * params.omega_q + params.kappa)
-    r, c0, cm, c1 = _rk4_transfer(lam, h)
+    sigma = noise_std(fluct, h)
     gain = params.g_q * (c0 + cm + c1)  # constant forcing over each step
 
     n_l = _MC_BLOCK
@@ -357,11 +356,9 @@ class BathDiscretization:
 
 @dataclass(frozen=True)
 class BathDecayResult:
-    """Cavity amplitude under explicit bath coupling, with bookkeeping."""
+    """Cavity amplitude under explicit bath coupling, with its norm error."""
 
     series: TimeSeries
-    kappa_effective: float
-    recurrence_time: float
     norm_error: float
 
 
@@ -531,9 +528,5 @@ def discrete_bath_decay(bath: BathDiscretization, params: CavityParams,
         block = phase_table(t[rows], -evals)
         block *= weights
         alpha[rows] = block.sum(axis=1)
-    return BathDecayResult(
-        series=TimeSeries(times=t, values=alpha),
-        kappa_effective=bath.kappa_effective,
-        recurrence_time=bath.recurrence_time,
-        norm_error=float(abs(weights.sum() - 1.0)),
-    )
+    return BathDecayResult(series=TimeSeries(times=t, values=alpha),
+                           norm_error=float(abs(weights.sum() - 1.0)))

@@ -12,7 +12,7 @@ from .correlation import stationary_correlation, two_time_correlation
 from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, synthesize_mean_dipole
 from .oracle import BathDecayResult, BathDiscretization, TrajectoryEnsemble, \
     amplitude_ode_step, continuum_pole, discrete_bath_decay, integrate_amplitude_ode, \
-    monte_carlo_noise
+    monte_carlo_noise, noise_step
 from .scenario import load_scenario
 from .spectrum import integrated_power, power_spectrum
 
@@ -109,7 +109,7 @@ def _amplitude_oracle(config, target):
 
 def _noise_oracle(config, target):
     kappa = config.cavity.kappa
-    dt = 0.02 / max(config.cavity.omega_q, kappa)
+    dt = noise_step(config.cavity)
     t = np.arange(0.0, 20.0 / kappa + dt / 2, dt)
     tau = t[t <= 3.0 / kappa][:: max(1, t.size // 200)]
     ens = monte_carlo_noise(config.cavity, config.fluctuation, t, tau_grid=tau,

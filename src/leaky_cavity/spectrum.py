@@ -88,17 +88,13 @@ def integrated_power(params: CavityParams, spectrum: DipoleSpectrum,
 
     p_fluctuation = 2 C_Delta [pi/2 + arctan(omega_q/kappa)] (times the
     normalization factor); the bound p_fluctuation_max is its omega_q >> kappa
-    limit, equal to c delta (g_q/g0)^2 when the bath coupling is given.
+    limit 2 pi C_Delta, which is c delta (g_q/g0)^2 when the bath coupling is given.
     """
     factor = tag_factor(NORMALIZATIONS, normalization, "normalization")
     p_coherent = float(np.sum(np.abs(line_amplitudes(params, spectrum)) ** 2))
-    p_fluct = factor * 2.0 * noise_saturation(params, fluct) * (
-        np.pi / 2.0 + np.arctan(params.omega_q / params.kappa)
-    )
-    if params.g0 is not None and params.c is not None:
-        p_max = factor * params.c * fluct.delta * (params.g_q / params.g0) ** 2
-    else:
-        p_max = factor * fluct.delta * np.pi * params.g_q ** 2 / params.kappa
+    weight = factor * 2.0 * noise_saturation(params, fluct)
+    p_fluct = weight * (np.pi / 2.0 + np.arctan(params.omega_q / params.kappa))
+    p_max = weight * np.pi
     return PowerReport(p_coherent=p_coherent, p_fluctuation=float(p_fluct),
                        p_fluctuation_max=float(p_max), normalization=normalization)
 

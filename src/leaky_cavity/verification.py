@@ -24,7 +24,7 @@ from .cavity import CavityParams, occupation, occupation_longtime
 from .correlation import stationary_correlation
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel
 from .oracle import BathDiscretization, amplitude_ode_step, discrete_bath_decay, \
-    integrate_amplitude_ode, monte_carlo_noise
+    integrate_amplitude_ode, monte_carlo_noise, noise_step
 from .spectrum import integrated_power, power_spectrum, spectrum_from_correlation
 
 
@@ -90,7 +90,7 @@ def _noise_benchmark(seed: int):
     """The (params, fluct, ensemble) that check_noise_law and check_qrt_convention judge."""
     params = CavityParams(omega_q=1.0, g_q=1.0, kappa=0.1)
     fluct = FluctuationModel(delta=0.2)
-    dt = 0.02
+    dt = noise_step(params)
     t = np.arange(0.0, 200.0 + dt / 2, dt)         # kappa*t up to 20
     tau = np.arange(0.0, 30.0 + dt / 2, 0.2)       # kappa*tau up to 3
     picks = np.unique(np.linspace(1, t.size - 1, 20).astype(int))  # incl. saturation

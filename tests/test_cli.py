@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, default_scenario_path, main
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
 from leaky_cavity.runner import run
@@ -373,6 +373,49 @@ def test_run_reports_a_bad_series_cell_under_its_field(tmp_path, capsys, body, m
     assert f"invalid config: dipole.series: {series_path}: " in err
     assert message in err
     assert not out.exists()
+
+
+UNUSABLE_SERIES = [("t,a,b,c\n0,1,2,3\n1,4,5,6\n", "got 4 columns"),
+                   ("t,d\n-1e308,1\n1e308,2\n", "time span must be finite"),
+                   ("t,d\n0,1\ninf,2\n", "time span must be finite")]
+UNUSABLE_IDS = ["four-columns", "overflowing-span", "infinite-time"]
+
+
+@pytest.mark.parametrize("body, message", UNUSABLE_SERIES, ids=UNUSABLE_IDS)
+def test_decompose_refuses_a_series_it_cannot_take(config_path, tmp_path, capsys, body,
+                                                   message):
+    series_path = tmp_path / "dipole.csv"
+    series_path.write_text(body)
+    code = main(["decompose", "--config", str(config_path),
+                 "--input", str(series_path), "--out", str(tmp_path / "dec")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {series_path}: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("body, message", UNUSABLE_SERIES, ids=UNUSABLE_IDS)
+def test_run_refuses_a_series_it_cannot_take(tmp_path, capsys, body, message):
+    series_path = tmp_path / "dipole.csv"
+    series_path.write_text(body)
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "dipole": {"series": "dipole.csv"}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"invalid config: dipole.series: {series_path}: " in err
+    assert message in err
+    assert not out.exists()
+
+
+def test_shipped_run_matches_the_benchmark_golden_set(tmp_path):
+    """Every file of a run of the shipped scenario has the hash the benchmark expects."""
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / \
+        "run_shipped.sha256.json"
+    expected = json.loads(golden.read_text())
+    run(default_scenario_path(), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == expected
 
 
 def test_verify_rejects_invalid_config(tmp_path, capsys):

@@ -229,3 +229,11 @@ def test_invalid_params_rejected():
         FluctuationModel(delta=-0.1)
     with pytest.raises(ValueError):
         TimeSeries(times=np.array([0.0, 0.0, 1.0]), values=np.zeros(3))
+
+
+@pytest.mark.parametrize("times", [[-1e308, 1e308], [0.0, np.inf], [np.nan]],
+                         ids=["overflowing", "infinite", "nan"])
+def test_time_series_refuses_a_span_that_is_not_finite(times):
+    # under filterwarnings = error, an overflowing difference would raise a warning
+    with pytest.raises(ValueError, match="time span must be finite"):
+        TimeSeries(times=np.array(times), values=np.zeros(len(times)))

@@ -255,6 +255,19 @@ def test_read_errors_name_the_file(tmp_path, body, message):
         read_timeseries_csv(path)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("t,a,b,c\n0,1,2,3\n1,4,5,6\n", "need a time column .* got 4 columns"),
+    ("t,d\n-1e308,1\n1e308,2\n", "time span must be finite"),
+    ("t,d\n0,1\ninf,2\n", "time span must be finite"),
+    ("t,d\n0,1\n0,2\n", "times must be strictly increasing"),
+], ids=["four-columns", "overflowing-span", "infinite-time", "repeated-time"])
+def test_read_refuses_a_layout_it_cannot_take(tmp_path, body, message):
+    path = tmp_path / "series.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        read_timeseries_csv(path)
+
+
 def test_json_is_written_in_one_call(tmp_path, monkeypatch):
     writes = []
     atomic_open = lcio._atomic_open

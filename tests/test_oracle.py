@@ -11,7 +11,7 @@ from leaky_cavity import oracle
 from leaky_cavity.cavity import CavityParams, dipole_noise_occupation, mode_amplitude
 from leaky_cavity.cli import default_scenario_path
 from leaky_cavity.dipole import _PHASE_BLOCK_ELEMENTS, DipoleSpectrum, DriveParams, \
-    FluctuationModel, TimeSeries, noise_std
+    FluctuationModel, TimeSeries, noise_std, uniform_steps
 from leaky_cavity.oracle import (
     _MC_BLOCK,
     _MC_SLAB_BLOCKS,
@@ -66,6 +66,16 @@ def test_ode_error_contracts():
         integrate_amplitude_ode(params, spec, np.array([0.0, 0.01, 0.03]))
 
 
+def test_noise_std_is_sqrt_delta_over_the_step():
+    assert noise_std(FluctuationModel(0.2), 0.05) == np.sqrt(0.2 / 0.05)
+    assert noise_std(FluctuationModel(0.0), 0.01) == 0.0
+
+
+def test_noise_step_scales_with_the_fastest_rate():
+    assert oracle.noise_step(CavityParams(omega_q=1.0, g_q=1.0, kappa=0.1)) == 0.02
+    assert oracle.noise_step(CavityParams(omega_q=0.5, g_q=1.0, kappa=4.0)) == 0.005
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 1000, 60000])
 def test_scan_matches_lfilter(n):
     from scipy.signal import lfilter
@@ -106,7 +116,8 @@ def sample_fluctuation(model, times, seed) -> TimeSeries:
     """
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(seed)
-    return TimeSeries(times=times, values=rng.normal(0.0, noise_std(model, times), times.size))
+    sigma = noise_std(model, uniform_steps(times).mean())
+    return TimeSeries(times=times, values=rng.normal(0.0, sigma, times.size))
 
 
 def per_step_reference(params, fluct, t, tau, n_trials, seed):
@@ -259,9 +270,8 @@ def test_mc_memory_does_not_grow_with_the_walk():
 
 
 def test_mc_memory_with_picks_does_not_grow_with_the_walk():
-    # Beyond the transient step grid that sigma is measured on, which
-    # noise_std holds for a moment, nothing grows with the walk: at 200k steps
-    # the per-step sums alone would take 3.2 MB.
+    # Beyond the temporaries of the t grid's input check, nothing grows with
+    # the walk: at 200k steps the per-step sums alone would take 3.2 MB.
     params, fluct, t = mc_setup()
     monte_carlo_noise(params, fluct, t, n_trials=4, seed=2, picks=[1])  # first-call caches
     excess = []
@@ -270,7 +280,7 @@ def test_mc_memory_with_picks_does_not_grow_with_the_walk():
         picks = np.unique(np.linspace(1, n_t - 1, 20).astype(int))
         tracemalloc.start()
         try:
-            noise_std(fluct, t[0] + 0.05 * np.arange(n_t))
+            uniform_steps(t, "t")
             grid = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             ens = monte_carlo_noise(params, fluct, t, n_trials=8, seed=2, picks=picks)
@@ -279,7 +289,7 @@ def test_mc_memory_with_picks_does_not_grow_with_the_walk():
             tracemalloc.stop()
         assert ens.times.size == picks.size
         excess.append(peak - grid)
-    assert max(excess) < 1.5e6
+    assert max(excess) < 1e5
 
 
 def test_mc_is_independent_of_blas_threads():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leaky_cavity.cavity import CavityParams
+from leaky_cavity.cavity import CavityParams, noise_saturation
 from leaky_cavity.correlation import stationary_correlation
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel
 from leaky_cavity.spectrum import (
@@ -84,7 +84,20 @@ def test_bound_from_bath_coupling_matches_kappa_form():
     b = integrated_power(with_kappa, spec, fluct)
     assert a.p_fluctuation_max == pytest.approx(
         with_bath.c * fluct.delta * (with_bath.g_q / with_bath.g0) ** 2)
-    assert a.p_fluctuation_max == pytest.approx(b.p_fluctuation_max, rel=1e-12)
+    assert a.p_fluctuation_max == b.p_fluctuation_max
+
+
+@pytest.mark.parametrize("normalization", sorted(NORMALIZATIONS))
+@pytest.mark.parametrize("params", [
+    CavityParams(omega_q=2.0, g_q=0.2, kappa=0.3),
+    CavityParams(omega_q=2.0, g_q=0.2, g0=0.5, c=1.3),
+], ids=["kappa", "bath"])
+def test_bound_is_two_pi_noise_saturation(params, normalization):
+    spec = DipoleSpectrum(drive=DriveParams(1.0, 1), coeffs=[0.0, 0.1])
+    fluct = FluctuationModel(0.3)
+    report = integrated_power(params, spec, fluct, normalization)
+    factor = NORMALIZATIONS[normalization]
+    assert report.p_fluctuation_max == factor * 2.0 * noise_saturation(params, fluct) * np.pi
 
 
 def test_default_grid_covers_lines_and_lorentzian():
