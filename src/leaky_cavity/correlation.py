@@ -70,13 +70,25 @@ class CorrelationSeries:
         return self.t is None
 
 
+@functools.lru_cache(maxsize=1)
+def _decay_table(omega_q: float, kappa: float, tau: bytes) -> np.ndarray:
+    """Read-only lag decay exp(-(i omega_q + kappa) tau_j), keyed like ``_comb_phases``.
+
+    Both correlators at one cavity and one lag grid share it, so a detuning
+    scan builds it once per point.
+    """
+    decay = np.exp(-(1j * omega_q + kappa) * np.frombuffer(tau))
+    decay.flags.writeable = False
+    return decay
+
+
 def _lag_decay(params: CavityParams, tau_grid, convention: str):
     """Convention weight s, the lag grid tau >= 0 and its decay exp(-(i omega_q + kappa) tau)."""
     s = tag_factor(CONVENTIONS, convention, "convention")
     tau = np.asarray(tau_grid, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be nonnegative; extend via C(-tau) = conj(C(tau))")
-    return s, tau, np.exp(-(1j * params.omega_q + params.kappa) * tau)
+    return s, tau, _decay_table(params.omega_q, params.kappa, tau.tobytes())
 
 
 def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,

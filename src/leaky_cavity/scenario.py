@@ -5,6 +5,7 @@ the evaluation grids, the convention tags, and the oracle settings.  Every
 invariant violation is reported with the path of the offending field.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -60,6 +61,43 @@ def _mapping(doc: dict, path: str, errors: dict) -> dict:
     return {}
 
 
+def _is_number(value) -> bool:
+    """A YAML int or float that a float can hold; booleans (ints to Python) and text are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _number(value, path: str, errors: dict):
+    """``value`` as YAML gave it if it is a number, else None with an error at ``path``.
+
+    Whether it is finite and in range is left to the parameter classes.
+    """
+    if _is_number(value):
+        return value
+    too_large = isinstance(value, int) and not isinstance(value, bool)
+    errors[path] = f"must be a number{' a float can hold' if too_large else ''}, got {value!r}"
+    return None
+
+
+def _coefficients(entries, errors: dict):
+    """``dipole.coeffs`` [re, im] pairs as complex numbers; None, with an error, on a bad entry."""
+    if not isinstance(entries, list):
+        errors["dipole.coeffs"] = f"must be a list of [re, im] pairs, got {entries!r}"
+        return None
+    values = []
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry))):
+            errors["dipole.coeffs"] = f"entry {i} must be a pair of numbers [re, im], got {entry!r}"
+            return None
+        values.append(complex(*entry))
+    return np.array(values)
+
+
 def _grid(grids, path, errors, required=True):
     doc = _mapping(grids, path, errors)
     if not doc:
@@ -68,7 +106,7 @@ def _grid(grids, path, errors, required=True):
         return None
     stop = doc.get("stop")
     num = doc.get("num")
-    numeric = all(isinstance(v, (int, float)) and np.isfinite(v) for v in (stop, num))
+    numeric = all(_is_number(v) and math.isfinite(v) for v in (stop, num))
     if not (numeric and stop > 0 and int(num) == num and num >= 2):
         errors[path] = (f"grid needs finite stop > 0 and integer num >= 2, "
                         f"got stop={stop!r}, num={num!r}")
@@ -87,11 +125,14 @@ def load_scenario(path) -> ScenarioConfig:
     errors: dict = {}
 
     drive = None
+    known = len(errors)
     dd = _mapping(doc, "drive", errors)
-    if "drive" not in errors:
+    omega = _number(dd.get("omega", 1.0), "drive.omega", errors)
+    n_max = _number(dd.get("n_max", 1), "drive.n_max", errors)
+    if len(errors) == known:
         try:
-            drive = DriveParams(omega=float(dd.get("omega", 1.0)), n_max=dd.get("n_max", 1))
-        except (TypeError, ValueError) as exc:
+            drive = DriveParams(omega=float(omega), n_max=n_max)
+        except ValueError as exc:
             errors["drive"] = str(exc)
 
     spectrum = None
@@ -101,8 +142,9 @@ def load_scenario(path) -> ScenarioConfig:
     elif drive is not None:
         try:
             if "coeffs" in dip:
-                coeffs = np.array([complex(re, im) for re, im in dip["coeffs"]])
-                spectrum = DipoleSpectrum(drive=drive, coeffs=coeffs)
+                coeffs = _coefficients(dip["coeffs"], errors)
+                if coeffs is not None:
+                    spectrum = DipoleSpectrum(drive=drive, coeffs=coeffs)
             else:
                 from .io import read_timeseries_csv
                 series_path = dip["series"]
@@ -115,10 +157,12 @@ def load_scenario(path) -> ScenarioConfig:
 
     fluct = None
     fdoc = _mapping(doc, "fluctuation", errors)
-    try:
-        fluct = FluctuationModel(delta=float(fdoc.get("delta", 0.0)))
-    except (TypeError, ValueError) as exc:
-        errors["fluctuation.delta"] = str(exc)
+    delta = _number(fdoc.get("delta", 0.0), "fluctuation.delta", errors)
+    if delta is not None:
+        try:
+            fluct = FluctuationModel(delta=float(delta))
+        except ValueError as exc:
+            errors["fluctuation.delta"] = str(exc)
 
     cavity = None
     cav = _mapping(doc, "cavity", errors)
@@ -132,16 +176,17 @@ def load_scenario(path) -> ScenarioConfig:
     elif not has_kappa and not has_bath:
         errors.setdefault("cavity", "give exactly one of 'kappa' or ('g0', 'c')")
     else:
-        try:
-            cavity = CavityParams(
-                omega_q=float(cav.get("omega_q", 0.0)),
-                g_q=float(cav.get("g_q", 0.0)),
-                kappa=cav.get("kappa"),
-                g0=cav.get("g0"),
-                c=cav.get("c"),
-            )
-        except (TypeError, ValueError) as exc:
-            errors["cavity"] = str(exc)
+        known = len(errors)
+        omega_q = _number(cav.get("omega_q", 0.0), "cavity.omega_q", errors)
+        g_q = _number(cav.get("g_q", 0.0), "cavity.g_q", errors)
+        rates = {key: cav.get(key) for key in ("kappa", "g0", "c")}  # any of them may be absent
+        rates = {key: value if value is None else _number(value, f"cavity.{key}", errors)
+                 for key, value in rates.items()}
+        if len(errors) == known:
+            try:
+                cavity = CavityParams(omega_q=float(omega_q), g_q=float(g_q), **rates)
+            except (TypeError, ValueError) as exc:
+                errors["cavity"] = str(exc)
     # q, the harmonic the cavity is tuned to, is checked and not stored
     q = cav.get("q")
     if q is not None:
@@ -183,10 +228,9 @@ def load_scenario(path) -> ScenarioConfig:
     seed = settings["seed"]
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
         errors["oracle.seed"] = "must be a non-negative integer"
-    half_width = settings["bath_half_width_kappas"]
-    if isinstance(half_width, bool) or not isinstance(half_width, (int, float)):
-        errors["oracle.bath_half_width_kappas"] = f"must be a number, got {half_width!r}"
-    else:
+    half_width = _number(settings["bath_half_width_kappas"], "oracle.bath_half_width_kappas",
+                         errors)
+    if half_width is not None:
         settings["bath_half_width_kappas"] = float(half_width)
     osettings = OracleSettings(**settings)
 

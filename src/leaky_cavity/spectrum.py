@@ -19,6 +19,13 @@ from .dipole import DipoleSpectrum, FluctuationModel, uniform_steps
 # Normalization tag -> factor on the continuum and the fluctuation power.
 NORMALIZATIONS = {"as-written": 1.0, "wkt-consistent": 1.0 / np.pi}
 
+# The chirp-z transform correlates directly while N_tau N_omega <= C size log2(size),
+# size being the FFT length.  Measured crossover (1 BLAS thread, 2-vCPU Xeon,
+# numpy 2.4.6, best of 20): a direct term costs 0.45 ns, the three FFTs take
+# 2.7 ms at size 32768 and 0.14 ms at 4096, so direct wins up to N_omega ~ 96 at
+# N_tau = 3001 (C ~ 6) and ~ 300 at N_tau = 20001 (C ~ 12).
+_DIRECT_PER_FFT_TERM = 8.0
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -107,8 +114,10 @@ def spectrum_from_correlation(series: CorrelationSeries, omega_grid) -> np.ndarr
 
     The omega grid must be uniform, omega_k = omega_0 + k domega.  The sum is
     then a chirp-z transform (Bluestein): with a = domega dtau and
-    kj = (k^2 + j^2 - (k-j)^2)/2 it is one FFT convolution with the chirp
-    exp(-i a m^2/2), in O((N_tau + N_omega) log) operations.
+    kj = (k^2 + j^2 - (k-j)^2)/2 it is a correlation with the chirp
+    exp(-i a l^2/2) over the lags l = -(N_tau-1)..N_omega-1.  A short window
+    evaluates it directly, in O(N_tau N_omega) operations; a long one by FFT,
+    in O((N_tau + N_omega) log) operations, whichever counts fewer.
     """
     if not series.stationary:
         raise ValueError("spectrum_from_correlation requires a stationary series")
@@ -122,11 +131,13 @@ def spectrum_from_correlation(series: CorrelationSeries, omega_grid) -> np.ndarr
     n, m = tau.size, omega.size
     a = (omega[-1] - omega[0]) / (m - 1) * (tau[-1] - tau[0]) / (n - 1)
     # exp(i omega_k tau_j) = exp(i omega_0 tau_j) exp(i (omega_k - omega_0) tau_0) exp(i a k j)
-    u = series.values * weights * np.exp(1j * omega[0] * tau) * np.exp(0.5j * a * np.arange(n) ** 2)
+    half = np.exp(0.5j * a * np.arange(max(n, m)) ** 2)
+    u = series.values * weights * np.exp(1j * omega[0] * tau) * half[:n]
+    chirp = np.conj(np.concatenate([half[n - 1:0:-1], half[:m]]))
     size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1
-    chirp = np.zeros(size, dtype=complex)
-    chirp[:m] = np.exp(-0.5j * a * np.arange(m) ** 2)
-    chirp[size - n + 1:] = np.exp(-0.5j * a * np.arange(n - 1, 0, -1) ** 2)
-    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(chirp))[:m]
-    phase = np.exp(1j * (omega - omega[0]) * tau[0]) * np.exp(0.5j * a * np.arange(m) ** 2)
+    if n * m <= _DIRECT_PER_FFT_TERM * size * np.log2(size):
+        conv = np.convolve(chirp, u, "valid")
+    else:
+        conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(chirp, size))[n - 1:n - 1 + m]
+    phase = np.exp(1j * (omega - omega[0]) * tau[0]) * half[:m]
     return (phase * conv).real / np.pi

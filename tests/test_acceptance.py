@@ -6,6 +6,7 @@ check (run with ``-s`` to see them) and asserts it.  The same suite backs the
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,3 +92,22 @@ def test_criterion_8_markov_decay():
 
 def test_criterion_9_deterministic_outputs():
     report(verification.check_determinism(default_scenario_path()))
+
+
+def test_verify_stdout_is_pinned(amplitude_results, noise_bundle):
+    """``leaky-cavity verify --seed-override 1234`` prints exactly the recorded text.
+
+    The checks run in ``run_all``'s order on the module's seed-1234 fixtures; the
+    text was recorded from the command itself.
+    """
+    results = [*amplitude_results, *verification.check_noise_law(noise_bundle),
+               *verification.check_longtime_limit(),
+               *verification.check_qrt_convention(noise_bundle),
+               *verification.check_spectrum_round_trip(),
+               *verification.check_power_consistency(),
+               *verification.check_markov_decay(),
+               *verification.check_determinism(default_scenario_path())]
+    passed = sum(r.passed for r in results)
+    lines = [r.line() for r in results] + [f"{passed}/{len(results)} checks passed"]
+    recorded = Path(__file__).with_name("data") / "verify_seed_1234.stdout"
+    assert "\n".join(lines) + "\n" == recorded.read_text()

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, default_scenario
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
 from leaky_cavity.runner import run
+from leaky_cavity.scenario import load_scenario
 
 SCENARIO = {
     "drive": {"omega": 1.0, "n_max": 3},
@@ -201,6 +203,67 @@ def test_oracle_settings_name_their_bad_field(tmp_path, capsys, field, value, me
     assert f"invalid config: oracle.{field}: {message}" in err
     assert "oracle.seed" not in err  # the scenario's seed is valid and must not be reported
     assert not out.exists()
+
+
+def _set_field(doc, field, value):
+    """Copy of the scenario ``doc`` with the dotted ``field`` (an int picks a list item) set."""
+    doc = copy.deepcopy(doc)
+    *parents, last = [int(key) if key.isdigit() else key for key in field.split(".")]
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+BATH_CAVITY = {"omega_q": 3.0, "g_q": 0.05, "g0": 0.2, "c": 1.0, "q": 3}
+
+# field, the path it is reported under, and the message's start; the grid and
+# the coefficient pairs keep the messages of their own readers
+NUMERIC_FIELDS = [
+    ("drive.omega", "drive.omega", "must be a number, got "),
+    ("drive.n_max", "drive.n_max", "must be a number, got "),
+    ("fluctuation.delta", "fluctuation.delta", "must be a number, got "),
+    ("cavity.omega_q", "cavity.omega_q", "must be a number, got "),
+    ("cavity.g_q", "cavity.g_q", "must be a number, got "),
+    ("cavity.kappa", "cavity.kappa", "must be a number, got "),
+    ("cavity.g0", "cavity.g0", "must be a number, got "),
+    ("cavity.c", "cavity.c", "must be a number, got "),
+    ("grids.t.stop", "grids.t", "grid needs finite stop > 0 and integer num >= 2, got stop="),
+    ("dipole.coeffs.1.0", "dipole.coeffs", "entry 1 must be a pair of numbers [re, im], got ["),
+]
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "quoted"])
+@pytest.mark.parametrize("field, path, message", NUMERIC_FIELDS,
+                         ids=[field for field, _, _ in NUMERIC_FIELDS])
+def test_numeric_fields_refuse_booleans_and_text(tmp_path, capsys, field, path, message, value):
+    doc = {**SCENARIO, "cavity": BATH_CAVITY} if field in ("cavity.g0", "cavity.c") else SCENARIO
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(_set_field(doc, field, value)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"invalid config: {path}: {message}{value!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["drive.omega", "cavity.kappa"])
+def test_numeric_fields_refuse_integers_a_float_cannot_hold(tmp_path, capsys, field):
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(_set_field(SCENARIO, field, 10 ** 400)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"invalid config: {field}: must be a number a float can hold, got 1000" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bath_cavity_scenario_is_valid(tmp_path):
+    # the base of the cavity.g0 and cavity.c cases above loads as it is
+    config = tmp_path / "bath.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "cavity": BATH_CAVITY}))
+    assert load_scenario(config).cavity.kappa == pytest.approx(0.04 * np.pi)
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

@@ -166,6 +166,39 @@ def test_correlators_are_byte_equal_with_warm_and_cold_cache():
         assert correlation._comb_phases.cache_info().hits == 1
 
 
+def test_correlators_are_byte_equal_with_warm_and_cold_decay_cache():
+    params, spec, fluct = comb_case()
+    tau = np.linspace(0.0, 80.0, 1601)
+    correlation._decay_table.cache_clear()
+    cold = _correlators(params, spec, fluct, tau)
+    # the two correlators at one cavity and lag grid build the decay once
+    assert correlation._decay_table.cache_info()[:2] == (1, 1)  # hits, misses
+    for clear in (False, True):
+        if clear:
+            correlation._decay_table.cache_clear()
+        assert _correlators(params, spec, fluct, tau) == cold
+    direct = np.exp(-(1j * params.omega_q + params.kappa) * tau)
+    decay = correlation._decay_table(params.omega_q, params.kappa, tau.tobytes())
+    assert decay.tobytes() == direct.tobytes()
+    with pytest.raises(ValueError):
+        decay[0] = 0.0
+
+
+def test_decay_cache_follows_the_cavity_and_the_lag_grid():
+    params, spec, fluct = comb_case()
+    tau = np.linspace(0.0, 80.0, 1601)
+    cases = [(params, tau), (CavityParams(omega_q=params.omega_q, g_q=params.g_q,
+                                          kappa=2 * params.kappa), tau),
+             (CavityParams(omega_q=2 * params.omega_q, g_q=params.g_q, kappa=params.kappa),
+              tau), (params, 0.5 * tau)]
+    cold = []
+    for cavity_params, lags in cases:
+        correlation._decay_table.cache_clear()
+        cold.append(_correlators(cavity_params, spec, fluct, lags))
+    assert [_correlators(p, spec, fluct, lags) for p, lags in cases] == cold
+    assert len(set(cold)) == len(cases)
+
+
 def test_comb_cache_follows_arrays_changed_in_place():
     params, spec, fluct = comb_case()
     tau = np.linspace(0.0, 80.0, 1601)

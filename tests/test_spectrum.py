@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from leaky_cavity import spectrum
 from leaky_cavity.cavity import CavityParams, noise_saturation
 from leaky_cavity.correlation import stationary_correlation
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel
@@ -140,7 +141,10 @@ def dense_wkt(series, omega):
     weights = np.full(tau.size, tau[1] - tau[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return np.exp(1j * np.outer(omega, tau)).dot(series.values * weights).real / np.pi
+    terms = series.values * weights
+    # 64 frequencies at a time bound the table at 64 x N_tau
+    return np.concatenate([np.exp(1j * np.outer(omega[lo:lo + 64], tau)).dot(terms)
+                           for lo in range(0, omega.size, 64)]).real / np.pi
 
 
 def criterion_6_case():
@@ -156,12 +160,15 @@ def criterion_6_case():
     return series, np.arange(0.0, 4.0, 2.0 * np.pi / tau[-1] / 16.0)
 
 
+SWEEP_OMEGA_Q, SWEEP_KAPPA = 11.3, 0.2
+
+
 def sweep_window_case():
     # 20001 lags and a 16-point window far from omega = 0
     rng = np.random.default_rng(5)
     coeffs = rng.uniform(0.2, 1.0, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
     spec = DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=15), coeffs=coeffs)
-    params = CavityParams(omega_q=11.3, g_q=0.1, kappa=0.2)
+    params = CavityParams(omega_q=SWEEP_OMEGA_Q, g_q=0.1, kappa=SWEEP_KAPPA)
     series = stationary_correlation(params, spec, FluctuationModel(0.2),
                                     np.linspace(0.0, 200.0, 20001), "tau-zero-consistent")
     return series, params.omega_q + params.kappa / 4.0 * np.arange(-8, 8)
@@ -174,6 +181,62 @@ def test_chirp_z_transform_matches_dense_sum(case):
     reference = dense_wkt(series, omega)
     got = spectrum_from_correlation(series, omega)
     assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def last_direct_window(n, size):
+    """Largest window the transform correlates directly at n lags and FFT length ``size``."""
+    return int(spectrum._DIRECT_PER_FFT_TERM * size * np.log2(size) // n)
+
+
+# (case, window centre, window step, FFT length): criterion 6's 3001 lags and the
+# sweep's 20001, whose windows of up to 512 points keep those FFT lengths
+WINDOW_CASES = {"n3001": (criterion_6_case, 2.0, 2.0 * np.pi / 300.0 / 16.0, 4096),
+                "n20001": (sweep_window_case, SWEEP_OMEGA_Q, SWEEP_KAPPA / 4.0, 32768)}
+
+
+@pytest.fixture
+def transform_paths(monkeypatch):
+    """Calls of np.convolve (the direct path) and np.fft.fft (the FFT path), counted."""
+    calls = {"direct": 0, "fft": 0}
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np, "convolve", spy("direct", np.convolve))
+    monkeypatch.setattr(np.fft, "fft", spy("fft", np.fft.fft))
+    return calls
+
+
+DIRECT = {"direct": 1, "fft": 0}
+FFT = {"direct": 0, "fft": 2}
+
+
+@pytest.mark.parametrize("m", [16, "crossover", "crossover+1", 512])
+@pytest.mark.parametrize("lags", sorted(WINDOW_CASES))
+def test_chirp_z_windows_on_both_sides_of_the_crossover_match_dense_sum(lags, m,
+                                                                        transform_paths):
+    case, centre, step, size = WINDOW_CASES[lags]
+    series, _ = case()
+    n = series.tau.size
+    if isinstance(m, str):
+        m = last_direct_window(n, size) + m.endswith("+1")
+    assert 1 << (n + m - 2).bit_length() == size
+    omega = centre + step * (np.arange(m) - m // 2)
+    got = spectrum_from_correlation(series, omega)
+    assert transform_paths == (DIRECT if m <= last_direct_window(n, size) else FFT)
+    reference = dense_wkt(series, omega)
+    assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("case, path", [(sweep_window_case, DIRECT), (criterion_6_case, FFT)],
+                         ids=["sweep-window", "criterion-6"])
+def test_transform_path_follows_the_operation_count(case, path, transform_paths):
+    series, omega = case()
+    spectrum_from_correlation(series, omega)
+    assert transform_paths == path
 
 
 def test_transform_requires_uniform_omega_grid():
