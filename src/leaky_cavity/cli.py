@@ -8,7 +8,7 @@ import os
 import sys
 
 from . import runner, verification
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, decompose_series, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -72,12 +72,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    from .dipole import fourier_decompose
-    from .io import read_timeseries_csv, write_dipole_spectrum_json
+    from .io import write_dipole_spectrum_json
 
     config = load_scenario(args.config)
     if args.input is not None:
-        spectrum = fourier_decompose(read_timeseries_csv(args.input), config.drive)
+        spectrum = decompose_series(args.input, config.drive)
     else:
         spectrum = config.spectrum
     os.makedirs(args.out, exist_ok=True)

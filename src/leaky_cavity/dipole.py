@@ -176,10 +176,14 @@ def fourier_decompose(signal: TimeSeries, drive: DriveParams) -> DipoleSpectrum:
     the sampled window.  The window must span a whole number of drive periods
     and resolve the highest requested harmonic.
     """
+    if np.iscomplexobj(signal.values):
+        raise ValueError("a dipole series must be real (columns t, value), got complex values")
     uniform_steps(signal.times)
     span = signal.span
     n_periods = span / drive.period
-    if abs(n_periods - round(n_periods)) > _PERIOD_TOL * max(1.0, n_periods):
+    # an infinite count (a huge span at a high drive frequency) is no whole number either
+    if not (math.isfinite(n_periods)
+            and abs(n_periods - round(n_periods)) <= _PERIOD_TOL * max(1.0, n_periods)):
         raise ValueError(
             f"incommensurate window: span {span} is {n_periods} periods, expected an integer"
         )

@@ -13,9 +13,17 @@ import numpy as np
 
 from .cavity import CavityParams, kappa_from_coupling
 from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, _phase_row_blocks, noise_std, \
-    phase_table, uniform_steps
+    phase_table, require_finite, uniform_steps
 
 _STABILITY_LIMIT = 0.1
+
+# How far each oracle runs against the closed forms, in units of 1/kappa: the
+# Monte-Carlo walk to kappa t = 20 with lags to kappa tau = 3, and the bath
+# decay on 256 points to kappa t = 5, through a band 40 kappa wide on each side.
+NOISE_KAPPA_T = 20.0
+NOISE_KAPPA_TAU = 3.0
+BATH_KAPPA_T = 5.0
+BATH_HALF_WIDTH_KAPPAS = 40.0
 
 # Monte-Carlo trials drawn and filtered together; it bounds memory, not results.
 _MC_CHUNK = 512
@@ -72,6 +80,12 @@ def amplitude_ode_step(params: CavityParams, spectrum: DipoleSpectrum) -> float:
 def noise_step(params: CavityParams) -> float:
     """Step 0.02/max(omega_q, kappa) of the Monte-Carlo noise oracle against the closed form."""
     return 0.02 / max(params.omega_q, params.kappa)
+
+
+def noise_times(params: CavityParams) -> np.ndarray:
+    """The Monte-Carlo oracle's t grid: steps of ``noise_step`` out to kappa t = NOISE_KAPPA_T."""
+    dt = noise_step(params)
+    return np.arange(0.0, NOISE_KAPPA_T / params.kappa + dt / 2, dt)
 
 
 def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
@@ -315,6 +329,7 @@ class BathDiscretization:
     g0: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_modes < 2:
             raise ValueError("n_modes must be at least 2")
         if self.half_width <= 0:
@@ -352,6 +367,18 @@ class BathDiscretization:
     def frequencies(self) -> np.ndarray:
         return np.linspace(self.center - self.half_width,
                            self.center + self.half_width, self.n_modes)
+
+
+def cavity_bath(params: CavityParams, n_modes: int,
+                half_width_kappas: float = BATH_HALF_WIDTH_KAPPAS) -> BathDiscretization:
+    """The bath of ``n_modes`` modes centred on omega_q that damps ``params`` at its kappa."""
+    return BathDiscretization.for_damping(params.kappa, params.omega_q, n_modes,
+                                          half_width_kappas * params.kappa)
+
+
+def bath_times(params: CavityParams) -> np.ndarray:
+    """The bath oracle's t grid: 256 points out to kappa t = BATH_KAPPA_T."""
+    return np.linspace(0.0, BATH_KAPPA_T / params.kappa, 256)
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,11 @@ from . import io as lcio
 from .cavity import CavityParams, dipole_noise_occupation, mode_amplitude, occupation
 from .correlation import stationary_correlation, two_time_correlation
 from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, synthesize_mean_dipole
-from .oracle import BathDecayResult, BathDiscretization, TrajectoryEnsemble, \
-    amplitude_ode_step, continuum_pole, discrete_bath_decay, integrate_amplitude_ode, \
-    monte_carlo_noise, noise_step
+from .oracle import NOISE_KAPPA_TAU, BathDecayResult, BathDiscretization, \
+    TrajectoryEnsemble, amplitude_ode_step, bath_times, cavity_bath, continuum_pole, \
+    discrete_bath_decay, integrate_amplitude_ode, monte_carlo_noise, noise_times
 from .scenario import load_scenario
 from .spectrum import integrated_power, power_spectrum
-
-# The bath oracle follows the decay out to kappa*t = 5.
-BATH_KAPPA_T = 5.0
 
 
 def _sha256(path) -> str:
@@ -25,14 +22,16 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def oracle_bath(cavity, oracle) -> BathDiscretization:
-    """The discrete bath that the bath oracle couples the scenario's cavity to."""
-    return BathDiscretization.for_damping(cavity.kappa, cavity.omega_q, oracle.bath_modes,
-                                          oracle.bath_half_width_kappas * cavity.kappa)
-
-
 # Oracle-vs-closed-form measures, shared with ``verification``; each caller
-# picks its own times and tolerance.
+# picks its own times.  BOUNDS holds the bound of each figure a run puts into
+# its manifest ``checks``, and ``verify`` judges its checks of them by it.
+BOUNDS = {
+    "amplitude_oracle_max_rel_deviation": 1e-8,
+    "noise_oracle_max_pull_stderr": 5.0,
+    "bath_oracle_max_rel_deviation": 0.02,
+    "bath_oracle_norm_error": 1e-8,
+}
+
 
 def amplitude_deviation(params: CavityParams, spectrum: DipoleSpectrum,
                         ode: TimeSeries) -> float | None:
@@ -108,10 +107,8 @@ def _amplitude_oracle(config, target):
 
 
 def _noise_oracle(config, target):
-    kappa = config.cavity.kappa
-    dt = noise_step(config.cavity)
-    t = np.arange(0.0, 20.0 / kappa + dt / 2, dt)
-    tau = t[t <= 3.0 / kappa][:: max(1, t.size // 200)]
+    t = noise_times(config.cavity)
+    tau = t[t <= NOISE_KAPPA_TAU / config.cavity.kappa][:: max(1, t.size // 200)]
     ens = monte_carlo_noise(config.cavity, config.fluctuation, t, tau_grid=tau,
                             n_trials=config.oracle.n_trials, seed=config.oracle.seed)
     lcio.write_ensemble_csv(target("noise_oracle.csv"), ens, which="occupation")
@@ -124,9 +121,9 @@ def _noise_oracle(config, target):
 
 
 def _bath_oracle(config, target):
-    bath = oracle_bath(config.cavity, config.oracle)
-    t = np.linspace(0.0, BATH_KAPPA_T / config.cavity.kappa, 256)
-    result = discrete_bath_decay(bath, config.cavity, t)
+    bath = cavity_bath(config.cavity, config.oracle.bath_modes,
+                       config.oracle.bath_half_width_kappas)
+    result = discrete_bath_decay(bath, config.cavity, bath_times(config.cavity))
     lcio.write_timeseries_csv(target("bath_decay.csv"), result.series, label="alpha")
     return {"bath_oracle_max_rel_deviation": bath_deviation(bath, result),
             "bath_oracle_norm_error": result.norm_error}

@@ -15,6 +15,8 @@ import yaml
 from .cavity import CavityParams
 from .correlation import CONVENTIONS, tag_factor
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, fourier_decompose
+from .io import read_timeseries_csv
+from .oracle import BATH_HALF_WIDTH_KAPPAS, BATH_KAPPA_T, cavity_bath
 from .spectrum import NORMALIZATIONS
 
 # Relative slack in cavity.omega_q == cavity.q * drive.omega.
@@ -34,7 +36,7 @@ class OracleSettings:
     n_trials: int = 2000
     seed: int | None = None
     bath_modes: int = 2000
-    bath_half_width_kappas: float = 40.0
+    bath_half_width_kappas: float = BATH_HALF_WIDTH_KAPPAS
 
 
 @dataclass(frozen=True)
@@ -114,9 +116,21 @@ def _grid(grids, path, errors, required=True):
     return np.linspace(0.0, float(stop), int(num))
 
 
+def decompose_series(path, drive: DriveParams) -> DipoleSpectrum:
+    """The harmonic comb of the real dipole series in the CSV file at ``path``.
+
+    Every ``ValueError``, from the reader or from ``fourier_decompose``, names ``path``.
+    """
+    series = read_timeseries_csv(path)
+    try:
+        return fourier_decompose(series, drive)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file; raises ScenarioError on any violation."""
-    from .runner import ARTIFACTS, BATH_KAPPA_T, DEFAULT_OUTPUTS, oracle_bath  # runner imports us
+    from .runner import ARTIFACTS, DEFAULT_OUTPUTS  # runner imports us
 
     with open(path) as fh:
         doc = yaml.safe_load(fh)
@@ -137,22 +151,21 @@ def load_scenario(path) -> ScenarioConfig:
 
     spectrum = None
     dip = _mapping(doc, "dipole", errors)
+    series = dip.get("series")
     if ("coeffs" in dip) == ("series" in dip):
         errors.setdefault("dipole", "give exactly one of 'coeffs' (inline) or 'series' (CSV path)")
+    elif "series" in dip and not (isinstance(series, str) and series):
+        errors["dipole.series"] = f"must be the path of a CSV file, got {series!r}"
     elif drive is not None:
         try:
             if "coeffs" in dip:
                 coeffs = _coefficients(dip["coeffs"], errors)
                 if coeffs is not None:
                     spectrum = DipoleSpectrum(drive=drive, coeffs=coeffs)
-            else:
-                from .io import read_timeseries_csv
-                series_path = dip["series"]
-                if not os.path.isabs(series_path):
-                    series_path = os.path.join(os.path.dirname(os.path.abspath(path)),
-                                               series_path)
-                spectrum = fourier_decompose(read_timeseries_csv(series_path), drive)
-        except (OSError, TypeError, ValueError) as exc:
+            else:  # from the scenario's directory; join keeps an absolute path as it is
+                spectrum = decompose_series(
+                    os.path.join(os.path.dirname(os.path.abspath(path)), series), drive)
+        except (OSError, ValueError) as exc:
             errors["dipole.series" if "series" in dip else "dipole"] = str(exc)
 
     fluct = None
@@ -250,7 +263,8 @@ def load_scenario(path) -> ScenarioConfig:
             and not {"oracle.bath_modes", "oracle.bath_half_width_kappas"} & errors.keys()):
         horizon = BATH_KAPPA_T / cavity.kappa
         try:
-            recurrence = oracle_bath(cavity, osettings).recurrence_time
+            recurrence = cavity_bath(cavity, osettings.bath_modes,
+                                     osettings.bath_half_width_kappas).recurrence_time
         except ValueError as exc:
             errors["oracle.bath_half_width_kappas"] = str(exc)
         else:

@@ -6,11 +6,11 @@ Each check returns a CheckResult with the measured figure and its tolerance;
 calling scenario; the scenario only contributes the seed and, for the
 determinism check, the shipped configuration itself.
 
-The amplitude, Monte-Carlo pull and bath measures are ``runner``'s
-``amplitude_deviation``, ``noise_pulls`` and ``bath_deviation``, the same ones
-``leaky-cavity run`` puts into its manifest ``checks``; each check applies them
-on its own grid and tolerance.  The determinism check compares the ``files``
-of two run manifests.
+The amplitude, Monte-Carlo pull and bath measures and their bounds are
+``runner``'s, the same ones ``leaky-cavity run`` puts into its manifest
+``checks``; each check applies them on its own grid.  The Monte-Carlo and bath
+horizons and the bath are ``oracle``'s.  The determinism check compares the
+``files`` of two run manifests.
 """
 
 import os
@@ -23,8 +23,8 @@ from . import runner
 from .cavity import CavityParams, occupation, occupation_longtime
 from .correlation import stationary_correlation
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel
-from .oracle import BathDiscretization, amplitude_ode_step, discrete_bath_decay, \
-    integrate_amplitude_ode, monte_carlo_noise, noise_step
+from .oracle import BATH_KAPPA_T, NOISE_KAPPA_TAU, amplitude_ode_step, bath_times, \
+    cavity_bath, discrete_bath_decay, integrate_amplitude_ode, monte_carlo_noise, noise_times
 from .spectrum import integrated_power, power_spectrum, spectrum_from_correlation
 
 
@@ -45,6 +45,11 @@ class CheckResult:
         status = "PASS" if self.passed else "FAIL"
         out = f"[{status}] {self.name}: measured {self.measured:.3e} vs tolerance {self.tolerance:.3e}"
         return out + (f" ({self.detail})" if self.detail else "")
+
+    @classmethod
+    def within(cls, name: str, measured, tolerance: float, detail: str = ""):
+        """The check that ``measured`` is at most ``tolerance``; NaN fails."""
+        return cls(name, measured <= tolerance, measured, tolerance, detail)
 
 
 def _random_scenario(rng) -> tuple[CavityParams, DipoleSpectrum]:
@@ -78,11 +83,12 @@ def check_amplitude_and_occupation(seed: int = 1234):
         occ = occupation(params, spectrum, FluctuationModel(0.0), t)
         ref = np.abs(ode.values) ** 2
         worst_occ = max(worst_occ, np.max(np.abs(occ.coherent - ref)) / np.max(ref))
+    detail = f"{n_scenarios} random scenarios"
     return [
-        CheckResult("coherent amplitude vs ODE oracle", worst_amp <= 1e-8,
-                    worst_amp, 1e-8, f"{n_scenarios} random scenarios"),
-        CheckResult("coherent occupation = |oracle amplitude|^2", worst_occ <= 1e-8,
-                    worst_occ, 1e-8, f"{n_scenarios} random scenarios"),
+        CheckResult.within("coherent amplitude vs ODE oracle", worst_amp,
+                           runner.BOUNDS["amplitude_oracle_max_rel_deviation"], detail),
+        CheckResult.within("coherent occupation = |oracle amplitude|^2", worst_occ, 1e-8,
+                           detail),
     ]
 
 
@@ -90,9 +96,9 @@ def _noise_benchmark(seed: int):
     """The (params, fluct, ensemble) that check_noise_law and check_qrt_convention judge."""
     params = CavityParams(omega_q=1.0, g_q=1.0, kappa=0.1)
     fluct = FluctuationModel(delta=0.2)
-    dt = noise_step(params)
-    t = np.arange(0.0, 200.0 + dt / 2, dt)         # kappa*t up to 20
-    tau = np.arange(0.0, 30.0 + dt / 2, 0.2)       # kappa*tau up to 3
+    t = noise_times(params)
+    dtau = 0.2  # ten steps
+    tau = np.arange(0.0, NOISE_KAPPA_TAU / params.kappa + dtau / 2, dtau)
     picks = np.unique(np.linspace(1, t.size - 1, 20).astype(int))  # incl. saturation
     ensemble = monte_carlo_noise(params, fluct, t, tau_grid=tau,
                                  n_trials=10_000, seed=seed, picks=picks)
@@ -103,9 +109,10 @@ def check_noise_law(bundle):
     """Criterion 3: Monte-Carlo noise occupation vs delta g^2/(2 kappa)(1 - exp(-2 kappa t))."""
     params, fluct, ens = bundle
     worst = float(np.max(runner.noise_pulls(params, fluct, ens, slice(None))))
-    return [CheckResult("Monte-Carlo noise occupation law", worst <= 5.0, worst, 5.0,
-                        f"max pull over {ens.times.size} time points incl. saturation, "
-                        f"{ens.n_trials} trials")]
+    return [CheckResult.within("Monte-Carlo noise occupation law", worst,
+                               runner.BOUNDS["noise_oracle_max_pull_stderr"],
+                               f"max pull over {ens.times.size} time points incl. "
+                               f"saturation, {ens.n_trials} trials")]
 
 
 def check_qrt_convention(bundle):
@@ -116,9 +123,10 @@ def check_qrt_convention(bundle):
         model = stationary_correlation(params, _NO_DRIVE, fluct, ens.tau, conv)
         pulls[conv] = float(np.max(np.abs(ens.mean_two_time - model.values)
                                    / ens.stderr_two_time))
-    ok = pulls["tau-zero-consistent"] <= 5.0 < pulls["as-written"]
+    bound = runner.BOUNDS["noise_oracle_max_pull_stderr"]
+    ok = pulls["tau-zero-consistent"] <= bound < pulls["as-written"]
     return [CheckResult(
-        "QRT tau=0 convention adjudication", ok, pulls["tau-zero-consistent"], 5.0,
+        "QRT tau=0 convention adjudication", ok, pulls["tau-zero-consistent"], bound,
         f"tau-zero-consistent pull {pulls['tau-zero-consistent']:.2f} (must pass), "
         f"as-written pull {pulls['as-written']:.2f} (must fail)")]
 
@@ -139,8 +147,8 @@ def check_longtime_limit():
     average = float(np.trapezoid(curve.total, t) / drive.period)
     target = occupation_longtime(params, spectrum, fluct)
     err = abs(average - target) / target
-    return [CheckResult("long-time occupation vs period average", err <= 1e-3,
-                        err, 1e-3, f"period average {average:.6g} vs limit {target:.6g}")]
+    return [CheckResult.within("long-time occupation vs period average", err, 1e-3,
+                               f"period average {average:.6g} vs limit {target:.6g}")]
 
 
 def check_spectrum_round_trip():
@@ -177,8 +185,7 @@ def check_spectrum_round_trip():
         worst_weight = max(worst_weight, abs(weight - expected[n, 1]) / expected[n, 1])
     results.append(CheckResult("WKT line positions", worst_pos <= domega + 1e-12,
                                worst_pos, domega, "grid resolution"))
-    results.append(CheckResult("WKT line weights |A_N|^2", worst_weight <= 1e-2,
-                               worst_weight, 1e-2))
+    results.append(CheckResult.within("WKT line weights |A_N|^2", worst_weight, 1e-2))
 
     # Lorentzian continuum, drive off
     empty = DipoleSpectrum(drive=drive, coeffs=np.zeros(4, dtype=complex))
@@ -198,8 +205,7 @@ def check_spectrum_round_trip():
     fwhm_err = abs(fwhm - 2.0 * kappa) / (2.0 * kappa)
     results.append(CheckResult("WKT Lorentzian center", center_err <= domega + 1e-12,
                                center_err, domega, "one grid step"))
-    results.append(CheckResult("WKT Lorentzian FWHM = 2 kappa", fwhm_err <= 0.05,
-                               fwhm_err, 0.05))
+    results.append(CheckResult.within("WKT Lorentzian FWHM = 2 kappa", fwhm_err, 0.05))
     return results
 
 
@@ -213,8 +219,7 @@ def check_power_consistency():
     quad = float(np.trapezoid(result.continuum, omega))
     report = integrated_power(params, _NO_DRIVE, fluct)
     err = abs(quad - report.p_fluctuation) / report.p_fluctuation
-    results = [CheckResult("fluctuation power quadrature vs arctan form", err <= 1e-2,
-                           err, 1e-2)]
+    results = [CheckResult.within("fluctuation power quadrature vs arctan form", err, 1e-2)]
 
     ratios = np.logspace(-1, 3, 20)
     c = np.pi / kappa  # bath dispersion with g0 = 1 reproducing kappa
@@ -243,15 +248,13 @@ def check_markov_decay():
     deviation, i.e. the change of the trajectory under halving the mode
     spacing at fixed bandwidth, which scales linearly in the spacing.
     """
-    kappa = 0.05
-    params = CavityParams(omega_q=1.0, g_q=0.05, kappa=kappa)
-    t = np.linspace(0.0, 5.0 / kappa, 256)
+    params = CavityParams(omega_q=1.0, g_q=0.05, kappa=0.05)
+    t = bath_times(params)
 
     amplitudes = {}
     norm_worst = 0.0
     for n_modes in (1000, 2000, 4000):
-        bath = BathDiscretization.for_damping(kappa, params.omega_q, n_modes,
-                                              40.0 * kappa)
+        bath = cavity_bath(params, n_modes)
         result = discrete_bath_decay(bath, params, t)
         amplitudes[n_modes] = result.series.values
         norm_worst = max(norm_worst, result.norm_error)
@@ -261,10 +264,12 @@ def check_markov_decay():
     fine = float(np.max(np.abs(amplitudes[2000] - amplitudes[4000])))
     ratio = fine / coarse
     return [
-        CheckResult("Markov decay, 2000 modes", dev <= 0.02, dev, 0.02,
-                    "max relative deviation from the Markov exponential, kappa t <= 5"),
-        CheckResult("single-excitation norm conservation", norm_worst <= 1e-8,
-                    norm_worst, 1e-8),
+        CheckResult.within("Markov decay, 2000 modes", dev,
+                           runner.BOUNDS["bath_oracle_max_rel_deviation"],
+                           "max relative deviation from the Markov exponential, "
+                           f"kappa t <= {BATH_KAPPA_T:g}"),
+        CheckResult.within("single-excitation norm conservation", norm_worst,
+                           runner.BOUNDS["bath_oracle_norm_error"]),
         CheckResult("discretization deviation halves when spacing halves",
                     0.35 <= ratio <= 0.65, ratio, 0.5,
                     f"deviation {coarse:.3e} -> {fine:.3e}"),

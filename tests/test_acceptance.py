@@ -70,6 +70,43 @@ def test_noise_gate_fails_a_zero_spread_ensemble(noise_bundle):
     assert not any(r.passed for r in results)
 
 
+# Each figure of the bound table, a verify check that judges it, and the run of
+# that check: the Monte-Carlo checks read the module's bundle, and criterion 1
+# takes ten times the ODE step, which keeps its code path at a tenth of the cost.
+BOUND_CHECKS = [
+    ("amplitude_oracle_max_rel_deviation", "coherent amplitude vs ODE oracle", "amplitude"),
+    ("noise_oracle_max_pull_stderr", "Monte-Carlo noise occupation law", "noise"),
+    ("noise_oracle_max_pull_stderr", "QRT tau=0 convention adjudication", "qrt"),
+    ("bath_oracle_max_rel_deviation", "Markov decay, 2000 modes", "markov"),
+    ("bath_oracle_norm_error", "single-excitation norm conservation", "markov"),
+]
+
+
+@pytest.mark.parametrize("figure, name, check", BOUND_CHECKS,
+                         ids=[f"{figure}-{check}" for figure, _, check in BOUND_CHECKS])
+def test_verify_judges_each_figure_by_the_bound_table(noise_bundle, monkeypatch, figure, name,
+                                                      check):
+    shipped_step = verification.amplitude_ode_step
+    monkeypatch.setattr(verification, "amplitude_ode_step",
+                        lambda params, spectrum: 10.0 * shipped_step(params, spectrum))
+    runs = {"amplitude": lambda: verification.check_amplitude_and_occupation(seed=1234),
+            "noise": lambda: verification.check_noise_law(noise_bundle),
+            "qrt": lambda: verification.check_qrt_convention(noise_bundle),
+            "markov": verification.check_markov_decay}
+
+    def judged():
+        return next(r for r in runs[check]() if r.name == name)
+
+    first = judged()
+    assert first.tolerance == runner.BOUNDS[figure]
+    # at its own measured value the check passes, and one step below it fails
+    for bound, passed in ((first.measured, True), (np.nextafter(first.measured, -np.inf), False)):
+        monkeypatch.setitem(runner.BOUNDS, figure, bound)
+        result = judged()
+        assert (result.measured, result.tolerance, result.passed) == (first.measured, bound,
+                                                                      passed)
+
+
 def test_criterion_4_longtime_limit():
     report(verification.check_longtime_limit())
 

@@ -14,7 +14,7 @@ import yaml
 from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, default_scenario_path, main
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
-from leaky_cavity.runner import run
+from leaky_cavity.runner import BOUNDS, run
 from leaky_cavity.scenario import load_scenario
 
 SCENARIO = {
@@ -78,6 +78,7 @@ def test_run_produces_all_artifacts(config_path, tmp_path, capsys):
     for name in expected:
         assert (out / name).exists()
     checks = manifest["checks"]
+    assert set(checks) == set(BOUNDS)  # every figure a run reports has its bound
     assert checks["amplitude_oracle_max_rel_deviation"] < 1e-8
     assert checks["noise_oracle_max_pull_stderr"] < 6.0
     assert checks["bath_oracle_max_rel_deviation"] < 0.05
@@ -440,8 +441,9 @@ def test_run_reports_a_bad_series_cell_under_its_field(tmp_path, capsys, body, m
 
 UNUSABLE_SERIES = [("t,a,b,c\n0,1,2,3\n1,4,5,6\n", "got 4 columns"),
                    ("t,d\n-1e308,1\n1e308,2\n", "time span must be finite"),
-                   ("t,d\n0,1\ninf,2\n", "time span must be finite")]
-UNUSABLE_IDS = ["four-columns", "overflowing-span", "infinite-time"]
+                   ("t,d\n0,1\ninf,2\n", "time span must be finite"),
+                   ("t,re,im\n0,1,0\n1,0.5,4\n2,-0.4,4.5\n", "a dipole series must be real")]
+UNUSABLE_IDS = ["four-columns", "overflowing-span", "infinite-time", "complex"]
 
 
 @pytest.mark.parametrize("body, message", UNUSABLE_SERIES, ids=UNUSABLE_IDS)

@@ -65,6 +65,22 @@ def test_incommensurate_window_rejected():
         fourier_decompose(TimeSeries(times=t, values=np.cos(t)), drive)
 
 
+def test_complex_series_rejected():
+    # cos t + 5i sin t used to decompose as cos t alone, the imaginary part dropped
+    drive = DriveParams(omega=1.0, n_max=2)
+    t = periodic_grid(drive)
+    with pytest.raises(ValueError, match="a dipole series must be real"):
+        fourier_decompose(TimeSeries(times=t, values=np.cos(t) + 5j * np.sin(t)), drive)
+
+
+def test_window_of_too_many_periods_rejected():
+    # 1e300 time units at omega = 1e10 is more periods than a float holds
+    drive = DriveParams(omega=1e10, n_max=1)
+    series = TimeSeries(times=np.array([0.0, 1e300]), values=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="incommensurate window: span 1e[+]300 is inf periods"):
+        fourier_decompose(series, drive)
+
+
 def test_undersampled_grid_rejected():
     drive = DriveParams(omega=1.0, n_max=6)
     t = np.linspace(0.0, drive.period, 9)  # 8 samples/period < 2*6+1

@@ -109,6 +109,17 @@ def test_undersized_bath_is_rejected(tmp_path):
     assert "half_width" in exc.value.errors["oracle.bath_half_width_kappas"]
 
 
+@pytest.mark.parametrize("half_width", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_bath_width_is_rejected(tmp_path, half_width):
+    # a NaN width used to load, and the run ended in the secular solver's RuntimeError
+    path = write_config(tmp_path, outputs=["bath_oracle"],
+                        oracle={"bath_half_width_kappas": half_width})
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert exc.value.errors == {
+        "oracle.bath_half_width_kappas": f"half_width must be finite, got {half_width * 0.1}"}
+
+
 def test_dipole_requires_exactly_one_source(tmp_path):
     path = write_config(tmp_path, dipole={})
     with pytest.raises(ScenarioError) as exc:
@@ -148,6 +159,21 @@ def test_unusable_series_csv(tmp_path, body, message):
     with pytest.raises(ScenarioError) as exc:
         load_scenario(path)
     assert message in exc.value.errors["dipole.series"]
+
+
+@pytest.mark.parametrize("series", [5, 2.5, ["dipole.csv"], True, None, ""],
+                         ids=["int", "float", "list", "bool", "null", "empty"])
+def test_series_path_must_be_text(tmp_path, series):
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(write_config(tmp_path, dipole={"series": series}))
+    assert exc.value.errors == {"dipole.series": f"must be the path of a CSV file, got {series!r}"}
+
+
+def test_series_path_is_checked_without_a_drive(tmp_path):
+    path = write_config(tmp_path, drive={"omega": -1.0, "n_max": 3}, dipole={"series": 5})
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert set(exc.value.errors) == {"drive", "dipole.series"}
 
 
 def test_non_mapping_config(tmp_path):
