@@ -7,6 +7,8 @@ import argparse
 import os
 import sys
 
+import yaml
+
 from . import runner, verification
 from .scenario import ScenarioError, decompose_series, load_scenario
 
@@ -21,6 +23,15 @@ def default_scenario_path() -> str:
     return os.path.join(os.path.dirname(__file__), "data", "default_scenario.yaml")
 
 
+def _yaml_value(text: str):
+    """Option text read as YAML like the field it stands for; unreadable or null text stays text."""
+    try:
+        value = yaml.safe_load(text)
+    except yaml.YAMLError:
+        return text
+    return text if value is None else value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leaky-cavity",
@@ -32,13 +43,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario and write its artifacts")
     run_p.add_argument("--config", required=True, help="scenario YAML file")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--seed-override", type=int, default=None,
+    run_p.add_argument("--seed-override", type=_yaml_value, default=None,
                        help="replace the configured oracle seed")
 
     ver_p = sub.add_parser("verify", help="run the oracle suite against the closed forms")
     ver_p.add_argument("--config", default=None,
                        help="scenario YAML file (default: the shipped scenario)")
-    ver_p.add_argument("--seed-override", type=int, default=None)
+    ver_p.add_argument("--seed-override", type=_yaml_value, default=None)
 
     dec_p = sub.add_parser("decompose",
                            help="Fourier-decompose a dipole time series into harmonics")
@@ -60,10 +71,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     config_path = args.config or default_scenario_path()
-    config = load_scenario(config_path)  # fail fast on invalid config
-    seed = args.seed_override if args.seed_override is not None else (
-        config.oracle.seed if config.oracle.seed is not None else 1234)
-    results = verification.run_all(config_path=config_path, seed=seed)
+    seed = load_scenario(config_path, args.seed_override).oracle.seed  # fail fast
+    results = verification.run_all(config_path=config_path, seed=1234 if seed is None else seed)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -76,7 +85,7 @@ def _cmd_decompose(args) -> int:
 
     config = load_scenario(args.config)
     if args.input is not None:
-        spectrum = decompose_series(args.input, config.drive)
+        spectrum = decompose_series(args.input, config.spectrum.drive)
     else:
         spectrum = config.spectrum
     os.makedirs(args.out, exist_ok=True)
@@ -88,11 +97,6 @@ def _cmd_decompose(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    seed = getattr(args, "seed_override", None)
-    if seed is not None and seed < 0:
-        print(f"invalid option: --seed-override: must be a non-negative integer, got {seed}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         if args.command == "run":
             return _cmd_run(args)

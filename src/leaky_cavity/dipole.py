@@ -28,7 +28,9 @@ def require_finite(params) -> None:
     """Raise ValueError naming the first real-valued field of a dataclass that is NaN or infinite."""
     for f in fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
+        # an integer is finite, and math.isfinite cannot take one beyond the float range
+        if (isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral)
+                and not math.isfinite(value)):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
@@ -77,7 +79,8 @@ class DriveParams:
         require_finite(self)
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if int(self.n_max) != self.n_max or self.n_max < 1:
+        if (isinstance(self.n_max, bool) or not isinstance(self.n_max, numbers.Integral)
+                or self.n_max < 1):
             raise ValueError(f"n_max must be a positive integer, got {self.n_max}")
 
     @property

@@ -65,6 +65,8 @@ def _scan(r: complex, forcing: np.ndarray) -> np.ndarray:
 def _rk4_grid(params: CavityParams, t: np.ndarray):
     """Step h of the uniform grid t, held to the stability limit, and the cavity's RK4 transfer."""
     h = float(uniform_steps(t, "t")[0])
+    if t[0] != 0.0:  # both integrators start from the vacuum
+        raise ValueError("t grid must start at 0 (vacuum initial condition)")
     rate = max(params.omega_q, params.kappa)
     if h * rate > _STABILITY_LIMIT:
         raise ValueError(f"step too large: h*max(omega_q, kappa) = {h * rate:.3g} "
@@ -224,8 +226,6 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     """
     t = np.asarray(t_grid, dtype=float)
     h, (r, c0, cm, c1) = _rk4_grid(params, t)
-    if t[0] != 0.0:
-        raise ValueError("t grid must start at 0 (vacuum initial condition)")
     n_t = t.size
     picked = _pick_indices(picks, n_t)
     tau = np.asarray([] if tau_grid is None else tau_grid, dtype=float)
@@ -355,6 +355,12 @@ class BathDiscretization:
     def recurrence_time(self) -> float:
         """Horizon beyond which the discrete bath feeds energy back."""
         return 2.0 * np.pi / self.spacing
+
+    def check_horizon(self, t_end: float) -> None:
+        """Raise ValueError unless the recurrence time lies beyond ``t_end``."""
+        if t_end >= self.recurrence_time:
+            raise ValueError(f"undersized bath: horizon {t_end:.3g} reaches the recurrence "
+                             f"time {self.recurrence_time:.3g}; use more modes")
 
     @classmethod
     def for_damping(cls, kappa: float, center: float, n_modes: int,
@@ -544,11 +550,7 @@ def discrete_bath_decay(bath: BathDiscretization, params: CavityParams,
     In the continuum limit |alpha(t)| follows exp(-kappa_effective t).
     """
     t = np.asarray(t_grid, dtype=float)
-    if t[-1] >= bath.recurrence_time:
-        raise ValueError(
-            f"horizon {t[-1]:.3g} reaches the bath recurrence time "
-            f"{bath.recurrence_time:.3g}; increase n_modes or shrink the grid"
-        )
+    bath.check_horizon(t[-1])
     evals, weights = _arrowhead_spectrum(bath, params.omega_q)
     alpha = np.empty(t.size, dtype=complex)
     for rows in _phase_row_blocks(t.size, evals.size):

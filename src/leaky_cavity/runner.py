@@ -2,7 +2,6 @@
 
 import hashlib
 import os
-from dataclasses import replace
 
 import numpy as np
 
@@ -43,11 +42,16 @@ def amplitude_deviation(params: CavityParams, spectrum: DipoleSpectrum,
     return float(np.max(np.abs(np.conj(ode.values) - closed))) / scale
 
 
+def pull(mean, model, stderr) -> np.ndarray:
+    """|mean - model| / stderr: how many standard errors a Monte-Carlo mean lies from its model."""
+    return np.abs(mean - model) / stderr
+
+
 def noise_pulls(params: CavityParams, fluct: FluctuationModel, ens: TrajectoryEnsemble,
                 picks) -> np.ndarray:
     """|MC occupation - dipole_noise_occupation| / stderr at times[picks]; inf/nan at stderr 0."""
     closed = dipole_noise_occupation(params, fluct, ens.times[picks])
-    return np.abs(ens.mean_occupation[picks] - closed) / ens.stderr_occupation[picks]
+    return pull(ens.mean_occupation[picks], closed, ens.stderr_occupation[picks])
 
 
 def bath_deviation(bath: BathDiscretization, result: BathDecayResult) -> float:
@@ -115,7 +119,8 @@ def _noise_oracle(config, target):
     lcio.write_ensemble_csv(target("noise_oracle_two_time.csv"), ens, which="two_time")
     with np.errstate(divide="ignore", invalid="ignore"):
         pulls = noise_pulls(config.cavity, config.fluctuation, ens, slice(1, None))
-    # the manifest reports no pull where the standard error is 0 (a single trial)
+    # the manifest reports no pull where the standard error is 0: with delta = 0 (or
+    # g_q = 0) every trial stays in the vacuum
     pulls = np.where(ens.stderr_occupation[1:] > 0, pulls, 0.0)
     return {"noise_oracle_max_pull_stderr": float(np.max(pulls))}
 
@@ -151,9 +156,7 @@ def run(config_path, output_dir, seed_override: int | None = None) -> dict:
 
     Partial outputs are removed if any artifact fails.
     """
-    config = load_scenario(config_path)
-    if seed_override is not None:
-        config = replace(config, oracle=replace(config.oracle, seed=seed_override))
+    config = load_scenario(config_path, seed_override)
     os.makedirs(output_dir, exist_ok=True)
     written = []
 

@@ -16,7 +16,7 @@ from .cavity import CavityParams
 from .correlation import CONVENTIONS, tag_factor
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, fourier_decompose
 from .io import read_timeseries_csv
-from .oracle import BATH_HALF_WIDTH_KAPPAS, BATH_KAPPA_T, cavity_bath
+from .oracle import BATH_HALF_WIDTH_KAPPAS, bath_times, cavity_bath
 from .spectrum import NORMALIZATIONS
 
 # Relative slack in cavity.omega_q == cavity.q * drive.omega.
@@ -41,7 +41,6 @@ class OracleSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    drive: DriveParams
     spectrum: DipoleSpectrum
     fluctuation: FluctuationModel
     cavity: CavityParams
@@ -86,6 +85,26 @@ def _number(value, path: str, errors: dict):
     return None
 
 
+def _integer(value, path: str, errors: dict, least: int, why: str = ""):
+    """The rule of every integer input: a YAML int, not a boolean, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        errors[path] = f"must be an integer, got {value!r}"
+    elif value < least:
+        errors[path] = f"must be at least {least}{why}, got {value!r}"
+    else:
+        return value
+    return None
+
+
+def _build(errors: dict, path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, or None with its ValueError (or a file's OSError) at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        errors[path] = str(exc)
+        return None
+
+
 def _coefficients(entries, errors: dict):
     """``dipole.coeffs`` [re, im] pairs as complex numbers; None, with an error, on a bad entry."""
     if not isinstance(entries, list):
@@ -107,13 +126,14 @@ def _grid(grids, path, errors, required=True):
             errors.setdefault(path, "missing grid")
         return None
     stop = doc.get("stop")
-    num = doc.get("num")
-    numeric = all(_is_number(v) and math.isfinite(v) for v in (stop, num))
-    if not (numeric and stop > 0 and int(num) == num and num >= 2):
+    num = _integer(doc.get("num"), f"{path}.num", errors, 2)
+    if not (_is_number(stop) and math.isfinite(stop) and stop > 0):
         errors[path] = (f"grid needs finite stop > 0 and integer num >= 2, "
-                        f"got stop={stop!r}, num={num!r}")
+                        f"got stop={stop!r}, num={doc.get('num')!r}")
         return None
-    return np.linspace(0.0, float(stop), int(num))
+    # a count too large for an array is refused by numpy, under the count's path
+    return None if num is None else _build(errors, f"{path}.num", np.linspace, 0.0,
+                                           float(stop), num)
 
 
 def decompose_series(path, drive: DriveParams) -> DipoleSpectrum:
@@ -128,8 +148,8 @@ def decompose_series(path, drive: DriveParams) -> DipoleSpectrum:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def load_scenario(path) -> ScenarioConfig:
-    """Parse and validate a scenario file; raises ScenarioError on any violation."""
+def load_scenario(path, seed_override=None) -> ScenarioConfig:
+    """Parse and validate a scenario file, ``seed_override`` as its seed; raises ScenarioError."""
     from .runner import ARTIFACTS, DEFAULT_OUTPUTS  # runner imports us
 
     with open(path) as fh:
@@ -139,15 +159,11 @@ def load_scenario(path) -> ScenarioConfig:
     errors: dict = {}
 
     drive = None
-    known = len(errors)
     dd = _mapping(doc, "drive", errors)
     omega = _number(dd.get("omega", 1.0), "drive.omega", errors)
-    n_max = _number(dd.get("n_max", 1), "drive.n_max", errors)
-    if len(errors) == known:
-        try:
-            drive = DriveParams(omega=float(omega), n_max=n_max)
-        except ValueError as exc:
-            errors["drive"] = str(exc)
+    n_max = _integer(dd.get("n_max", 1), "drive.n_max", errors, 1)
+    if "drive" not in errors and None not in (omega, n_max):
+        drive = _build(errors, "drive", DriveParams, omega=float(omega), n_max=n_max)
 
     spectrum = None
     dip = _mapping(doc, "dipole", errors)
@@ -156,26 +172,18 @@ def load_scenario(path) -> ScenarioConfig:
         errors.setdefault("dipole", "give exactly one of 'coeffs' (inline) or 'series' (CSV path)")
     elif "series" in dip and not (isinstance(series, str) and series):
         errors["dipole.series"] = f"must be the path of a CSV file, got {series!r}"
-    elif drive is not None:
-        try:
-            if "coeffs" in dip:
-                coeffs = _coefficients(dip["coeffs"], errors)
-                if coeffs is not None:
-                    spectrum = DipoleSpectrum(drive=drive, coeffs=coeffs)
-            else:  # from the scenario's directory; join keeps an absolute path as it is
-                spectrum = decompose_series(
-                    os.path.join(os.path.dirname(os.path.abspath(path)), series), drive)
-        except (OSError, ValueError) as exc:
-            errors["dipole.series" if "series" in dip else "dipole"] = str(exc)
+    elif drive is not None and "coeffs" in dip:
+        coeffs = _coefficients(dip["coeffs"], errors)
+        if coeffs is not None:
+            spectrum = _build(errors, "dipole", DipoleSpectrum, drive=drive, coeffs=coeffs)
+    elif drive is not None:  # from the scenario's directory; join keeps an absolute path as it is
+        spectrum = _build(errors, "dipole.series", decompose_series,
+                          os.path.join(os.path.dirname(os.path.abspath(path)), series), drive)
 
-    fluct = None
     fdoc = _mapping(doc, "fluctuation", errors)
     delta = _number(fdoc.get("delta", 0.0), "fluctuation.delta", errors)
-    if delta is not None:
-        try:
-            fluct = FluctuationModel(delta=float(delta))
-        except ValueError as exc:
-            errors["fluctuation.delta"] = str(exc)
+    fluct = None if delta is None else _build(errors, "fluctuation.delta", FluctuationModel,
+                                              delta=float(delta))
 
     cavity = None
     cav = _mapping(doc, "cavity", errors)
@@ -189,28 +197,22 @@ def load_scenario(path) -> ScenarioConfig:
     elif not has_kappa and not has_bath:
         errors.setdefault("cavity", "give exactly one of 'kappa' or ('g0', 'c')")
     else:
-        known = len(errors)
         omega_q = _number(cav.get("omega_q", 0.0), "cavity.omega_q", errors)
         g_q = _number(cav.get("g_q", 0.0), "cavity.g_q", errors)
-        rates = {key: cav.get(key) for key in ("kappa", "g0", "c")}  # any of them may be absent
-        rates = {key: value if value is None else _number(value, f"cavity.{key}", errors)
-                 for key, value in rates.items()}
-        if len(errors) == known:
-            try:
-                cavity = CavityParams(omega_q=float(omega_q), g_q=float(g_q), **rates)
-            except (TypeError, ValueError) as exc:
-                errors["cavity"] = str(exc)
+        rates = {key: _number(cav[key], f"cavity.{key}", errors)  # only the rates given
+                 for key in ("kappa", "g0", "c") if cav.get(key) is not None}
+        if None not in (omega_q, g_q, *rates.values()):
+            cavity = _build(errors, "cavity", CavityParams, omega_q=float(omega_q),
+                            g_q=float(g_q), **rates)
     # q, the harmonic the cavity is tuned to, is checked and not stored
     q = cav.get("q")
-    if q is not None:
-        if isinstance(q, bool) or not isinstance(q, int) or q < 1:
-            errors["cavity.q"] = f"must be a positive integer, got {q!r}"
-        elif cavity is not None and drive is not None:
-            # float bounds against the int q compare exactly, so no q overflows
-            ratio = cavity.omega_q / drive.omega
-            if not (1.0 - _Q_RTOL) * ratio <= q <= (1.0 + _Q_RTOL) * ratio:
-                errors["cavity.q"] = (f"omega_q = {cavity.omega_q} is not q * omega = "
-                                      f"{q} * {drive.omega}")
+    if (q is not None and _integer(q, "cavity.q", errors, 1) is not None
+            and cavity is not None and drive is not None):
+        # float bounds against the int q compare exactly, so no q overflows
+        ratio = cavity.omega_q / drive.omega
+        if not (1.0 - _Q_RTOL) * ratio <= q <= (1.0 + _Q_RTOL) * ratio:
+            errors["cavity.q"] = (f"omega_q = {cavity.omega_q} is not q * omega = "
+                                  f"{q} * {drive.omega}")
 
     grids = _mapping(doc, "grids", errors)
     t_grid = _grid(grids, "grids.t", errors)
@@ -219,28 +221,22 @@ def load_scenario(path) -> ScenarioConfig:
 
     conv = _mapping(doc, "conventions", errors)
     correlation_convention = conv.get("correlation", "tau-zero-consistent")
-    try:
-        tag_factor(CONVENTIONS, correlation_convention, "convention")
-    except ValueError as exc:
-        errors["conventions.correlation"] = str(exc)
+    _build(errors, "conventions.correlation", tag_factor, CONVENTIONS, correlation_convention,
+           "convention")
     normalization = conv.get("normalization", "as-written")
-    try:
-        tag_factor(NORMALIZATIONS, normalization, "normalization")
-    except ValueError as exc:
-        errors["conventions.normalization"] = str(exc)
+    _build(errors, "conventions.normalization", tag_factor, NORMALIZATIONS, normalization,
+           "normalization")
 
     odoc = _mapping(doc, "oracle", errors)
     settings = {key: odoc.get(key, value) for key, value in vars(OracleSettings()).items()}
-    for key, least, below in (("n_trials", 2, "(a standard error needs two trials)"),
-                              ("bath_modes", 100, "for a meaningful bath")):
-        value = settings[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors[f"oracle.{key}"] = f"must be an integer, got {value!r}"
-        elif value < least:
-            errors[f"oracle.{key}"] = f"must be at least {least} {below}"
-    seed = settings["seed"]
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-        errors["oracle.seed"] = "must be a non-negative integer"
+    seed_path = "oracle.seed"
+    if seed_override is not None:
+        settings["seed"], seed_path = seed_override, "--seed-override"
+    _integer(settings["n_trials"], "oracle.n_trials", errors, 2,
+             " (a standard error needs two trials)")
+    _integer(settings["bath_modes"], "oracle.bath_modes", errors, 100, " for a meaningful bath")
+    if settings["seed"] is not None:
+        _integer(settings["seed"], seed_path, errors, 0)
     half_width = _number(settings["bath_half_width_kappas"], "oracle.bath_half_width_kappas",
                          errors)
     if half_width is not None:
@@ -261,24 +257,15 @@ def load_scenario(path) -> ScenarioConfig:
 
     if (cavity is not None and "bath_oracle" in outputs
             and not {"oracle.bath_modes", "oracle.bath_half_width_kappas"} & errors.keys()):
-        horizon = BATH_KAPPA_T / cavity.kappa
-        try:
-            recurrence = cavity_bath(cavity, osettings.bath_modes,
-                                     osettings.bath_half_width_kappas).recurrence_time
-        except ValueError as exc:
-            errors["oracle.bath_half_width_kappas"] = str(exc)
-        else:
-            if recurrence <= horizon:
-                errors["oracle.bath_modes"] = (
-                    f"undersized bath: recurrence time {recurrence:.3g} does not exceed "
-                    f"the kappa*t = {BATH_KAPPA_T:g} horizon {horizon:.3g}; "
-                    "increase bath_modes"
-                )
+        bath = _build(errors, "oracle.bath_half_width_kappas", cavity_bath, cavity,
+                      osettings.bath_modes, osettings.bath_half_width_kappas)
+        if bath is not None:
+            _build(errors, "oracle.bath_modes", bath.check_horizon, bath_times(cavity)[-1])
 
     if errors:
         raise ScenarioError(errors)
     return ScenarioConfig(
-        drive=drive, spectrum=spectrum, fluctuation=fluct, cavity=cavity,
+        spectrum=spectrum, fluctuation=fluct, cavity=cavity,
         t_grid=t_grid, tau_grid=tau_grid, omega_grid=omega_grid,
         correlation_convention=correlation_convention, normalization=normalization,
         oracle=osettings, outputs=outputs,

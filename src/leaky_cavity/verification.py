@@ -121,8 +121,8 @@ def check_qrt_convention(bundle):
     pulls = {}
     for conv in ("tau-zero-consistent", "as-written"):
         model = stationary_correlation(params, _NO_DRIVE, fluct, ens.tau, conv)
-        pulls[conv] = float(np.max(np.abs(ens.mean_two_time - model.values)
-                                   / ens.stderr_two_time))
+        pulls[conv] = float(np.max(runner.pull(ens.mean_two_time, model.values,
+                                               ens.stderr_two_time)))
     bound = runner.BOUNDS["noise_oracle_max_pull_stderr"]
     ok = pulls["tau-zero-consistent"] <= bound < pulls["as-written"]
     return [CheckResult(

@@ -171,14 +171,20 @@ def test_malformed_section_exit_code(tmp_path, capsys, section, value, path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", [1.5, 2.0, "abc", -3, [1, 2], True],
-                         ids=["fraction", "integral-float", "text", "negative", "list", "bool"])
-def test_invalid_seed_exit_code(tmp_path, capsys, seed):
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "must be an integer, got 1.5"),
+    (2.0, "must be an integer, got 2.0"),
+    ("abc", "must be an integer, got 'abc'"),
+    (-3, "must be at least 0, got -3"),
+    ([1, 2], "must be an integer, got [1, 2]"),
+    (True, "must be an integer, got True"),
+], ids=["fraction", "integral-float", "text", "negative", "list", "bool"])
+def test_invalid_seed_exit_code(tmp_path, capsys, seed, message):
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump({**SCENARIO, "oracle": {**SCENARIO["oracle"], "seed": seed}}))
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
-    assert "invalid config: oracle.seed: must be a non-negative integer" in capsys.readouterr().err
+    assert f"invalid config: oracle.seed: {message}" in capsys.readouterr().err.splitlines()
     assert not out.exists()
 
 
@@ -223,7 +229,7 @@ BATH_CAVITY = {"omega_q": 3.0, "g_q": 0.05, "g0": 0.2, "c": 1.0, "q": 3}
 # the coefficient pairs keep the messages of their own readers
 NUMERIC_FIELDS = [
     ("drive.omega", "drive.omega", "must be a number, got "),
-    ("drive.n_max", "drive.n_max", "must be a number, got "),
+    ("drive.n_max", "drive.n_max", "must be an integer, got "),
     ("fluctuation.delta", "fluctuation.delta", "must be a number, got "),
     ("cavity.omega_q", "cavity.omega_q", "must be a number, got "),
     ("cavity.g_q", "cavity.g_q", "must be a number, got "),
@@ -275,14 +281,120 @@ def test_negative_seed_override_is_refused_before_any_work(config_path, tmp_path
     def forbidden(*args, **kwargs):
         raise AssertionError("no oracle may run for a refused option")
 
-    monkeypatch.setattr(cli_mod.runner, "run", forbidden)
+    for name in cli_mod.runner.ARTIFACTS:  # the scenario is loaded, but nothing is written
+        monkeypatch.setitem(cli_mod.runner.ARTIFACTS, name, forbidden)
     monkeypatch.setattr(cli_mod.verification, "run_all", forbidden)
     out = tmp_path / "out"
     argv = {"run": ["run", "--config", str(config_path), "--out", str(out)],
             "verify": ["verify", "--config", str(config_path)]}[command]
     assert main(argv + ["--seed-override", "-3"]) == EXIT_VALIDATION
-    assert "--seed-override: must be a non-negative integer, got -3" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("invalid config: --seed-override: "
+                                       "must be at least 0, got -3\n")
     assert not out.exists()
+
+
+# Every integer input: the path it is set at (an option for --seed-override) and
+# reported under, its least value and what follows that bound in the message.
+INTEGER_INPUTS = [
+    ("drive.n_max", 1, ""),
+    ("grids.t.num", 2, ""),
+    ("cavity.q", 1, ""),
+    ("oracle.n_trials", 2, " (a standard error needs two trials)"),
+    ("oracle.bath_modes", 100, " for a meaningful bath"),
+    ("oracle.seed", 0, ""),
+    ("--seed-override", 0, ""),
+]
+
+
+@pytest.mark.parametrize("case", ["bool", "integral-float", "quoted", "below-bound"])
+@pytest.mark.parametrize("field, least, why", INTEGER_INPUTS,
+                         ids=[field for field, _, _ in INTEGER_INPUTS])
+def test_integer_inputs_share_one_rule(tmp_path, capsys, field, least, why, case):
+    value = {"bool": True, "integral-float": 2.0, "quoted": "3", "below-bound": least - 1}[case]
+    message = (f"must be at least {least}{why}, got {value}" if case == "below-bound"
+               else f"must be an integer, got {value!r}")
+    config = tmp_path / "bad.yaml"
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--out", str(out)]
+    if field == "--seed-override":  # the option's text is read as YAML, as the file is
+        config.write_text(yaml.safe_dump(SCENARIO))
+        argv += [field, json.dumps(value)]
+    else:
+        config.write_text(yaml.safe_dump(_set_field(SCENARIO, field, value)))
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"invalid config: {field}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["coeffs", "series", "decompose-input"])
+def test_integral_float_cutoff_is_refused_for_every_dipole_source(tmp_path, capsys, source):
+    # n_max: 3.0 loaded with inline coeffs, and ended in a TypeError traceback from
+    # fourier_decompose with a dipole series or with decompose --input
+    series_path = tmp_path / "dipole.csv"
+    drive = DriveParams(omega=1.0, n_max=3)
+    reference = load_scenario(default_scenario_path()).spectrum
+    write_timeseries_csv(series_path, synthesize_mean_dipole(
+        reference, np.linspace(0.0, 4 * drive.period, 4001)), label="d")
+    doc = _set_field(SCENARIO, "drive.n_max", 3.0)
+    if source == "series":
+        doc["dipole"] = {"series": str(series_path)}
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--out", str(out)]
+    if source == "decompose-input":
+        argv = ["decompose", "--config", str(config), "--input", str(series_path),
+                "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "invalid config: drive.n_max: must be an integer, got 3.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, path, message", [
+    ("drive.n_max", "dipole", "need 1" + "0" * 399 + "1 coefficients"),
+    ("grids.t.num", "grids.t.num", "Maximum allowed size exceeded"),
+])
+def test_integer_beyond_the_float_range_is_refused_under_a_path(tmp_path, capsys, field, path,
+                                                                message):
+    # such a count used to fail as no number a float can hold; now it passes the integer
+    # rule and is refused by what it counts
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(_set_field(SCENARIO, field, 10 ** 400)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"invalid config: {path}: {message}")
+    assert not out.exists()
+
+
+def test_seed_override_satisfies_the_mandatory_seed(tmp_path, capsys):
+    config = tmp_path / "unseeded.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "oracle": {"n_trials": 20},
+                                      "outputs": ["noise_oracle"]}))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("invalid config: oracle.seed: seed is mandatory when "
+                                       "Monte-Carlo output is requested\n")
+    assert main(argv + ["--seed-override", "5"]) == EXIT_OK
+    assert (out / "noise_oracle.csv").read_text().startswith("# n_trials=20\n# seed=5\n")
+
+
+def test_noiseless_noise_oracle_reports_a_zero_pull(tmp_path):
+    # with delta = 0 every trial stays in the vacuum, so every standard error is 0,
+    # every pull 0/0, and the manifest reports a pull of 0
+    config = tmp_path / "noiseless.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "fluctuation": {"delta": 0},
+                                      "oracle": {"n_trials": 20, "seed": 7},
+                                      "outputs": ["noise_oracle"]}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["checks"] == {"noise_oracle_max_pull_stderr": 0.0}
+    for name in ("noise_oracle.csv", "noise_oracle_two_time.csv"):
+        rows = [line for line in (out / name).read_text().splitlines()
+                if not line.startswith("#")][1:]  # after the comments and the header
+        table = np.loadtxt(rows, delimiter=",")
+        assert table.shape[0] > 1 and np.all(table[:, 1:] == 0.0), name
 
 
 @pytest.mark.parametrize("section, value, message", [
@@ -328,10 +440,10 @@ def test_run_imports_no_scipy(tmp_path):
 @pytest.mark.parametrize("q, message", [
     (2, "omega_q = 3.0 is not q * omega = 2 * 1.0"),
     (10 ** 400, "omega_q = 3.0 is not q * omega = 1000"),
-    (3.0, "must be a positive integer, got 3.0"),
-    (0, "must be a positive integer, got 0"),
-    (True, "must be a positive integer, got True"),
-    ("3", "must be a positive integer, got '3'"),
+    (3.0, "must be an integer, got 3.0"),
+    (0, "must be at least 1, got 0"),
+    (True, "must be an integer, got True"),
+    ("3", "must be an integer, got '3'"),
 ], ids=["other-harmonic", "huge", "float", "zero", "bool", "text"])
 def test_cavity_q_must_name_the_tuned_harmonic(tmp_path, capsys, q, message):
     config = tmp_path / "bad.yaml"
@@ -363,7 +475,7 @@ def test_benchmark_tracer_binds_to_the_package(config_path, tmp_path, monkeypatc
     tracer.install()
     try:
         sweep.setup()
-        t = np.linspace(0.0, 4 * sweep.config.drive.period, 4001)
+        t = np.linspace(0.0, 4 * sweep.config.spectrum.drive.period, 4001)
         write_timeseries_csv(series_path, synthesize_mean_dipole(sweep.config.spectrum, t),
                              label="d")
         tracer.op = 1

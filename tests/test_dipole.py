@@ -247,6 +247,13 @@ def test_invalid_params_rejected():
         TimeSeries(times=np.array([0.0, 0.0, 1.0]), values=np.zeros(3))
 
 
+@pytest.mark.parametrize("n_max", [3.0, True, "3"], ids=["integral-float", "bool", "text"])
+def test_drive_refuses_a_cutoff_that_is_not_an_integer(n_max):
+    # a float cutoff used to pass and fail later, in fourier_decompose's np.empty
+    with pytest.raises(ValueError, match="n_max must be a positive integer"):
+        DriveParams(omega=1.0, n_max=n_max)
+
+
 @pytest.mark.parametrize("times", [[-1e308, 1e308], [0.0, np.inf], [np.nan]],
                          ids=["overflowing", "infinite", "nan"])
 def test_time_series_refuses_a_span_that_is_not_finite(times):

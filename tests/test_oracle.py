@@ -64,6 +64,8 @@ def test_ode_error_contracts():
         integrate_amplitude_ode(params, spec, np.arange(0.0, 10.0, 0.5))
     with pytest.raises(ValueError, match="uniform"):
         integrate_amplitude_ode(params, spec, np.array([0.0, 0.01, 0.03]))
+    with pytest.raises(ValueError, match="start at 0"):  # the vacuum starts at t = 0
+        integrate_amplitude_ode(params, spec, np.arange(1.0, 2.0, 0.01))
 
 
 def test_noise_std_is_sqrt_delta_over_the_step():
@@ -445,5 +447,5 @@ def test_discrete_bath_rejects_recurrence_horizon():
     bath = BathDiscretization.for_damping(0.05, 1.0, 101, 2.0)
     params = CavityParams(omega_q=1.0, g_q=0.1, kappa=0.05)
     too_long = np.linspace(0.0, 1.1 * bath.recurrence_time, 64)
-    with pytest.raises(ValueError, match="recurrence"):
+    with pytest.raises(ValueError, match="undersized bath: .* recurrence time"):
         discrete_bath_decay(bath, params, too_long)

@@ -83,9 +83,11 @@ def test_noise_oracle_requires_seed(tmp_path):
     with pytest.raises(ScenarioError) as exc:
         load_scenario(path)
     assert "mandatory" in exc.value.errors["oracle.seed"]
+    assert load_scenario(path, seed_override=5).oracle.seed == 5  # the override stands in
     path = write_config(tmp_path, outputs=["noise_oracle"],
                         oracle={"seed": 7, "n_trials": 10})
     assert load_scenario(path).oracle.seed == 7
+    assert load_scenario(path, seed_override=0).oracle.seed == 0
 
 
 def test_single_trial_ensemble_is_rejected(tmp_path):
@@ -101,7 +103,9 @@ def test_undersized_bath_is_rejected(tmp_path):
                         oracle={"bath_modes": 120, "bath_half_width_kappas": 400.0})
     with pytest.raises(ScenarioError) as exc:
         load_scenario(path)
-    assert "undersized bath" in exc.value.errors["oracle.bath_modes"]
+    assert exc.value.errors == {"oracle.bath_modes": (
+        "undersized bath: horizon 50 reaches the recurrence time 9.35; "
+        "use more modes")}
     path = write_config(tmp_path, outputs=["bath_oracle"],
                         oracle={"bath_half_width_kappas": 0.0})
     with pytest.raises(ScenarioError) as exc:
