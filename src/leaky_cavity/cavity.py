@@ -91,11 +91,10 @@ def _response_sum(params: CavityParams, harmonics: bytes, coeffs: bytes, t: byte
     t = np.frombuffer(t)
     detuning = params.omega_q - np.frombuffer(harmonics)
     weights = np.frombuffer(coeffs, dtype=complex) / (1j * detuning + params.kappa)
-    decay = np.exp(-params.kappa * t)
     total = np.empty(t.size, dtype=complex)
     for rows in _phase_row_blocks(t.size, detuning.size):
         block = phase_table(t[rows], detuning)
-        block -= decay[rows, None]
+        block -= np.exp(-params.kappa * t[rows])[:, None]
         block *= weights
         total[rows] = block.sum(axis=1)
     total.flags.writeable = False
@@ -117,8 +116,11 @@ def mode_amplitude(params: CavityParams, spectrum: DipoleSpectrum, t):
     oscillating at the dipole harmonics once kappa*t >> 1.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    resp = _line_response_sum(params, spectrum, t_arr)
-    out = params.g_q * np.conj(resp) * np.exp(1j * params.omega_q * t_arr)
+    # g_q conj(resp) exp(i omega_q t), formed in place in the same order
+    out = np.conj(_line_response_sum(params, spectrum, t_arr))
+    np.multiply(params.g_q, out, out=out)
+    phase = np.multiply(1j * params.omega_q, t_arr)
+    np.multiply(out, np.exp(phase, out=phase), out=out)
     return out if np.ndim(t) else complex(out[0])
 
 

@@ -1,6 +1,7 @@
 """Command-line front end: run scenarios, verify against oracles, decompose dipoles.
 
-Exit codes: 0 success, 1 validation error, 2 oracle failure, 3 I/O error.
+Exit codes: 0 success, 1 validation error (a usage error too), 2 oracle failure,
+3 I/O error.
 """
 
 import argparse
@@ -32,8 +33,19 @@ def _yaml_value(text: str):
     return text if value is None else value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, as invalid input, not argparse's 2.
+
+    Its subparsers are made of its own class, so they exit alike.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leaky-cavity",
         description="Closed-form observables of a nonlinearly driven leaky cavity, "
                     "validated against brute-force oracles.",

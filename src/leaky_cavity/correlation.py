@@ -14,7 +14,7 @@ import numpy as np
 
 from .cavity import CavityParams, dipole_noise_occupation, line_amplitudes, mode_amplitude, \
     noise_saturation
-from .dipole import DipoleSpectrum, FluctuationModel, phase_table
+from .dipole import DipoleSpectrum, FluctuationModel, _phase_row_blocks, phase_table
 
 # Convention tag -> weight of C_Delta in the incoherent term.  "as-written"
 # reproduces the published stationary correlator (incoherent weight
@@ -106,10 +106,11 @@ def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     coherent_occ = abs(amp) ** 2  # equals the coherent occupation
     noise_occ = dipole_noise_occupation(params, fluct, t)
 
-    # one dense product: row blocks would round a few results differently
-    drive = (_comb_table(spectrum, tau) - decay[:, None]) @ (
-        line_amplitudes(params, spectrum) * np.exp(-1j * spectrum.harmonics() * t)
-    )
+    comb = _comb_table(spectrum, tau)
+    weights = line_amplitudes(params, spectrum) * np.exp(-1j * spectrum.harmonics() * t)
+    drive = np.empty(tau.size, dtype=complex)  # in row blocks, each bit as in one product
+    for rows in _phase_row_blocks(tau.size, weights.size):
+        drive[rows] = (comb[rows] - decay[rows, None]) @ weights
     values = decay * (coherent_occ + s * noise_occ) + amp * drive
     return CorrelationSeries(tau=tau, values=values, convention=convention, t=float(t))
 

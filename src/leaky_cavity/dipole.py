@@ -19,9 +19,10 @@ _PERIOD_TOL = 1e-9
 # Largest step deviation, relative to the first step, that still counts as uniform.
 _UNIFORM_RTOL = 1e-9
 
-# Elements of one row block of a phase table that is summed over its columns;
-# it bounds memory, not results, since each row is summed on its own.
-_PHASE_BLOCK_ELEMENTS = 1 << 18
+# Elements of one row block of a table over a grid and a comb (a phase table,
+# or a product of one with the comb's weights): 2^15 complex numbers, 512 KiB.
+# It bounds memory, not results, since each row is summed on its own.
+_PHASE_BLOCK_ELEMENTS = 1 << 15
 
 
 def require_finite(params) -> None:
@@ -41,7 +42,8 @@ def uniform_steps(times, name: str = "time") -> np.ndarray:
         raise ValueError(f"{name} grid is not uniform")
     if not np.all(steps > 0):
         raise ValueError(f"{name} grid must be increasing")
-    if np.max(np.abs(steps - steps[0])) > _UNIFORM_RTOL * steps[0]:
+    deviation = steps - steps[0]
+    if np.max(np.abs(deviation, out=deviation)) > _UNIFORM_RTOL * steps[0]:
         raise ValueError(f"{name} grid is not uniform")
     return steps
 
@@ -63,9 +65,18 @@ def phase_table(t, freqs) -> np.ndarray:
 
 
 def _phase_row_blocks(n_rows: int, n_cols: int) -> list:
-    """Row slices over range(n_rows), each of one row or at most _PHASE_BLOCK_ELEMENTS elements."""
-    rows = max(1, _PHASE_BLOCK_ELEMENTS // n_cols)
-    return [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
+    """Row slices over range(n_rows) of about _PHASE_BLOCK_ELEMENTS elements each.
+
+    A block has two rows or more unless the table has one row: numpy forms a
+    one-row matrix-vector product by another route than the rows of a taller
+    one, which rounds differently, so a last single row joins the block before.
+    """
+    rows = max(2, _PHASE_BLOCK_ELEMENTS // n_cols)
+    bounds = list(range(0, n_rows, rows))
+    if len(bounds) > 1 and n_rows - bounds[-1] == 1:
+        bounds.pop()
+    bounds.append(n_rows)
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -116,10 +127,15 @@ class DipoleSpectrum:
         """Analytic (positive-frequency) signal sum_N d_N exp(-i omega_N t).
 
         This is the part of the drive kept by the rotating-wave-like truncation;
-        all closed forms in :mod:`leaky_cavity.cavity` are driven by it.
+        all closed forms in :mod:`leaky_cavity.cavity` are driven by it.  The
+        sum is taken in row blocks of the phase table, every bit as in one table.
         """
         t = np.asarray(t, dtype=float)
-        out = phase_table(t, -self.harmonics()) @ self.coeffs
+        flat = t.ravel()
+        freqs = -self.harmonics()
+        out = np.empty(flat.size, dtype=complex)
+        for rows in _phase_row_blocks(flat.size, freqs.size):
+            out[rows] = phase_table(flat[rows], freqs) @ self.coeffs
         return out if t.ndim else complex(out[0])
 
     def to_dict(self) -> dict:

@@ -53,11 +53,10 @@ def _rk4_transfer(lam: complex, h: float):
     return r, c0, cm, c1
 
 
-def _scan(r: complex, forcing: np.ndarray) -> np.ndarray:
-    """Cumulative states of z_{n+1} = r z_n + forcing_n starting from z_0 = 0."""
-    z = 0j
+def _scan(r: complex, forcing: np.ndarray, z: complex = 0j) -> np.ndarray:
+    """Cumulative states of z_{n+1} = r z_n + forcing_n starting from z_0 = z."""
     states = np.empty(forcing.size + 1, dtype=complex)
-    states[0] = z
+    states[0] = z = complex(z)
     states[1:] = [z := r * z + f for f in forcing.tolist()]
     return states
 
@@ -97,15 +96,21 @@ def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
     The drive is the positive-frequency signal of the DipoleSpectrum
     ``mean_dipole``, evaluated analytically at the step and half-step nodes.
     Returns <a_q(t)> on the grid; the conjugate is what mode_amplitude computes.
+    The forcing is formed and scanned in row blocks of the comb's phase
+    tables, so besides the result only one block's temporaries are held.
     """
     t = np.asarray(t_grid, dtype=float)
     h, (r, c0, cm, c1) = _rk4_grid(params, t)
-    nodes = t[:-1]
-    f0 = mean_dipole.positive_frequency_signal(nodes)
-    fm = mean_dipole.positive_frequency_signal(nodes + h / 2.0)
-    f1 = mean_dipole.positive_frequency_signal(nodes + h)
-    forcing = params.g_q * (c0 * f0 + cm * fm + c1 * f1)
-    return TimeSeries(times=t, values=_scan(r, forcing))
+    states = np.empty(t.size, dtype=complex)
+    states[0] = 0j
+    for rows in _phase_row_blocks(t.size - 1, mean_dipole.coeffs.size):
+        nodes = t[rows]
+        f0 = mean_dipole.positive_frequency_signal(nodes)
+        fm = mean_dipole.positive_frequency_signal(nodes + h / 2.0)
+        f1 = mean_dipole.positive_frequency_signal(nodes + h)
+        forcing = params.g_q * (c0 * f0 + cm * fm + c1 * f1)
+        states[rows.start:rows.stop + 1] = _scan(r, forcing, states[rows.start])
+    return TimeSeries(times=t, values=states)
 
 
 @dataclass(frozen=True)

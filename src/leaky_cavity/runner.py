@@ -17,8 +17,12 @@ from .spectrum import integrated_power, power_spectrum
 
 
 def _sha256(path) -> str:
+    """Hex SHA-256 of the file at ``path``, read 1 MiB at a time."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 # Oracle-vs-closed-form measures, shared with ``verification``; each caller
@@ -39,7 +43,9 @@ def amplitude_deviation(params: CavityParams, spectrum: DipoleSpectrum,
     scale = float(np.max(np.abs(closed)))
     if scale == 0:
         return None
-    return float(np.max(np.abs(np.conj(ode.values) - closed))) / scale
+    # |conj(ode) - closed| equals |conj(closed) - ode| bit for bit; formed in closed's buffer
+    np.subtract(np.conjugate(closed, out=closed), ode.values, out=closed)
+    return float(np.max(np.abs(closed))) / scale
 
 
 def pull(mean, model, stderr) -> np.ndarray:

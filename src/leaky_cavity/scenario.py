@@ -22,6 +22,10 @@ from .spectrum import NORMALIZATIONS
 # Relative slack in cavity.omega_q == cavity.q * drive.omega.
 _Q_RTOL = 1e-12
 
+# Largest oracle.bath_modes: the bath oracle's time and memory grow linearly in
+# the mode count, and a million modes take about 17 s and 250 MB.
+MAX_BATH_MODES = 10 ** 6
+
 
 class ScenarioError(ValueError):
     """Invalid configuration; ``errors`` maps field paths to messages."""
@@ -85,12 +89,17 @@ def _number(value, path: str, errors: dict):
     return None
 
 
-def _integer(value, path: str, errors: dict, least: int, why: str = ""):
-    """The rule of every integer input: a YAML int, not a boolean, of at least ``least``."""
+def _integer(value, path: str, errors: dict, least: int, why: str = "", most: int | None = None):
+    """The rule of every integer input: a YAML int, not a boolean, from ``least`` to ``most``.
+
+    ``most`` None sets no ceiling; ``why`` follows the floor in its message.
+    """
     if isinstance(value, bool) or not isinstance(value, int):
         errors[path] = f"must be an integer, got {value!r}"
     elif value < least:
         errors[path] = f"must be at least {least}{why}, got {value!r}"
+    elif most is not None and value > most:
+        errors[path] = f"must be at most {most}, got {value!r}"
     else:
         return value
     return None
@@ -234,7 +243,8 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
         settings["seed"], seed_path = seed_override, "--seed-override"
     _integer(settings["n_trials"], "oracle.n_trials", errors, 2,
              " (a standard error needs two trials)")
-    _integer(settings["bath_modes"], "oracle.bath_modes", errors, 100, " for a meaningful bath")
+    _integer(settings["bath_modes"], "oracle.bath_modes", errors, 100, " for a meaningful bath",
+             MAX_BATH_MODES)
     if settings["seed"] is not None:
         _integer(settings["seed"], seed_path, errors, 0)
     half_width = _number(settings["bath_half_width_kappas"], "oracle.bath_half_width_kappas",

@@ -10,6 +10,7 @@ from leaky_cavity.cavity import (
     occupation,
     occupation_longtime,
 )
+from leaky_cavity.correlation import two_time_correlation
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, phase_table
 from leaky_cavity.oracle import integrate_amplitude_ode
 
@@ -176,23 +177,49 @@ def _one_table_response_sum(params, harmonics, coeffs, t):
 
 # Two lines is the smallest comb (n_max >= 1).  A one-column table is not
 # bit-equal: numpy then multiplies down the rows, and which element lands in
-# the vector tail depends on where a block starts.
+# the vector tail depends on where a block starts.  Nor is a one-row
+# matrix-vector product, so the "one-row" case asks for blocks of one row and
+# gets blocks of two, as every table of more than one row does.
 @pytest.mark.parametrize("n_lines", [2, 4, 16])
 @pytest.mark.parametrize("block_rows", [1, 3, None], ids=["one-row", "three-rows", "default"])
 def test_blocked_response_sum_is_bit_equal_to_one_table(monkeypatch, block_rows, n_lines):
+    # the three sums over a grid and the comb: the line response, the drive
+    # sum and the two-time correlator's drive integral (a lag grid against the comb)
     if block_rows is not None:
         monkeypatch.setattr(dipole, "_PHASE_BLOCK_ELEMENTS", block_rows * n_lines)
-    b = max(1, dipole._PHASE_BLOCK_ELEMENTS // n_lines)
+    b = max(2, dipole._PHASE_BLOCK_ELEMENTS // n_lines)  # rows per block
     rng = np.random.default_rng(n_lines)
     harmonics = 0.7 * np.arange(n_lines, dtype=float)
     coeffs = rng.normal(size=n_lines) + 1j * rng.normal(size=n_lines)
+    spec = DipoleSpectrum(drive=DriveParams(omega=0.7, n_max=n_lines - 1), coeffs=coeffs)
     params = CavityParams(omega_q=2.1, g_q=0.05, kappa=0.3)
-    for n_rows in sorted({1, b - 1, b, b + 1}):
+    fluct = FluctuationModel(0.2)
+    for n_rows in sorted({1, 2, b - 1, b, b + 1, 2 * b + 1, 3 * b}):
         t = np.sort(rng.uniform(0.0, 50.0, n_rows))
         cavity._response_sum.cache_clear()
         got = cavity._response_sum(params, harmonics.tobytes(), coeffs.tobytes(), t.tobytes())
         want = _one_table_response_sum(params, harmonics, coeffs, t)
         assert got.view(np.uint8).tobytes() == want.view(np.uint8).tobytes(), n_rows
+
+        got = spec.positive_frequency_signal(t)
+        want = phase_table(t, -harmonics) @ coeffs
+        assert got.view(np.uint8).tobytes() == want.view(np.uint8).tobytes(), n_rows
+
+        got = two_time_correlation(params, spec, fluct, 7.5, t, "as-written").values
+        with monkeypatch.context() as one_block:
+            one_block.setattr(dipole, "_PHASE_BLOCK_ELEMENTS", 1 << 62)
+            want = two_time_correlation(params, spec, fluct, 7.5, t, "as-written").values
+        assert got.view(np.uint8).tobytes() == want.view(np.uint8).tobytes(), n_rows
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 16])
+def test_row_blocks_cover_the_table_in_order_with_no_lone_row(monkeypatch, n_cols):
+    monkeypatch.setattr(dipole, "_PHASE_BLOCK_ELEMENTS", 5 * n_cols)
+    for n_rows in range(40):
+        blocks = dipole._phase_row_blocks(n_rows, n_cols)
+        assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n_rows))
+        sizes = [rows.stop - rows.start for rows in blocks]
+        assert all(2 <= size <= 6 for size in sizes) or sizes == [1], (n_rows, sizes)
 
 
 def test_response_cache_follows_arrays_changed_in_place():

@@ -15,7 +15,7 @@ from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, default_scenario
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
 from leaky_cavity.runner import BOUNDS, run
-from leaky_cavity.scenario import load_scenario
+from leaky_cavity.scenario import MAX_BATH_MODES, load_scenario
 
 SCENARIO = {
     "drive": {"omega": 1.0, "n_max": 3},
@@ -495,6 +495,39 @@ def test_benchmark_tracer_binds_to_the_package(config_path, tmp_path, monkeypatc
         assert metrics[name][0] > 0, name
     assert metrics["oracle.bath_modes"][0] == SCENARIO["oracle"]["bath_modes"]
     assert metrics["verification.checks_failed"][0] == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "x"], "the following arguments are required: --out"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+], ids=["missing-option", "unknown-command", "no-command"])
+def test_usage_error_exits_as_invalid_input(capsys, argv, message):
+    # argparse's own exit code, 2, is the CLI's oracle failure
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top", "run"])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: leaky-cavity")
+
+
+@pytest.mark.parametrize("modes", [MAX_BATH_MODES + 1, 10 ** 400], ids=["ceiling-plus-one", "huge"])
+def test_bath_modes_above_the_ceiling_are_refused(tmp_path, capsys, modes):
+    # 10**400 ended in an OverflowError traceback from the bath's mode spacing
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(_set_field(SCENARIO, "oracle.bath_modes", modes)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"invalid config: oracle.bath_modes: must be at most "
+                                       f"{MAX_BATH_MODES}, got {modes}\n")
+    assert not out.exists()
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
