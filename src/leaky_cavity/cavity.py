@@ -102,10 +102,8 @@ def _response_sum(params: CavityParams, harmonics: bytes, coeffs: bytes, t: byte
 
 
 def _line_response_sum(params: CavityParams, spectrum: DipoleSpectrum, t: np.ndarray):
-    # A one-point grid (the scalar t of two_time_correlation) bypasses the
-    # cache, so it does not evict the response of the caller's whole grid.
-    build = _response_sum.__wrapped__ if t.size == 1 else _response_sum
-    return build(params, spectrum.harmonics().tobytes(), spectrum.coeffs.tobytes(), t.tobytes())
+    return _response_sum(params, spectrum.harmonics().tobytes(), spectrum.coeffs.tobytes(),
+                         t.tobytes())
 
 
 def mode_amplitude(params: CavityParams, spectrum: DipoleSpectrum, t):

@@ -1,7 +1,7 @@
 """Command-line front end: run scenarios, verify against oracles, decompose dipoles.
 
-Exit codes: 0 success, 1 validation error (a usage error too), 2 oracle failure,
-3 I/O error.
+Exit codes: 0 success, 1 validation error (a usage error too), 2 oracle failure
+(a failed ``verify`` check, or a ``run`` figure beyond its bound), 3 I/O error.
 """
 
 import argparse
@@ -10,7 +10,7 @@ import sys
 
 import yaml
 
-from . import runner, verification
+from . import io as lcio, runner, verification
 from .scenario import ScenarioError, decompose_series, load_scenario
 
 EXIT_OK = 0
@@ -78,13 +78,16 @@ def _cmd_run(args) -> int:
     print(f"wrote {len(manifest['files'])} artifacts to {args.out}")
     for name, value in sorted(manifest["checks"].items()):
         print(f"  {name} = {value:.3e}")
-    return EXIT_OK
+    for name in manifest.get("failed_checks", ()):
+        print(f"oracle check failed: {name} = {manifest['checks'][name]:.3e} exceeds its "
+              f"bound {runner.BOUNDS[name]:.3e}", file=sys.stderr)
+    return EXIT_ORACLE if "failed_checks" in manifest else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    config_path = args.config or default_scenario_path()
-    seed = load_scenario(config_path, args.seed_override).oracle.seed  # fail fast
-    results = verification.run_all(config_path=config_path, seed=1234 if seed is None else seed)
+    path = args.config or default_scenario_path()
+    seed = load_scenario(path, args.seed_override).oracle.seed  # fail fast
+    results = verification.run_all(path, verification.DEFAULT_SEED if seed is None else seed)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -93,16 +96,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    from .io import write_dipole_spectrum_json
-
     config = load_scenario(args.config)
-    if args.input is not None:
-        spectrum = decompose_series(args.input, config.spectrum.drive)
-    else:
-        spectrum = config.spectrum
+    spectrum = (config.spectrum if args.input is None
+                else decompose_series(args.input, config.spectrum.drive))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "dipole_spectrum.json")
-    write_dipole_spectrum_json(out_path, spectrum)
+    lcio.write_dipole_spectrum_json(out_path, spectrum)
     print(f"wrote {out_path}")
     return EXIT_OK
 

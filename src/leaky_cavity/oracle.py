@@ -204,7 +204,7 @@ def _slab_reads(picked: np.ndarray, snaps: np.ndarray, slab: int, tile: int) -> 
 
 
 def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
-                      tau_grid=None, n_trials: int = 1000, seed: int = 0,
+                      tau_grid=None, *, n_trials: int, seed: int,
                       picks=None) -> TrajectoryEnsemble:
     """Estimate <D^dagger D> statistics by averaging noise-driven trajectories.
 
@@ -314,7 +314,6 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
         tt_sumsq += (np.abs(prod) ** 2).sum(axis=0)
 
     times = t if picks is None else t[picked]
-    del picked, reads  # with every point picked both grow with the grid; free them first
     mean_occ, stderr_occ = _mean_stderr(total, total_sq, n_trials)
     result = dict(n_trials=n_trials, seed=seed, times=times, mean_occupation=mean_occ,
                   stderr_occupation=stderr_occ, reference_time=float(t[-1]))

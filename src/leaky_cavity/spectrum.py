@@ -19,14 +19,6 @@ from .dipole import DipoleSpectrum, FluctuationModel, uniform_steps
 # Normalization tag -> factor on the continuum and the fluctuation power.
 NORMALIZATIONS = {"as-written": 1.0, "wkt-consistent": 1.0 / np.pi}
 
-# The chirp-z transform correlates directly while N_tau N_omega <= C size log2(size),
-# size being the FFT length.  Measured crossover (1 BLAS thread, 2-vCPU Xeon,
-# numpy 2.4.6, best of 20): a direct term costs 0.45 ns, the three FFTs take
-# 2.7 ms at size 32768 and 0.14 ms at 4096, so direct wins up to N_omega ~ 96 at
-# N_tau = 3001 (C ~ 6) and ~ 300 at N_tau = 20001 (C ~ 12).
-_DIRECT_PER_FFT_TERM = 8.0
-
-
 @dataclass(frozen=True)
 class SpectrumResult:
     """Symbolic delta lines plus a sampled incoherent continuum."""
@@ -115,9 +107,8 @@ def spectrum_from_correlation(series: CorrelationSeries, omega_grid) -> np.ndarr
     The omega grid must be uniform, omega_k = omega_0 + k domega.  The sum is
     then a chirp-z transform (Bluestein): with a = domega dtau and
     kj = (k^2 + j^2 - (k-j)^2)/2 it is a correlation with the chirp
-    exp(-i a l^2/2) over the lags l = -(N_tau-1)..N_omega-1.  A short window
-    evaluates it directly, in O(N_tau N_omega) operations; a long one by FFT,
-    in O((N_tau + N_omega) log) operations, whichever counts fewer.
+    exp(-i a l^2/2) over the lags l = -(N_tau-1)..N_omega-1, summed directly
+    in N_tau N_omega terms.
     """
     if not series.stationary:
         raise ValueError("spectrum_from_correlation requires a stationary series")
@@ -134,10 +125,5 @@ def spectrum_from_correlation(series: CorrelationSeries, omega_grid) -> np.ndarr
     half = np.exp(0.5j * a * np.arange(max(n, m)) ** 2)
     u = series.values * weights * np.exp(1j * omega[0] * tau) * half[:n]
     chirp = np.conj(np.concatenate([half[n - 1:0:-1], half[:m]]))
-    size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1
-    if n * m <= _DIRECT_PER_FFT_TERM * size * np.log2(size):
-        conv = np.convolve(chirp, u, "valid")
-    else:
-        conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(chirp, size))[n - 1:n - 1 + m]
     phase = np.exp(1j * (omega - omega[0]) * tau[0]) * half[:m]
-    return (phase * conv).real / np.pi
+    return (phase * np.convolve(chirp, u, "valid")).real / np.pi

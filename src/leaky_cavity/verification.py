@@ -28,6 +28,9 @@ from .oracle import BATH_KAPPA_T, NOISE_KAPPA_TAU, amplitude_ode_step, bath_time
 from .spectrum import integrated_power, power_spectrum, spectrum_from_correlation
 
 
+# The seed of the random checks when the scenario sets none.
+DEFAULT_SEED = 1234
+
 # A dipole with no lines, for the checks of the noise terms alone.
 _NO_DRIVE = DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=1),
                            coeffs=np.zeros(2, dtype=complex))
@@ -68,7 +71,7 @@ def _random_scenario(rng) -> tuple[CavityParams, DipoleSpectrum]:
     return params, spectrum
 
 
-def check_amplitude_and_occupation(seed: int = 1234):
+def check_amplitude_and_occupation(seed: int = DEFAULT_SEED):
     """Criteria 1 and 2: closed-form amplitude and coherent occupation vs the ODE oracle."""
     n_scenarios = 50
     rng = np.random.default_rng(seed)
@@ -286,7 +289,7 @@ def check_determinism(config_path):
                         "sha256 over all numerical outputs")]
 
 
-def run_all(config_path=None, seed: int = 1234):
+def run_all(config_path=None, seed: int = DEFAULT_SEED):
     """Execute the full suite; returns the list of CheckResults in criterion order."""
     results = []
     results += check_amplitude_and_occupation(seed=seed)

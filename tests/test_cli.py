@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 import yaml
 
-from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, default_scenario_path, main
+from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION, \
+    default_scenario_path, main
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
-from leaky_cavity.runner import BOUNDS, run
+from leaky_cavity.runner import BOUNDS, failed_checks, run
 from leaky_cavity.scenario import MAX_BATH_MODES, load_scenario
 
 SCENARIO = {
@@ -79,11 +80,37 @@ def test_run_produces_all_artifacts(config_path, tmp_path, capsys):
         assert (out / name).exists()
     checks = manifest["checks"]
     assert set(checks) == set(BOUNDS)  # every figure a run reports has its bound
+    assert "failed_checks" not in manifest
     assert checks["amplitude_oracle_max_rel_deviation"] < 1e-8
     assert checks["noise_oracle_max_pull_stderr"] < 6.0
     assert checks["bath_oracle_max_rel_deviation"] < 0.05
     assert checks["bath_oracle_norm_error"] < 1e-8
     assert "wrote 13 artifacts" in capsys.readouterr().out
+
+
+def test_run_exits_2_when_a_figure_fails_its_bound(tmp_path, capsys):
+    # a band one kappa wide misses the continuum pole: the bath deviation is 357.9
+    config = tmp_path / "narrow.yaml"
+    config.write_text(yaml.safe_dump(_set_field(SCENARIO, "oracle.bath_half_width_kappas",
+                                                1.0)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_ORACLE
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"], "manifest.json"])
+    assert len(manifest["files"]) == 13
+    assert manifest["failed_checks"] == ["bath_oracle_max_rel_deviation"]
+    assert capsys.readouterr().err == (
+        "oracle check failed: bath_oracle_max_rel_deviation = 3.579e+02 exceeds its bound "
+        "2.000e-02\n")
+
+
+def test_failed_checks_judge_every_figure_but_the_max_pull():
+    checks = {"amplitude_oracle_max_rel_deviation": float("nan"),
+              "noise_oracle_max_pull_stderr": 99.0,
+              "bath_oracle_max_rel_deviation": 0.02,
+              "bath_oracle_norm_error": 1e-7}
+    assert failed_checks(checks) == ["amplitude_oracle_max_rel_deviation",
+                                     "bath_oracle_norm_error"]
 
 
 def test_full_output_set_is_pinned(config_path, tmp_path):

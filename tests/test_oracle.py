@@ -352,17 +352,17 @@ def test_mc_two_time_decay():
 def test_mc_error_contracts():
     params, fluct, t = mc_setup()
     with pytest.raises(ValueError, match="start at 0"):
-        monte_carlo_noise(params, fluct, t + 1.0, n_trials=4)
+        monte_carlo_noise(params, fluct, t + 1.0, n_trials=4, seed=0)
     with pytest.raises(ValueError, match="multiples"):
-        monte_carlo_noise(params, fluct, t, tau_grid=[0.0, 0.07], n_trials=4)
+        monte_carlo_noise(params, fluct, t, tau_grid=[0.0, 0.07], n_trials=4, seed=0)
     with pytest.raises(ValueError, match="step too large"):
-        monte_carlo_noise(params, fluct, np.arange(0.0, 10.0, 0.5), n_trials=4)
+        monte_carlo_noise(params, fluct, np.arange(0.0, 10.0, 0.5), n_trials=4, seed=0)
     bad_picks = {"out of range": [0, t.size], "negative": [-1, 3], "unsorted": [5, 2],
                  "duplicated": [2, 2, 7], "non-integer": [1.0, 2.0], "empty": [],
                  "two-dimensional": [[1, 2]]}
     for picks in bad_picks.values():
         with pytest.raises(ValueError, match="picks"):
-            monte_carlo_noise(params, fluct, t, n_trials=4, picks=picks)
+            monte_carlo_noise(params, fluct, t, n_trials=4, seed=0, picks=picks)
 
 
 def test_bath_discretization_bookkeeping():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from leaky_cavity import spectrum
 from leaky_cavity.cavity import CavityParams, noise_saturation
 from leaky_cavity.correlation import stationary_correlation
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel
@@ -183,60 +182,25 @@ def test_chirp_z_transform_matches_dense_sum(case):
     assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
-def last_direct_window(n, size):
-    """Largest window the transform correlates directly at n lags and FFT length ``size``."""
-    return int(spectrum._DIRECT_PER_FFT_TERM * size * np.log2(size) // n)
+# (case, window centre, window step): criterion 6's 3001 lags and the sweep's 20001
+WINDOW_CASES = {"n3001": (criterion_6_case, 2.0, 2.0 * np.pi / 300.0 / 16.0),
+                "n20001": (sweep_window_case, SWEEP_OMEGA_Q, SWEEP_KAPPA / 4.0)}
+
+# Widest window per lag count that an FFT correlation once left to the direct sum
+FORMER_CROSSOVER = {"n3001": 131, "n20001": 196}
 
 
-# (case, window centre, window step, FFT length): criterion 6's 3001 lags and the
-# sweep's 20001, whose windows of up to 512 points keep those FFT lengths
-WINDOW_CASES = {"n3001": (criterion_6_case, 2.0, 2.0 * np.pi / 300.0 / 16.0, 4096),
-                "n20001": (sweep_window_case, SWEEP_OMEGA_Q, SWEEP_KAPPA / 4.0, 32768)}
-
-
-@pytest.fixture
-def transform_paths(monkeypatch):
-    """Calls of np.convolve (the direct path) and np.fft.fft (the FFT path), counted."""
-    calls = {"direct": 0, "fft": 0}
-
-    def spy(name, real):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return counted
-
-    monkeypatch.setattr(np, "convolve", spy("direct", np.convolve))
-    monkeypatch.setattr(np.fft, "fft", spy("fft", np.fft.fft))
-    return calls
-
-
-DIRECT = {"direct": 1, "fft": 0}
-FFT = {"direct": 0, "fft": 2}
-
-
-@pytest.mark.parametrize("m", [16, "crossover", "crossover+1", 512])
+@pytest.mark.parametrize("m", [16, "crossover", "crossover+1", 512, 3056])
 @pytest.mark.parametrize("lags", sorted(WINDOW_CASES))
-def test_chirp_z_windows_on_both_sides_of_the_crossover_match_dense_sum(lags, m,
-                                                                        transform_paths):
-    case, centre, step, size = WINDOW_CASES[lags]
+def test_chirp_z_windows_on_both_sides_of_the_crossover_match_dense_sum(lags, m):
+    case, centre, step = WINDOW_CASES[lags]
     series, _ = case()
-    n = series.tau.size
     if isinstance(m, str):
-        m = last_direct_window(n, size) + m.endswith("+1")
-    assert 1 << (n + m - 2).bit_length() == size
+        m = FORMER_CROSSOVER[lags] + m.endswith("+1")
     omega = centre + step * (np.arange(m) - m // 2)
     got = spectrum_from_correlation(series, omega)
-    assert transform_paths == (DIRECT if m <= last_direct_window(n, size) else FFT)
     reference = dense_wkt(series, omega)
     assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
-
-
-@pytest.mark.parametrize("case, path", [(sweep_window_case, DIRECT), (criterion_6_case, FFT)],
-                         ids=["sweep-window", "criterion-6"])
-def test_transform_path_follows_the_operation_count(case, path, transform_paths):
-    series, omega = case()
-    spectrum_from_correlation(series, omega)
-    assert transform_paths == path
 
 
 def test_transform_requires_uniform_omega_grid():
