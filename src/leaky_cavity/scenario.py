@@ -25,6 +25,10 @@ _Q_RTOL = 1e-12
 # Largest oracle.bath_modes: the bath oracle's time and memory grow linearly in
 # the mode count, and a million modes take about 17 s and 250 MB.
 MAX_BATH_MODES = 10 ** 6
+# Largest grids.*.num: a run's time and memory grow linearly in each grid's points.
+# The costliest grid, omega, takes about 6 s and 630 MB for a million points on the
+# shipped scenario (t and tau take under 2 s and 200 MB).
+MAX_GRID_POINTS = 10 ** 6
 
 
 class ScenarioError(ValueError):
@@ -135,14 +139,12 @@ def _grid(grids, path, errors, required=True):
             errors.setdefault(path, "missing grid")
         return None
     stop = doc.get("stop")
-    num = _integer(doc.get("num"), f"{path}.num", errors, 2)
+    num = _integer(doc.get("num"), f"{path}.num", errors, 2, most=MAX_GRID_POINTS)
     if not (_is_number(stop) and math.isfinite(stop) and stop > 0):
         errors[path] = (f"grid needs finite stop > 0 and integer num >= 2, "
                         f"got stop={stop!r}, num={doc.get('num')!r}")
         return None
-    # a count too large for an array is refused by numpy, under the count's path
-    return None if num is None else _build(errors, f"{path}.num", np.linspace, 0.0,
-                                           float(stop), num)
+    return None if num is None else np.linspace(0.0, float(stop), num)
 
 
 def decompose_series(path, drive: DriveParams) -> DipoleSpectrum:

@@ -16,7 +16,7 @@ from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION, \
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
 from leaky_cavity.runner import BOUNDS, failed_checks, run
-from leaky_cavity.scenario import MAX_BATH_MODES, load_scenario
+from leaky_cavity.scenario import MAX_BATH_MODES, MAX_GRID_POINTS, load_scenario
 
 SCENARIO = {
     "drive": {"omega": 1.0, "n_max": 3},
@@ -379,12 +379,11 @@ def test_integral_float_cutoff_is_refused_for_every_dipole_source(tmp_path, caps
 
 @pytest.mark.parametrize("field, path, message", [
     ("drive.n_max", "dipole", "need 1" + "0" * 399 + "1 coefficients"),
-    ("grids.t.num", "grids.t.num", "Maximum allowed size exceeded"),
 ])
 def test_integer_beyond_the_float_range_is_refused_under_a_path(tmp_path, capsys, field, path,
                                                                 message):
     # such a count used to fail as no number a float can hold; now it passes the integer
-    # rule and is refused by what it counts
+    # rule and is refused by what it counts (a grid's count meets its ceiling first)
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(_set_field(SCENARIO, field, 10 ** 400)))
     out = tmp_path / "out"
@@ -557,6 +556,27 @@ def test_bath_modes_above_the_ceiling_are_refused(tmp_path, capsys, modes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", [MAX_GRID_POINTS + 1, 400_000_000, 10 ** 400],
+                         ids=["ceiling-plus-one", "memory-error", "huge"])
+@pytest.mark.parametrize("grid", ["t", "tau", "omega"])
+def test_grid_points_above_the_ceiling_are_refused(tmp_path, capsys, grid, points):
+    # 400 million t points ended in an _ArrayMemoryError traceback (23.8 GiB)
+    doc = _set_field(SCENARIO, f"grids.{grid}", {"stop": 6.0, "num": points})
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"invalid config: grids.{grid}.num: must be at most "
+                                       f"{MAX_GRID_POINTS}, got {points}\n")
+    assert not out.exists()
+
+
+def test_a_grid_at_the_ceiling_loads(tmp_path):
+    config = tmp_path / "ceiling.yaml"
+    config.write_text(yaml.safe_dump(_set_field(SCENARIO, "grids.t.num", MAX_GRID_POINTS)))
+    assert load_scenario(config).t_grid.size == MAX_GRID_POINTS
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path / "out")])
@@ -645,13 +665,30 @@ def test_run_refuses_a_series_it_cannot_take(tmp_path, capsys, body, message):
     assert not out.exists()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_RUN_SHIPPED = ROOT / "perfbench" / "golden" / "run_shipped.sha256.json"
+
+
 def test_shipped_run_matches_the_benchmark_golden_set(tmp_path):
     """Every file of a run of the shipped scenario has the hash the benchmark expects."""
-    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / \
-        "run_shipped.sha256.json"
-    expected = json.loads(golden.read_text())
+    expected = json.loads(GOLDEN_RUN_SHIPPED.read_text())
     run(default_scenario_path(), tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == expected
+
+
+def test_shipped_run_matches_the_golden_set_at_two_blas_threads(tmp_path):
+    """The same bytes from `leaky-cavity run` in a fresh interpreter with two OpenBLAS threads."""
+    expected = json.loads(GOLDEN_RUN_SHIPPED.read_text())
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "leaky_cavity.cli", "run", "--config",
+                           default_scenario_path(), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == expected
 
 

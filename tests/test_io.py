@@ -5,9 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leaky_cavity import io as lcio
 from leaky_cavity.cavity import CavityParams, occupation
+from leaky_cavity.cli import default_scenario_path
 from leaky_cavity.correlation import stationary_correlation
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, TimeSeries
 from leaky_cavity.io import (
@@ -22,6 +24,7 @@ from leaky_cavity.io import (
     write_timeseries_csv,
 )
 from leaky_cavity.oracle import monte_carlo_noise
+from leaky_cavity.runner import run
 from leaky_cavity.spectrum import integrated_power, power_spectrum
 
 
@@ -181,6 +184,90 @@ def test_fmt_is_the_row_number_format():
     bits = np.random.default_rng(3).integers(0, 2**64, size=2000, dtype=np.uint64)
     values = np.concatenate([EDGES, -EDGES, [np.inf, -np.inf, np.nan], bits.view(np.float64)])
     assert [lcio._fmt(v) for v in values] == ["{:.17g}".format(v) for v in values.tolist()]
+
+
+def exact_ties(rng, n) -> np.ndarray:
+    """q / 2**j for odd q with q * 5**j of 18 digits, the last a 5: a tie at 17 digits."""
+    ties = []
+    for j in rng.integers(3, 26, size=n).tolist():
+        q = int(rng.integers(-(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53))) | 1
+        ties.append(q / 2 ** j)  # exact: q < 2**53
+    return np.array(ties)
+
+
+def hard_corpus() -> np.ndarray:
+    """Values where a 17-digit formatter can go wrong, both signs, in a fixed order."""
+    rng = np.random.default_rng(19)
+    tens = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    # 18 significant digits ending in 5: a hair from a tie once they are rounded to binary
+    mantissas = rng.integers(10 ** 16, 10 ** 17, size=2000) * 10 + 5
+    exponents = rng.integers(-300, 290, size=2000)
+    near_ties = [float(f"{m}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, size=6000, dtype=np.uint64).view(np.float64),  # every exponent
+        tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf), near_ties,
+        exact_ties(rng, 2000),
+        rng.integers(2 ** 52, 10 ** 18, size=2000).astype(np.float64),
+        EDGES, np.arange(1, 400) * 5e-324, [2.225073858507201e-308, np.inf, np.nan],
+    ])
+    return np.concatenate([values, -values])
+
+
+def formatted(rows) -> str:
+    return "".join(",".join("{:.17g}".format(v) for v in row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 4])
+def test_kernel_matches_format_on_hard_values(tmp_path, cols):
+    values = hard_corpus()
+    columns = np.resize(values, (cols, -(-values.size // cols)))  # rows cross both batch sizes
+    path = tmp_path / "rows.csv"
+    lcio._write_rows(path, "x", columns)
+    assert path.read_bytes() == one_shot_rows("x", columns).encode()
+
+
+def test_exact_ties_reach_the_fallback(monkeypatch):
+    calls = []
+    fmt = lcio._fmt
+    monkeypatch.setattr(lcio, "_fmt", lambda x: calls.append(x) or fmt(x))
+    ties = exact_ties(np.random.default_rng(5), 50)
+    block = np.column_stack([ties, -ties])
+    assert lcio._format_block(block).decode() == formatted(block.tolist())
+    assert len(calls) == block.size
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(st.floats(), min_size=cols, max_size=cols),
+                          min_size=1, max_size=12)))
+def test_kernel_matches_format_on_any_floats(rows):
+    block = np.array(rows, dtype=np.float64)
+    assert lcio._format_block(block).decode() == formatted(rows)
+
+
+def test_run_formats_nearly_every_cell_in_the_kernel(tmp_path, monkeypatch):
+    # a narrower fast range would send more cells through _fmt and slow run down
+    counts = {"cells": 0, "fallbacks": 0}
+    inside = []
+    kernel, fmt = lcio._format_block, lcio._fmt
+
+    def counting_fmt(x):
+        counts["fallbacks"] += bool(inside)
+        return fmt(x)
+
+    def counting_kernel(block):
+        counts["cells"] += block.size
+        inside.append(block)
+        try:
+            return kernel(block)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(lcio, "_fmt", counting_fmt)
+    monkeypatch.setattr(lcio, "_format_block", counting_kernel)
+    run(default_scenario_path(), tmp_path)
+    assert counts["cells"] > 200_000
+    assert counts["fallbacks"] <= counts["cells"] // 1000
 
 
 def float_parse(path):
