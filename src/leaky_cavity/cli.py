@@ -11,7 +11,7 @@ import sys
 import yaml
 
 from . import io as lcio, runner, verification
-from .scenario import ScenarioError, decompose_series, load_scenario
+from .scenario import YAML_LOADER, ScenarioError, decompose_series, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -27,7 +27,7 @@ def default_scenario_path() -> str:
 def _yaml_value(text: str):
     """Option text read as YAML like the field it stands for; unreadable or null text stays text."""
     try:
-        value = yaml.safe_load(text)
+        value = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError:
         return text
     return text if value is None else value

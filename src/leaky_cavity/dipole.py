@@ -51,17 +51,23 @@ def uniform_steps(times, name: str = "time") -> np.ndarray:
 def phase_table(t, freqs) -> np.ndarray:
     """Table exp(i t_j f_k) over the 1-d arrays t and freqs, built in one complex buffer.
 
-    The products t_j f_k fill the imaginary part of a zeroed buffer and exp is
-    taken in place, so callers can subtract or scale it in place too; pass
-    -freqs for exp(-i t f).  Equal to np.exp(1j * np.outer(t, freqs)) except
-    that a product of -0 keeps its sign in the imaginary part.  A table that
-    is cached to be shared across calls (the correlators' comb table) is made
-    read-only, and its users subtract from it into a new array.
+    The products t_j f_k fill the real part of the buffer, their sines the
+    imaginary part, and their cosines then overwrite the products, so callers
+    can subtract or scale the table in place too; pass -freqs for exp(-i t f).
+    It is bit for bit np.exp(1j * np.outer(t, freqs)), whose exp(0 + i x) is
+    cos x + i sin x from the same sine and cosine (tests/test_dipole.py checks
+    this), except that a product of -0 keeps its sign in the imaginary part.
+    An infinite product gives nan with numpy's "invalid value" RuntimeWarning.
+    A table that is cached to be shared across calls (the correlators' comb
+    table) is made read-only, and its users subtract from it into a new array.
     """
     t = np.ravel(np.asarray(t, dtype=float))
-    table = np.zeros((t.size, np.size(freqs)), dtype=complex)
-    np.multiply.outer(t, np.asarray(freqs, dtype=float), out=table.imag)
-    return np.exp(table, out=table)
+    table = np.empty((t.size, np.size(freqs)), dtype=complex)
+    phase = table.real
+    np.multiply.outer(t, np.asarray(freqs, dtype=float), out=phase)
+    np.sin(phase, out=table.imag)
+    np.cos(phase, out=phase)
+    return table
 
 
 def _phase_row_blocks(n_rows: int, n_cols: int) -> list:

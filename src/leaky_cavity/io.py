@@ -241,21 +241,27 @@ def _atomic_open(path):
             os.remove(tmp)
 
 
-def _write_rows(path, header: str, columns, comments=()):
-    """Write one CSV row per index of the equal-length 1-d arrays ``columns``.
+def _text_blocks(columns):
+    """The ``%.17g`` CSV rows of the equal-length 1-d arrays ``columns``, ``_KERNEL_ROWS`` at a time.
 
     Each batch is copied into a float block (a cell that is no number raises
-    ``ValueError``) and turned into text by ``_format_block``, ``_KERNEL_ROWS`` at a time.
+    ``ValueError``) and turned into text by ``_format_block``.
     """
     n = len(columns[0])
+    for lo in range(0, n, _ROW_BATCH):
+        block = np.empty((min(_ROW_BATCH, n - lo), len(columns)))
+        for j, col in enumerate(columns):
+            block[:, j] = col[lo:lo + _ROW_BATCH]
+        for i in range(0, len(block), _KERNEL_ROWS):
+            yield _format_block(block[i:i + _KERNEL_ROWS])
+
+
+def _write_rows(path, header: str, columns, comments=()):
+    """Write one CSV row per index of the equal-length 1-d arrays ``columns``."""
     with _atomic_open(path) as fh:
         fh.write(("".join(f"# {c}\n" for c in comments) + header + "\n").encode())
-        for lo in range(0, n, _ROW_BATCH):
-            block = np.empty((min(_ROW_BATCH, n - lo), len(columns)))
-            for j, col in enumerate(columns):
-                block[:, j] = col[lo:lo + _ROW_BATCH]
-            for i in range(0, len(block), _KERNEL_ROWS):
-                fh.write(_format_block(block[i:i + _KERNEL_ROWS]))
+        for text in _text_blocks(columns):
+            fh.write(text)
 
 
 def write_timeseries_csv(path, series: TimeSeries, label: str = "value"):
@@ -317,14 +323,45 @@ def write_dipole_spectrum_json(path, spectrum: DipoleSpectrum):
     _write_json(path, spectrum.to_dict())
 
 
+# The json.dumps(indent=2) text of a top-level key's list of [x, y] number strings
+# is its CSV rows "x,y\n" with the separators replaced by these.
+_PAIRS_OPEN = b'[\n    [\n      "'
+_PAIRS_COMMA = b'",\n      "'
+_PAIRS_NEXT = b'"\n    ],\n    [\n      "'
+_PAIRS_CLOSE = b'"\n    ]\n  ]'
+
+
+def _write_json_pairs(fh, columns):
+    """Write the two equal-length 1-d arrays ``columns`` as the JSON list of ``[_fmt(x), _fmt(y)]``.
+
+    The text is that of ``json.dumps(..., indent=2)`` for a list under a
+    top-level key, streamed one ``_format_block`` of rows at a time.
+    """
+    if len(columns[0]) == 0:
+        fh.write(b"[]")
+        return
+    sep = _PAIRS_OPEN
+    for text in _text_blocks(columns):
+        # "," becomes NUL first, which no cell's text holds, as _PAIRS_NEXT holds a ","
+        fh.write(sep + text[:-1].replace(b",", b"\0").replace(b"\n", _PAIRS_NEXT)
+                 .replace(b"\0", _PAIRS_COMMA))
+        sep = _PAIRS_NEXT
+    fh.write(_PAIRS_CLOSE)
+
+
 def write_spectrum_json(path, result: SpectrumResult):
-    doc = {
-        "lines": [[_fmt(w), _fmt(s)] for w, s in result.lines],
-        "continuum": [[_fmt(w), _fmt(s)] for w, s in zip(result.omega, result.continuum)],
-        "normalization": result.normalization,
-        "grid_truncated": result.grid_truncated,
-    }
-    _write_json(path, doc)
+    """The document ``json.dumps(doc, indent=2, sort_keys=True)`` gives, written block by block.
+
+    ``doc`` holds ``lines`` and ``continuum`` as lists of ``[omega, value]``
+    pairs of 17-digit strings, ``normalization`` and ``grid_truncated``.
+    """
+    with _atomic_open(path) as fh:
+        fh.write(b'{\n  "continuum": ')
+        _write_json_pairs(fh, (result.omega, result.continuum))
+        fh.write(f',\n  "grid_truncated": {json.dumps(result.grid_truncated)},\n  "lines": '
+                 .encode())
+        _write_json_pairs(fh, result.lines.T)
+        fh.write(f',\n  "normalization": {json.dumps(result.normalization)}\n}}\n'.encode())
 
 
 def write_power_report_json(path, report: PowerReport):

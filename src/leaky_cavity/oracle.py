@@ -98,17 +98,29 @@ def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
     Returns <a_q(t)> on the grid; the conjugate is what mode_amplitude computes.
     The forcing is formed and scanned in row blocks of the comb's phase
     tables, so besides the result only one block's temporaries are held.
+
+    A block's drive at its grid nodes t_n .. t_{n+m} gives each step both
+    f(t_n) and, where t_n + h equals t_{n+1} bit for bit, f(t_n + h); only the
+    other step ends are evaluated on their own.  A lone such end is evaluated
+    beside its step's start, since a one-row phase-table product rounds
+    differently from the rows of a taller one.
     """
     t = np.asarray(t_grid, dtype=float)
     h, (r, c0, cm, c1) = _rk4_grid(params, t)
+    drive = mean_dipole.positive_frequency_signal
     states = np.empty(t.size, dtype=complex)
     states[0] = 0j
     for rows in _phase_row_blocks(t.size - 1, mean_dipole.coeffs.size):
+        on_grid = drive(t[rows.start:rows.stop + 1])
         nodes = t[rows]
-        f0 = mean_dipole.positive_frequency_signal(nodes)
-        fm = mean_dipole.positive_frequency_signal(nodes + h / 2.0)
-        f1 = mean_dipole.positive_frequency_signal(nodes + h)
-        forcing = params.g_q * (c0 * f0 + cm * fm + c1 * f1)
+        ends = nodes + h
+        f1 = on_grid[1:]
+        miss = np.flatnonzero(ends != t[rows.start + 1:rows.stop + 1])
+        if miss.size:
+            f1 = f1.copy()
+            alone = np.append(ends[miss], nodes[miss]) if miss.size == 1 else ends[miss]
+            f1[miss] = drive(alone)[:miss.size]
+        forcing = params.g_q * (c0 * on_grid[:-1] + cm * drive(nodes + h / 2.0) + c1 * f1)
         states[rows.start:rows.stop + 1] = _scan(r, forcing, states[rows.start])
     return TimeSeries(times=t, values=states)
 

@@ -26,9 +26,14 @@ _Q_RTOL = 1e-12
 # the mode count, and a million modes take about 17 s and 250 MB.
 MAX_BATH_MODES = 10 ** 6
 # Largest grids.*.num: a run's time and memory grow linearly in each grid's points.
-# The costliest grid, omega, takes about 6 s and 630 MB for a million points on the
-# shipped scenario (t and tau take under 2 s and 200 MB).
+# A million points on the shipped scenario take about 1.8 s and 90 MB of peak RSS
+# for t, 1.5 s and 200 MB for tau, and 1.0 s and 60 MB for omega (2-vCPU Xeon).
 MAX_GRID_POINTS = 10 ** 6
+
+# PyYAML's libyaml parser where PyYAML was built with it (the shipped scenario
+# parses in 0.3 ms, not 2.6 ms, on a 2-vCPU Xeon), else its pure-Python one; both
+# build the same documents.  Scenario files and option values are read with it.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioError(ValueError):
@@ -147,6 +152,14 @@ def _grid(grids, path, errors, required=True):
     return None if num is None else np.linspace(0.0, float(stop), num)
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """What a YAML parse error found, and where (1-based line and column) if the parser says."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:
+        return f"malformed YAML: {' '.join(str(exc).split())}"
+    return f"malformed YAML: {exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+
+
 def decompose_series(path, drive: DriveParams) -> DipoleSpectrum:
     """The harmonic comb of the real dipole series in the CSV file at ``path``.
 
@@ -163,8 +176,11 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
     """Parse and validate a scenario file, ``seed_override`` as its seed; raises ScenarioError."""
     from .runner import ARTIFACTS, DEFAULT_OUTPUTS  # runner imports us
 
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    with open(path, "rb") as fh:  # bytes, so that YAML's reader also judges the encoding
+        try:
+            doc = yaml.load(fh, Loader=YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ScenarioError({"<root>": _yaml_problem(exc)}) from None
     if not isinstance(doc, dict):
         raise ScenarioError({"<root>": "config must be a mapping"})
     errors: dict = {}

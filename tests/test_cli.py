@@ -162,6 +162,24 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "invalid config: cavity:" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (b"drive: {omega: 1.0\n", "did not find expected ',' or '}' at line 2, column 1"),
+    (b"drive:\n\tomega: 1.0\n", "at line 2, column 1"),
+    (b"drive: {omega: 1.0}\nnote: \"\a\"\n", "unacceptable character #x0007"),
+    (b"drive: {omega: 1.0}\nnote: \xff\n", "unacceptable character #x00ff"),
+], ids=["unclosed-flow-mapping", "tab-indented-key", "control-character", "not-utf-8"])
+def test_malformed_yaml_exit_code(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.yaml"
+    config.write_bytes(text)
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: <root>: malformed YAML: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, name, value, path", [
     ("fluctuation", "delta", float("nan"), "fluctuation.delta"),
     ("cavity", "g_q", float("nan"), "cavity"),

@@ -205,16 +205,35 @@ def bits(values):
 
 
 def test_phase_table_is_bit_equal_to_dense_exp():
-    t = np.concatenate([[0.0, -0.0, -3.5, 1e8, -1e12, 1e15], np.linspace(-50.0, 50.0, 301)])
-    f = np.array([0.0, -0.0, 1.0, -2.0, 0.3, 1e6, -1e9, 10.9])
-    assert np.array_equal(bits(phase_table(t, -f)), bits(np.exp(-1j * np.outer(t, f))))
-    plus = phase_table(t, f)
-    dense = np.exp(1j * np.outer(t, f))
-    assert np.array_equal(plus, dense)
-    # 1j * x adds +0 to x, so only a product of -0 keeps its sign here
-    assert np.array_equal(bits(plus.real), bits(dense.real))
-    assert np.array_equal(bits(plus.imag + 0.0), bits(dense.imag))
-    assert phase_table(0.5, f).shape == (1, f.size)
+    rng = np.random.default_rng(20)
+    # a comb of 25 lines as the drive takes it, and frequencies of -0, 0 and up to 1e9
+    combs = [-DriveParams(omega=0.7, n_max=24).harmonics(),
+             np.array([0.0, -0.0, 1.0, -2.0, 0.3, 1e6, -1e9, 10.9])]
+    # products of -0 and 0, at most DBL_MIN (subnormal ones too), and up to 1e8 and beyond
+    t = np.concatenate([[0.0, -0.0, 5e-324, -1e-310, 2.2e-308 / 17, -3.5, 1e8 / 16.8, 1e15],
+                        np.linspace(-50.0, 50.0, 301),
+                        rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.uniform(-320.0, 6.0, 400),
+                        rng.uniform(-1e8, 1e8, 400) / 16.8])
+    strided = np.repeat(t, 3)[::3]
+    assert not strided.flags.contiguous
+    for f in combs:
+        for times in (t, strided):
+            table = phase_table(times, f)
+            dense = np.exp(1j * np.outer(times, f))
+            assert np.array_equal(table, dense)
+            assert np.array_equal(bits(table.real), bits(dense.real))
+            # 1j * x adds +0 to x, so only a product of -0 keeps its sign here
+            assert np.array_equal(bits(table.imag + 0.0), bits(dense.imag))
+            product = np.outer(times, f)
+            negative_zero = (product == 0) & np.signbit(product)
+            assert negative_zero.any() and np.signbit(table.imag[negative_zero]).all()
+    assert phase_table(0.5, combs[1]).shape == (1, combs[1].size)
+
+
+def test_phase_table_of_an_infinite_phase_is_invalid():
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        table = phase_table(np.array([np.inf]), np.array([1.0]))
+    assert np.isnan(table.real[0, 0]) and np.isnan(table.imag[0, 0])
 
 
 def test_positive_frequency_signal_of_a_scalar_time():

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -25,7 +26,7 @@ from leaky_cavity.io import (
 )
 from leaky_cavity.oracle import monte_carlo_noise
 from leaky_cavity.runner import run
-from leaky_cavity.spectrum import integrated_power, power_spectrum
+from leaky_cavity.spectrum import SpectrumResult, integrated_power, power_spectrum
 
 
 def comb_case():
@@ -105,6 +106,51 @@ def test_spectrum_and_power_json(tmp_path):
     pdoc = json.loads((tmp_path / "power.json").read_text())
     assert float(pdoc["p_total"]) == report.p_total
     assert float(pdoc["p_fluctuation_max"]) == report.p_fluctuation_max
+
+
+def dumped_spectrum_json(result):
+    """spectrum.json as one json.dumps of the whole document."""
+    doc = {
+        "lines": [[lcio._fmt(w), lcio._fmt(s)] for w, s in result.lines],
+        "continuum": [[lcio._fmt(w), lcio._fmt(s)] for w, s in zip(result.omega, result.continuum)],
+        "normalization": result.normalization,
+        "grid_truncated": result.grid_truncated,
+    }
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def spectrum_result(n_lines, n_points, truncated, seed=0):
+    rng = np.random.default_rng(seed)
+    continuum = rng.normal(size=n_points) * 10.0 ** rng.uniform(-300.0, 300.0, n_points)
+    continuum[:3] = [-0.0, 0.0, 5e-324][:n_points]  # -0, 0 and a subnormal among the cells
+    lines = np.column_stack([np.arange(n_lines) * 0.75, -rng.exponential(size=n_lines)])
+    return SpectrumResult(lines=lines, omega=np.linspace(-2.0, 2.0, n_points),
+                          continuum=continuum, normalization="half-range",
+                          grid_truncated=truncated)
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+@pytest.mark.parametrize("n_lines, n_points", [(0, 1), (1, 1023), (1, 1024), (16, 1025),
+                                               (0, 3), (2, 4097), (1, 0)])
+def test_spectrum_json_is_the_dumped_document(tmp_path, n_lines, n_points, truncated):
+    result = spectrum_result(n_lines, n_points, truncated)
+    path = tmp_path / "spectrum.json"
+    write_spectrum_json(path, result)
+    assert path.read_bytes() == dumped_spectrum_json(result)
+
+
+def test_spectrum_json_memory_does_not_grow_with_the_grid(tmp_path):
+    # the whole document as Python strings took 136 MB at 250 000 points
+    result = spectrum_result(16, 250_000, False)
+    path = tmp_path / "spectrum.json"
+    tracemalloc.start()
+    try:
+        write_spectrum_json(path, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert path.stat().st_size > 60 * 250_000
 
 
 def test_dipole_spectrum_json_round_trip(tmp_path):

@@ -11,7 +11,7 @@ from leaky_cavity import oracle
 from leaky_cavity.cavity import CavityParams, dipole_noise_occupation, mode_amplitude
 from leaky_cavity.cli import default_scenario_path
 from leaky_cavity.dipole import _PHASE_BLOCK_ELEMENTS, DipoleSpectrum, DriveParams, \
-    FluctuationModel, TimeSeries, noise_std, uniform_steps
+    FluctuationModel, TimeSeries, _phase_row_blocks, noise_std, uniform_steps
 from leaky_cavity.oracle import (
     _MC_BLOCK,
     _MC_SLAB_BLOCKS,
@@ -19,6 +19,7 @@ from leaky_cavity.oracle import (
     BathDiscretization,
     _arrowhead_spectrum,
     _digamma,
+    _rk4_grid,
     _rk4_transfer,
     _scan,
     amplitude_ode_step,
@@ -66,6 +67,110 @@ def test_ode_error_contracts():
         integrate_amplitude_ode(params, spec, np.array([0.0, 0.01, 0.03]))
     with pytest.raises(ValueError, match="start at 0"):  # the vacuum starts at t = 0
         integrate_amplitude_ode(params, spec, np.arange(1.0, 2.0, 0.01))
+
+
+def three_evaluation_ode(params, spec, t):
+    """The amplitude oracle with the drive evaluated at every step's start, middle and end."""
+    h, (r, c0, cm, c1) = _rk4_grid(params, t)
+    states = np.empty(t.size, dtype=complex)
+    states[0] = 0j
+    for rows in _phase_row_blocks(t.size - 1, spec.coeffs.size):
+        nodes = t[rows]
+        f0 = spec.positive_frequency_signal(nodes)
+        fm = spec.positive_frequency_signal(nodes + h / 2.0)
+        f1 = spec.positive_frequency_signal(nodes + h)
+        forcing = params.g_q * (c0 * f0 + cm * fm + c1 * f1)
+        states[rows.start:rows.stop + 1] = _scan(r, forcing, states[rows.start])
+    return states
+
+
+def end_misses(t):
+    """Steps n whose end t_n + h is not the grid node t_{n+1}, h being the first step."""
+    return np.flatnonzero(t[:-1] + (t[1] - t[0]) != t[1:])
+
+
+def comb(n_max, seed):
+    rng = np.random.default_rng(seed)
+    return DipoleSpectrum(drive=DriveParams(omega=0.75, n_max=n_max),
+                          coeffs=rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1))
+
+
+def exact_grid(n):
+    """A grid of power-of-two steps: every step ends on the next node."""
+    return 2.0 ** -9 * np.arange(n)
+
+
+def jittered_grid(n):
+    """An exact grid whose nodes after t_1 sit 1e-10 steps up and down, uniform to the
+    oracle's tolerance: only step 0 ends on a node, since h = t_1 - 0 bit for bit."""
+    t = exact_grid(n)
+    t[2:] += 2.0 ** -9 * 1e-10 * (-1.0) ** np.arange(2, n)
+    return t
+
+
+def one_node_nudged(n):
+    """An exact grid with t_2 one ulp down: step 1 alone ends off the grid, since t_2 + h
+    is a tie that rounds to t_3.  Its state z_2 = r z_1 + forcing_1 is of the forcing's size,
+    so a forcing that rounds otherwise shows."""
+    t = exact_grid(n)
+    t[2] = np.nextafter(t[2], 0.0)
+    return t
+
+
+STEP_END_CASES = {  # (cavity, comb, grid, steps whose end is evaluated on its own)
+    "every-end-on-the-grid": (CavityParams(omega_q=3.0, g_q=0.05, kappa=0.1), comb(3, 1),
+                              exact_grid(5000), 0),
+    "some-ends-on-the-grid": (CavityParams(omega_q=2.25, g_q=0.3, kappa=0.2), comb(20, 2),
+                              np.linspace(0.0, 20.0, 6001), 1671),
+    "only-step-0-on-the-grid": (CavityParams(omega_q=0.75, g_q=0.05, kappa=0.1), comb(1, 3),
+                                jittered_grid(3000), 2998),
+    "one-miss-in-a-block": (CavityParams(omega_q=3.0, g_q=0.05, kappa=0.1), comb(15, 7),
+                            one_node_nudged(5000), 1),
+    "uncoupled": (CavityParams(omega_q=3.0, g_q=0.0, kappa=0.1), comb(3, 5),
+                  np.linspace(0.0, 10.0, 2001), 483),
+}
+
+
+@pytest.mark.parametrize("case", STEP_END_CASES.values(), ids=STEP_END_CASES.keys())
+def test_ode_reuses_grid_nodes_bit_for_bit(case, monkeypatch):
+    params, spec, t, n_misses = case
+    misses = end_misses(t)
+    assert misses.size == n_misses
+    blocks = _phase_row_blocks(t.size - 1, spec.coeffs.size)
+    if n_misses == 1:  # a lone miss in a block of many rows, whose one-row product rounds otherwise
+        assert len(blocks) > 1 and blocks[0].stop > 2
+        end, start = t[misses[0]] + t[1], t[misses[0]]
+        assert (spec.positive_frequency_signal(np.array([end]))[0]
+                != spec.positive_frequency_signal(np.array([end, start]))[0])
+    reference = three_evaluation_ode(params, spec, t)
+
+    rows = []
+    drive = DipoleSpectrum.positive_frequency_signal
+    monkeypatch.setattr(DipoleSpectrum, "positive_frequency_signal",
+                        lambda self, nodes: rows.append(np.size(nodes)) or drive(self, nodes))
+    values = integrate_amplitude_ode(params, spec, t).values
+    assert np.array_equal(values.view(np.uint64), reference.view(np.uint64))
+    # each block's nodes with the next block's first, its midpoints, and its missed ends,
+    # a lone one beside its step's start
+    per_block = np.diff(np.searchsorted(misses, [0] + [block.stop for block in blocks]))
+    ends = sum(m + (m == 1) for m in per_block.tolist())
+    assert sum(rows) == t.size + len(blocks) - 1 + t.size - 1 + ends
+
+
+def test_ode_of_one_step_takes_both_nodes_from_one_product():
+    # A one-step grid has a one-row block, where the three-evaluation oracle forms
+    # three one-row products.  Its end lies on t_1, so f(t_0) and f(t_1) come from
+    # one two-row product, as the rule for phase tables asks, and only the
+    # midpoint's product has one row; a one-row product may round otherwise.
+    params, spec = comb_case()
+    t = np.array([0.0, 0.005 / params.omega_q])
+    h, (r, c0, cm, c1) = _rk4_grid(params, t)
+    f0, f1 = spec.positive_frequency_signal(t)
+    fm = spec.positive_frequency_signal(t[:1] + h / 2.0)[0]
+    expected = np.array([0j, params.g_q * (c0 * f0 + cm * fm + c1 * f1)])
+    values = integrate_amplitude_ode(params, spec, t).values
+    assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+    assert np.allclose(values, three_evaluation_ode(params, spec, t), rtol=1e-15, atol=0.0)
 
 
 def test_noise_std_is_sqrt_delta_over_the_step():

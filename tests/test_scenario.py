@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -6,7 +8,7 @@ from leaky_cavity.cli import default_scenario_path
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
 from leaky_cavity.runner import ARTIFACTS
-from leaky_cavity.scenario import ScenarioError, load_scenario
+from leaky_cavity.scenario import YAML_LOADER, ScenarioError, load_scenario
 
 BASE = {
     "drive": {"omega": 1.0, "n_max": 3},
@@ -31,6 +33,17 @@ def test_shipped_scenario_loads():
     assert config.correlation_convention == "tau-zero-consistent"
     assert config.t_grid[0] == 0.0
     assert set(config.outputs) <= set(ARTIFACTS)
+
+
+def test_scenarios_are_read_by_libyaml_where_pyyaml_has_it():
+    assert YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+def test_both_yaml_loaders_read_the_shipped_scenario_alike():
+    # tests/conftest.py compares the two on every scenario the other tests load
+    text = Path(default_scenario_path()).read_text()
+    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.safe_load(text))
 
 
 def test_minimal_config(tmp_path):
