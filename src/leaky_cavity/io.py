@@ -376,11 +376,12 @@ def write_power_report_json(path, report: PowerReport):
 
 
 def read_timeseries_csv(path) -> TimeSeries:
-    """Columns t, value or t, re, im after a header; blank and ``#`` lines are skipped.
+    """Columns t, value after a header; blank and ``#`` lines are skipped.
 
     A ``#`` also ends a data line.  A cell that is no number, a row with
-    another column count, a file of other than two or three columns, or times
-    that do not increase over a finite span raise ``ValueError`` naming ``path``.
+    another column count, a file of other than two columns (a dipole series is
+    real, so a t, re, im file is refused too), or times that do not increase
+    over a finite span raise ``ValueError`` naming ``path``.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -395,13 +396,10 @@ def read_timeseries_csv(path) -> TimeSeries:
             raise ValueError(f"{path}: {exc}") from None
     if len(data) == 0:
         raise ValueError(f"{path}: no data rows")
-    if data.shape[1] not in (2, 3):
-        raise ValueError(f"{path}: need a time column and a value column (t, value or "
-                         f"t, re, im), got {data.shape[1]} columns")
-    values = data[:, 1]
-    if data.shape[1] == 3:  # not re + 1j*im, which turns a -0 into 0 and an infinite im into nan
-        values = np.ascontiguousarray(data[:, 1:3]).view(complex)[:, 0]
+    if data.shape[1] != 2:
+        raise ValueError(f"{path}: need a time column and a value column (t, value; a dipole "
+                         f"series must be real), got {data.shape[1]} columns")
     try:
-        return TimeSeries(times=data[:, 0], values=values)
+        return TimeSeries(times=data[:, 0], values=data[:, 1])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -7,6 +7,8 @@ unitary model whose continuum limit reproduces the Markovian decay rate.
 None of them reuses the closed-form expressions they are checked against.
 """
 
+import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,7 +27,8 @@ NOISE_KAPPA_TAU = 3.0
 BATH_KAPPA_T = 5.0
 BATH_HALF_WIDTH_KAPPAS = 40.0
 
-# Monte-Carlo trials drawn and filtered together; it bounds memory, not results.
+# Monte-Carlo trials drawn and filtered together.  It bounds memory; results
+# agree to rounding, as the per-chunk sums over trials reassociate.
 _MC_CHUNK = 512
 # Steps per block of the Monte-Carlo recursion (one GEMM row) and blocks per
 # slab (one GEMM): 256 steps x 512 trials keep the slab arrays at a few MB.
@@ -33,10 +36,10 @@ _MC_CHUNK = 512
 _MC_BLOCK = 16
 _MC_SLAB_BLOCKS = 16
 # Slabs of normals drawn per trial at a time: the draw tile holds
-# _MC_CHUNK x (8 x 256) floats whatever the walk's length.  Drawing a
+# _MC_CHUNK x (4 x 256) floats (4 MB) whatever the walk's length.  Drawing a
 # generator's stream in pieces gives the same normals, so results do not
 # depend on it.
-_MC_TILE_SLABS = 8
+_MC_TILE_SLABS = 4
 
 
 def _rk4_transfer(lam: complex, h: float):
@@ -83,10 +86,27 @@ def noise_step(params: CavityParams) -> float:
     return 0.02 / max(params.omega_q, params.kappa)
 
 
-def noise_times(params: CavityParams) -> np.ndarray:
-    """The Monte-Carlo oracle's t grid: steps of ``noise_step`` out to kappa t = NOISE_KAPPA_T."""
+def noise_points(params: CavityParams) -> int:
+    """Points of ``noise_times``, counted without building the grid.
+
+    This is np.arange's count ceil(stop / step) for steps of ``noise_step`` to
+    the stop kappa t = NOISE_KAPPA_T plus half a step; ValueError if that count
+    is beyond a float.
+    """
     dt = noise_step(params)
-    return np.arange(0.0, NOISE_KAPPA_T / params.kappa + dt / 2, dt)
+    count = (NOISE_KAPPA_T / params.kappa + dt / 2) / dt
+    if not math.isfinite(count):
+        raise ValueError(f"the Monte-Carlo walk at kappa = {params.kappa!r} and "
+                         f"omega_q = {params.omega_q!r} has more steps than a float holds")
+    return math.ceil(count)
+
+
+def noise_times(params: CavityParams) -> np.ndarray:
+    """The Monte-Carlo oracle's t grid: steps of ``noise_step`` out to kappa t = NOISE_KAPPA_T.
+
+    Point k is k times the step, as np.arange(0, stop, step) forms it.
+    """
+    return noise_step(params) * np.arange(noise_points(params))
 
 
 def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
@@ -220,8 +240,10 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
                       picks=None) -> TrajectoryEnsemble:
     """Estimate <D^dagger D> statistics by averaging noise-driven trajectories.
 
-    Each trial draws one white-noise realization (seeded by (seed, trial) so
-    trials are independent and the ensemble is reproducible), pushes it through
+    Each trial draws one white-noise realization (from
+    ``np.random.default_rng([seed, trial])``, so trials are independent and the
+    ensemble is reproducible; a chunk's generators are seeded in one
+    vectorized pass, ``_seeding.trial_generators``), pushes it through
     the damped filter d(t) = g_q int_0^t exp(-(i omega_q+kappa)(t-t')) dd(t') dt'
     with the same 4th-order step and piecewise-constant forcing per step, and
     the ensemble reports mean and standard error of |d(t)|^2 at t_grid[picks]
@@ -239,7 +261,8 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     |d|^2 sums over trials are GEMVs with a ones vector over every state of
     the blocks that hold a pick.  Each trial's generator stays open across its
     chunk and fills one row of a fixed draw tile at a time, so memory grows
-    with the walk only through the sums at the picks.
+    with the walk only through the sums at the picks.  The two-time products
+    and their squared moduli reuse the slab buffers at the chunk's end.
     """
     t = np.asarray(t_grid, dtype=float)
     h, (r, c0, cm, c1) = _rk4_grid(params, t)
@@ -250,6 +273,9 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     if np.any(tau_steps < 0) or np.any(np.abs(tau_steps * h - tau) > 1e-9 * h):
         raise ValueError("tau grid points must be nonnegative multiples of the t step")
     n_steps = n_t - 1 + int(tau_steps.max(initial=0))
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    from ._seeding import trial_generators  # only a walk compiles it and loads numpy.random
     sigma = noise_std(fluct, h)
     gain = params.g_q * (c0 + cm + c1)  # constant forcing over each step
 
@@ -276,20 +302,23 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     tt_sumsq = np.zeros(tau_steps.size)
     rows = min(_MC_CHUNK, n_trials)
     draws = np.empty((rows, tile))
-    block_end = np.empty((rows * (tile // n_l), 2))
-    carries = np.empty((rows, tile // n_l), dtype=complex)
+    block_end = np.empty((rows * (tile // n_l), 2))  # then, in place, each block's carry
     aug = np.empty(rows * n_blocks * (n_l + 2))  # noise blocks | Re, Im carry
     states = np.empty(rows * slab * 2)  # Re z, Im z of each state of the formed blocks
-    mod2 = np.empty(rows * slab)
     col_sum = np.empty(slab)
     ones = np.ones(rows)
     kept = np.empty((rows, snaps.size), dtype=complex)
+    # Lag columns per block of the chunk's two-time sums, which fill states (as
+    # complex) and aug.  No block is one column wide unless all are, since numpy
+    # sums a single column pairwise and wider ones row by row.
+    lag_blocks = max(1, -(-tau_steps.size // slab))
+    lag_width = max(1, -(-tau_steps.size // lag_blocks))
     for lo in range(0, n_trials, _MC_CHUNK):
         m = min(_MC_CHUNK, n_trials - lo)
-        streams = [np.random.default_rng([seed, k]) for k in range(lo, lo + m)]
+        streams = trial_generators(seed, range(lo, lo + m))
         noise = draws[:m]
         noise_blocks = noise.reshape(m, tile // n_l, n_l)
-        ends = block_end[:m * (tile // n_l)].view(complex).reshape(m, tile // n_l)
+        carries = block_end[:m * (tile // n_l)].view(complex).reshape(m, tile // n_l)
         z = np.zeros(m, dtype=complex)
         for t0 in range(0, n_pad, tile):
             width = min(tile, n_steps - t0)
@@ -299,31 +328,35 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
             np.matmul(noise.reshape(m * (tile // n_l), n_l), end_prop,
                       out=block_end[:m * (tile // n_l)])
             for b in range(min(tile, n_pad - t0) // n_l):
-                carries[:m, b] = z
-                z = r_block * z + ends[:, b]
+                z, carries[:, b] = r_block * z + carries[:, b], z
             for s0 in range(t0, min(t0 + tile, n_pad), slab):
                 if s0 not in reads:
                     continue
                 sel, k, k_occ, span, cols, here, snap_cols = reads[s0]
                 a = aug[:m * k * (n_l + 2)].reshape(m, k, n_l + 2)
                 a[:, :, :n_l] = noise_blocks[:, sel]
-                a[:, :, n_l:].view(complex)[..., 0] = carries[:m, sel]
+                a[:, :, n_l:].view(complex)[..., 0] = carries[:, sel]
                 out = states[:m * k * 2 * n_l].reshape(m, 2 * k * n_l)
                 np.matmul(a.reshape(m * k, n_l + 2), prop, out=out.reshape(m * k, 2 * n_l))
                 kept[:m, here] = out[:, 2 * snap_cols] + 1j * out[:, 2 * snap_cols + 1]
-                if cols is not None:
+                if cols is not None:  # |z|^2 into aug, free once its GEMM is done
                     width_occ = k_occ * n_l
                     part = out[:, :2 * width_occ]
-                    sq = mod2[:m * width_occ].reshape(m, width_occ)
+                    sq = aug[:m * width_occ].reshape(m, width_occ)
                     col = col_sum[:width_occ]
                     np.square(part, out=part)
                     np.add(part[:, 0::2], part[:, 1::2], out=sq)
                     total[span] += np.matmul(ones[:m], sq, out=col)[cols]
                     np.square(sq, out=sq)
                     total_sq[span] += np.matmul(ones[:m], sq, out=col)[cols]
-        prod = np.conj(kept[:m, :1]) * kept[:m, 1:]
-        tt_sum += prod.sum(axis=0)
-        tt_sumsq += (np.abs(prod) ** 2).sum(axis=0)
+        for first in range(0, tau_steps.size, lag_width):
+            last = min(first + lag_width, tau_steps.size)
+            prod = states[:2 * m * (last - first)].view(complex).reshape(m, last - first)
+            np.multiply(np.conj(kept[:m, :1]), kept[:m, 1 + first:1 + last], out=prod)
+            tt_sum[first:last] += prod.sum(axis=0)
+            moduli = aug[:prod.size].reshape(prod.shape)
+            np.square(np.abs(prod, out=moduli), out=moduli)
+            tt_sumsq[first:last] += moduli.sum(axis=0)
 
     times = t if picks is None else t[picked]
     mean_occ, stderr_occ = _mean_stderr(total, total_sq, n_trials)

@@ -11,7 +11,8 @@ from .correlation import stationary_correlation, two_time_correlation
 from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, synthesize_mean_dipole
 from .oracle import NOISE_KAPPA_TAU, BathDecayResult, BathDiscretization, \
     TrajectoryEnsemble, amplitude_ode_step, bath_times, cavity_bath, continuum_pole, \
-    discrete_bath_decay, integrate_amplitude_ode, monte_carlo_noise, noise_times
+    discrete_bath_decay, integrate_amplitude_ode, monte_carlo_noise, noise_points, noise_step, \
+    noise_times
 from .scenario import load_scenario
 from .spectrum import integrated_power, power_spectrum
 
@@ -124,9 +125,31 @@ def _amplitude_oracle(config, target):
     return {} if deviation is None else {"amplitude_oracle_max_rel_deviation": deviation}
 
 
+def noise_lag_steps(params: CavityParams) -> np.ndarray:
+    """The lags of run's Monte-Carlo oracle, as indices into ``noise_times(params)``.
+
+    Every (n_t // 200)-th point of the n_t-point grid out to kappa tau =
+    NOISE_KAPPA_TAU, found by counting, so the grid need not be built.
+    """
+    n_t = noise_points(params)
+    h = noise_step(params)
+    limit = NOISE_KAPPA_TAU / params.kappa
+    last = min(int(limit / h), n_t - 1)  # the last k whose point k * h is at most limit
+    while last + 1 < n_t and (last + 1) * h <= limit:
+        last += 1
+    while last * h > limit:
+        last -= 1
+    return np.arange(0, last + 1, max(1, n_t // 200))
+
+
+def noise_walk_steps(params: CavityParams) -> int:
+    """Steps of run's Monte-Carlo walk: those of ``noise_times`` and then its largest lag."""
+    return noise_points(params) - 1 + int(noise_lag_steps(params)[-1])
+
+
 def _noise_oracle(config, target):
     t = noise_times(config.cavity)
-    tau = t[t <= NOISE_KAPPA_TAU / config.cavity.kappa][:: max(1, t.size // 200)]
+    tau = t[noise_lag_steps(config.cavity)]
     ens = monte_carlo_noise(config.cavity, config.fluctuation, t, tau_grid=tau,
                             n_trials=config.oracle.n_trials, seed=config.oracle.seed)
     lcio.write_ensemble_csv(target("noise_oracle.csv"), ens, which="occupation")

@@ -29,6 +29,18 @@ MAX_BATH_MODES = 10 ** 6
 # A million points on the shipped scenario take about 1.8 s and 90 MB of peak RSS
 # for t, 1.5 s and 200 MB for tau, and 1.0 s and 60 MB for omega (2-vCPU Xeon).
 MAX_GRID_POINTS = 10 ** 6
+# Largest drive.n_max: the closed forms' time and memory grow with grid points x
+# comb lines.  On the shipped grids 10^4 lines load in 0.23 s and run the five
+# closed-form outputs in 4.9 s and 550 MB of peak RSS (0.4 s and 90 MB at 10^3).
+# The amplitude oracle grows as n_max^2 x t_end (15 s at n_max = 100): this
+# ceiling does not bound it.
+MAX_N_MAX = 10 ** 4
+# Largest oracle.n_trials x walk steps (runner.noise_walk_steps) when a run
+# requests noise_oracle.  A walk costs about 17 ns per normal drawn and 25 ns per
+# trial-step in all (2-vCPU Xeon), so the budget is about 25 s, as a bath at
+# MAX_BATH_MODES takes 17 s; the shipped cavity's walk of 34 350 steps takes
+# up to 29 112 trials.
+MAX_TRIAL_STEPS = 10 ** 9
 
 # PyYAML's libyaml parser where PyYAML was built with it (the shipped scenario
 # parses in 0.3 ms, not 2.6 ms, on a 2-vCPU Xeon), else its pure-Python one; both
@@ -174,7 +186,7 @@ def decompose_series(path, drive: DriveParams) -> DipoleSpectrum:
 
 def load_scenario(path, seed_override=None) -> ScenarioConfig:
     """Parse and validate a scenario file, ``seed_override`` as its seed; raises ScenarioError."""
-    from .runner import ARTIFACTS, DEFAULT_OUTPUTS  # runner imports us
+    from .runner import ARTIFACTS, DEFAULT_OUTPUTS, noise_walk_steps  # runner imports us
 
     with open(path, "rb") as fh:  # bytes, so that YAML's reader also judges the encoding
         try:
@@ -188,7 +200,7 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
     drive = None
     dd = _mapping(doc, "drive", errors)
     omega = _number(dd.get("omega", 1.0), "drive.omega", errors)
-    n_max = _integer(dd.get("n_max", 1), "drive.n_max", errors, 1)
+    n_max = _integer(dd.get("n_max", 1), "drive.n_max", errors, 1, most=MAX_N_MAX)
     if "drive" not in errors and None not in (omega, n_max):
         drive = _build(errors, "drive", DriveParams, omega=float(omega), n_max=n_max)
 
@@ -282,6 +294,13 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
 
     if "noise_oracle" in outputs and osettings.seed is None:
         errors["oracle.seed"] = "seed is mandatory when Monte-Carlo output is requested"
+
+    if cavity is not None and "noise_oracle" in outputs and "oracle.n_trials" not in errors:
+        steps = _build(errors, "oracle.n_trials", noise_walk_steps, cavity)
+        if steps is not None and osettings.n_trials * steps > MAX_TRIAL_STEPS:
+            errors["oracle.n_trials"] = (
+                f"must be at most {MAX_TRIAL_STEPS // steps} for this cavity's walk of {steps} "
+                f"steps ({MAX_TRIAL_STEPS} trial-steps in all), got {osettings.n_trials}")
 
     if (cavity is not None and "bath_oracle" in outputs
             and not {"oracle.bath_modes", "oracle.bath_half_width_kappas"} & errors.keys()):

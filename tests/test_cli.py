@@ -15,8 +15,9 @@ from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION, \
     default_scenario_path, main
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
-from leaky_cavity.runner import BOUNDS, failed_checks, run
-from leaky_cavity.scenario import MAX_BATH_MODES, MAX_GRID_POINTS, load_scenario
+from leaky_cavity.runner import BOUNDS, failed_checks, noise_walk_steps, run
+from leaky_cavity.scenario import MAX_BATH_MODES, MAX_GRID_POINTS, MAX_N_MAX, MAX_TRIAL_STEPS, \
+    load_scenario
 
 SCENARIO = {
     "drive": {"omega": 1.0, "n_max": 3},
@@ -395,18 +396,66 @@ def test_integral_float_cutoff_is_refused_for_every_dipole_source(tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, path, message", [
-    ("drive.n_max", "dipole", "need 1" + "0" * 399 + "1 coefficients"),
-])
-def test_integer_beyond_the_float_range_is_refused_under_a_path(tmp_path, capsys, field, path,
-                                                                message):
-    # such a count used to fail as no number a float can hold; now it passes the integer
-    # rule and is refused by what it counts (a grid's count meets its ceiling first)
+@pytest.mark.parametrize("n_max", [MAX_N_MAX + 1, 10 ** 400], ids=["ceiling-plus-one", "huge"])
+def test_n_max_above_the_ceiling_is_refused(tmp_path, capsys, n_max):
+    # 10**400 passed the integer rule and was refused only by its coefficient count
     config = tmp_path / "bad.yaml"
-    config.write_text(yaml.safe_dump(_set_field(SCENARIO, field, 10 ** 400)))
+    config.write_text(yaml.safe_dump(_set_field(SCENARIO, "drive.n_max", n_max)))
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith(f"invalid config: {path}: {message}")
+    assert capsys.readouterr().err == (f"invalid config: drive.n_max: must be at most "
+                                       f"{MAX_N_MAX}, got {n_max}\n")
+    assert not out.exists()
+
+
+def test_a_comb_at_the_ceiling_loads(tmp_path):
+    doc = _set_field(SCENARIO, "drive.n_max", MAX_N_MAX)
+    doc["dipole"] = {"coeffs": [[0.0, 0.0]] * MAX_N_MAX + [[0.125, 0.0]]}
+    config = tmp_path / "ceiling.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert load_scenario(config).spectrum.coeffs.size == MAX_N_MAX + 1
+
+
+def _noise_scenario(tmp_path, n_trials, cavity=None, outputs=("noise_oracle",)):
+    doc = {**SCENARIO, "cavity": cavity or SCENARIO["cavity"], "outputs": list(outputs),
+           "oracle": {**SCENARIO["oracle"], "n_trials": n_trials}}
+    config = tmp_path / "noise.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    return config
+
+
+def test_monte_carlo_budget_holds_the_shipped_and_test_scenarios(tmp_path):
+    shipped = load_scenario(default_scenario_path())
+    for cavity, n_trials in [(shipped.cavity, shipped.oracle.n_trials),
+                             (load_scenario(_noise_scenario(tmp_path, 200)).cavity, 200)]:
+        assert n_trials * noise_walk_steps(cavity) <= MAX_TRIAL_STEPS / 10
+    most = MAX_TRIAL_STEPS // noise_walk_steps(shipped.cavity)
+    assert load_scenario(_noise_scenario(tmp_path, most)).oracle.n_trials == most
+    # the budget is the walk's: without noise_oracle nothing draws the trials
+    assert load_scenario(_noise_scenario(tmp_path, 10 ** 12, outputs=["occupation"]))
+
+
+@pytest.mark.parametrize("n_trials, cavity, message", [
+    (10 ** 12, None, "must be at most 29112 for this cavity's walk of 34350 steps "
+                     "(1000000000 trial-steps in all), got 1000000000000"),
+    (29113, None, "must be at most 29112 for this cavity's walk of 34350 steps "
+                  "(1000000000 trial-steps in all), got 29113"),
+    (2, {"omega_q": 3.0, "g_q": 0.05, "kappa": 3e-6, "q": 3},
+     "must be at most 0 for this cavity's walk of 1145000000 steps "
+     "(1000000000 trial-steps in all), got 2"),
+    (2, {"omega_q": 3.0, "g_q": 0.05, "kappa": 1e-310, "q": 3},
+     "the Monte-Carlo walk at kappa = 1e-310 and omega_q = 3.0 has more steps than a "
+     "float holds"),
+], ids=["trillion-trials", "budget-plus-one", "walk-beyond-the-budget", "walk-beyond-a-float"])
+def test_monte_carlo_work_beyond_the_budget_is_refused(tmp_path, capsys, n_trials, cavity,
+                                                       message):
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(_noise_scenario(tmp_path, n_trials, cavity)),
+                 "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"invalid config: oracle.n_trials: {message}\n"
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -479,6 +528,30 @@ def test_run_imports_no_scipy(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_only_the_walk_imports_numpy_random(tmp_path):
+    # loading and running the shipped scenario, which has no noise_oracle, draws nothing
+    code = (
+        "import sys\n"
+        "import leaky_cavity.cli\n"
+        "from leaky_cavity.cli import default_scenario_path, main\n"
+        "from leaky_cavity.scenario import load_scenario\n"
+        "walk = {'numpy.random', 'leaky_cavity._seeding'}\n"
+        "load_scenario(default_scenario_path())\n"
+        "print(sorted(walk & set(sys.modules)))\n"
+        "assert main(['run', '--config', str(default_scenario_path()),\n"
+        f"             '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(walk & set(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
 @pytest.mark.parametrize("q, message", [

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leaky_cavity import oracle
+from leaky_cavity import _seeding, oracle
 from leaky_cavity.cavity import CavityParams, dipole_noise_occupation, mode_amplitude
 from leaky_cavity.cli import default_scenario_path
 from leaky_cavity.dipole import _PHASE_BLOCK_ELEMENTS, DipoleSpectrum, DriveParams, \
@@ -183,6 +183,22 @@ def test_noise_step_scales_with_the_fastest_rate():
     assert oracle.noise_step(CavityParams(omega_q=0.5, g_q=1.0, kappa=4.0)) == 0.005
 
 
+@pytest.mark.parametrize("omega_q, kappa", [(3.0, 0.1), (1.0, 0.1), (0.5, 4.0), (1.0, 0.07),
+                                            (2.3, 0.0137), (0.01, 0.3), (5.0, 0.03)])
+def test_noise_grids_are_counted_without_building_them(omega_q, kappa):
+    # the grid as np.arange forms it, and run's lags as the grid's own points
+    from leaky_cavity.runner import noise_lag_steps, noise_walk_steps
+
+    params = CavityParams(omega_q=omega_q, g_q=1.0, kappa=kappa)
+    dt = oracle.noise_step(params)
+    t = np.arange(0.0, oracle.NOISE_KAPPA_T / kappa + dt / 2, dt)
+    assert oracle.noise_points(params) == t.size
+    assert np.array_equal(oracle.noise_times(params).view(np.uint64), t.view(np.uint64))
+    tau = t[t <= oracle.NOISE_KAPPA_TAU / kappa][:: max(1, t.size // 200)]
+    assert np.array_equal(t[noise_lag_steps(params)], tau)
+    assert noise_walk_steps(params) == t.size - 1 + round(tau[-1] / dt)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 1000, 60000])
 def test_scan_matches_lfilter(n):
     from scipy.signal import lfilter
@@ -303,20 +319,20 @@ def test_mc_is_deterministic_and_chunk_independent():
 # (n_t, tau lags in steps, trials, picks).  The last state of the walk is
 # always the largest lag.  With 256-step slabs of 16-step blocks, n_t = 257
 # puts t_ref on the last state of the first slab and n_t = 258 on the first of
-# the second; the 4395-step walk covers two 2048-step draw tiles and part of a
+# the second; the 2395-step walk covers two 1024-step draw tiles and part of a
 # third.  State s >= 1 is the (s - 1) % 16-th of its block: states 1 and 16
 # open and close the first block, 17 opens the second, 256 closes the first
-# slab and 257 opens the second; state 2048 closes the first draw tile.
+# slab and 257 opens the second; state 1024 closes the first draw tile.
 @pytest.mark.parametrize("n_t, lags, n_trials, picks", [
     (1000, [0, 3, 3, 0, 517], 512 + 3, None),
-    (4000, [0, 5, 396], 24, None),
+    (2000, [0, 5, 396], 24, None),
     (257, [0, 1, 300], 40, None),
     (258, [0, 256, 255], 40, None),
     (300, None, 40, None),
     (2, [0], 5, None),
     (2, [0, 2], 5, None),
     (1000, [0, 3, 517], 512 + 3, [0, 1, 16, 17, 256, 257, 600, 999]),
-    (4000, None, 24, [0, 2047, 2048, 2049, 3999]),
+    (2000, None, 24, [0, 1023, 1024, 1025, 1999]),
     (258, [0, 256, 255], 40, [257]),
     (300, [0, 40], 40, [150]),
     (300, None, 40, [0]),
@@ -326,7 +342,7 @@ def test_mc_is_deterministic_and_chunk_independent():
         "picks-t-ref-only", "single-pick", "vacuum-pick-only"])
 def test_mc_slab_recursion_matches_per_step_loop(n_t, lags, n_trials, picks):
     assert _MC_BLOCK * _MC_SLAB_BLOCKS == 256
-    assert _MC_TILE_SLABS * 256 == 2048
+    assert _MC_TILE_SLABS * 256 == 1024
     params, fluct, _ = mc_setup()
     h = 0.05
     t = h * np.arange(n_t)
@@ -345,10 +361,10 @@ def test_mc_forms_only_the_blocks_that_are_read():
     n_t = 10_001
     picks = np.unique(np.linspace(1, n_t - 1, 20).astype(int))
     snaps = n_t - 1 + np.concatenate([[0], 10 * np.arange(151)])
-    reads = oracle._slab_reads(picks, snaps, 256, 2048)
+    reads = oracle._slab_reads(picks, snaps, 256, 1024)
     assert sum(k for _, k, *_ in reads.values()) == 114
     assert sum(k_occ for _, _, k_occ, *_ in reads.values()) == 20
-    every = oracle._slab_reads(np.arange(n_t), snaps, 256, 2048)
+    every = oracle._slab_reads(np.arange(n_t), snaps, 256, 1024)
     assert sum(k for _, k, *_ in every.values()) == 719
 
 
@@ -369,7 +385,7 @@ def ensemble_arrays(ens):
 
 
 def test_mc_is_independent_of_the_draw_tile(monkeypatch):
-    # 4999 + 700 steps: three 2048-step tiles by default, 23 one-slab tiles
+    # 4999 + 700 steps: six 1024-step tiles by default, 23 one-slab tiles
     params, fluct, _ = mc_setup()
     t = 0.05 * np.arange(5000)
     tau = 0.05 * np.array([0.0, 1.0, 700.0])
@@ -414,6 +430,39 @@ def test_mc_memory_with_picks_does_not_grow_with_the_walk():
         assert ens.times.size == picks.size
         excess.append(peak - grid)
     assert max(excess) < 1e5
+
+
+def test_mc_chunk_heap_with_verify_reads():
+    # one 512-trial chunk of verify's walk, 20 picks and 151 snapshots 10 steps
+    # apart: 18.5 MB with an 8 MB draw tile and chunk-sized temporaries
+    params = CavityParams(omega_q=1.0, g_q=1.0, kappa=0.1)
+    fluct = FluctuationModel(0.2)
+    t = oracle.noise_times(params)
+    tau = np.arange(0.0, oracle.NOISE_KAPPA_TAU / params.kappa + 0.1, 0.2)
+    picks = np.unique(np.linspace(1, t.size - 1, 20).astype(int))
+    assert (t.size, tau.size, picks.size) == (10_001, 151, 20)
+    monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=4, seed=1, picks=picks)
+    tracemalloc.start()
+    try:
+        monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=512, seed=1234,
+                          picks=picks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11e6
+
+
+# 2**32 and up take two or three words, 3**80 four, and with them the entropy
+# [seed, k] outgrows SeedSequence's pool of four words.
+@pytest.mark.parametrize("seed", [0, 1, 7, 1234, 2**32 - 1, 2**32, 2**64 + 3, 3**80])
+def test_trial_generators_are_seeded_as_default_rng(seed):
+    keys = [0, 1, 511, 512, 2**32 - 1, 2**32]
+    words = _seeding.seed_states(seed, keys)
+    for key, row, generator in zip(keys, words, _seeding.trial_generators(seed, keys)):
+        sequence = np.random.SeedSequence([seed, key])
+        assert np.array_equal(row, sequence.generate_state(4, np.uint64))
+        assert generator.bit_generator.state == \
+            np.random.default_rng([seed, key]).bit_generator.state
 
 
 def test_mc_is_independent_of_blas_threads():
@@ -462,6 +511,8 @@ def test_mc_error_contracts():
         monte_carlo_noise(params, fluct, t, tau_grid=[0.0, 0.07], n_trials=4, seed=0)
     with pytest.raises(ValueError, match="step too large"):
         monte_carlo_noise(params, fluct, np.arange(0.0, 10.0, 0.5), n_trials=4, seed=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        monte_carlo_noise(params, fluct, t, n_trials=4, seed=-1)
     bad_picks = {"out of range": [0, t.size], "negative": [-1, 3], "unsorted": [5, 2],
                  "duplicated": [2, 2, 7], "non-integer": [1.0, 2.0], "empty": [],
                  "two-dimensional": [[1, 2]]}
