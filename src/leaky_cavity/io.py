@@ -26,11 +26,9 @@ from .spectrum import PowerReport, SpectrumResult
 
 _NUMBER = "%.17g"
 
-# CSV rows copied into one float block at a time; it bounds memory, not bytes.
-_ROW_BATCH = 4096
-# Rows that _format_block turns into text at a time.  Its temporaries, about 300
-# bytes a cell, then stay in cache: at 4096 rows of three columns a cell cost about
-# 40 % more.
+# CSV rows copied into one float block and turned into text by _format_block at a
+# time; it bounds memory, not bytes.  The kernel's temporaries, about 300 bytes a
+# cell, then stay in cache: at 4096 rows of three columns a cell cost about 40 % more.
 _KERNEL_ROWS = 1024
 
 
@@ -244,51 +242,54 @@ def _atomic_open(path):
 def _text_blocks(columns):
     """The ``%.17g`` CSV rows of the equal-length 1-d arrays ``columns``, ``_KERNEL_ROWS`` at a time.
 
-    Each batch is copied into a float block (a cell that is no number raises
-    ``ValueError``) and turned into text by ``_format_block``.
+    Each block of rows is copied into a float block (a cell that is no number
+    raises ``ValueError``) and turned into text by ``_format_block``.
     """
     n = len(columns[0])
-    for lo in range(0, n, _ROW_BATCH):
-        block = np.empty((min(_ROW_BATCH, n - lo), len(columns)))
+    for lo in range(0, n, _KERNEL_ROWS):
+        block = np.empty((min(_KERNEL_ROWS, n - lo), len(columns)))
         for j, col in enumerate(columns):
-            block[:, j] = col[lo:lo + _ROW_BATCH]
-        for i in range(0, len(block), _KERNEL_ROWS):
-            yield _format_block(block[i:i + _KERNEL_ROWS])
+            block[:, j] = col[lo:lo + _KERNEL_ROWS]
+        yield _format_block(block)
 
 
-def _write_rows(path, header: str, columns, comments=()):
-    """Write one CSV row per index of the equal-length 1-d arrays ``columns``."""
+def _write_rows(path, header: str, batches, comments=()):
+    """Write one CSV row per index of each batch of equal-length 1-d arrays in ``batches``.
+
+    The batches are written in turn as they come, so a caller can stream its
+    rows; one with whole arrays passes one batch.
+    """
     with _atomic_open(path) as fh:
         fh.write(("".join(f"# {c}\n" for c in comments) + header + "\n").encode())
-        for text in _text_blocks(columns):
-            fh.write(text)
+        for columns in batches:
+            for text in _text_blocks(columns):
+                fh.write(text)
 
 
 def write_timeseries_csv(path, series: TimeSeries, label: str = "value"):
     if np.iscomplexobj(series.values):
         _write_rows(path, f"t,{label}_re,{label}_im",
-                    (series.times, series.values.real, series.values.imag))
+                    [(series.times, series.values.real, series.values.imag)])
     else:
-        _write_rows(path, f"t,{label}", (series.times, series.values))
+        _write_rows(path, f"t,{label}", [(series.times, series.values)])
 
 
 def write_occupation_csv(path, curve: OccupationCurve):
     _write_rows(path, "t,coherent,noise,total",
-                (curve.times, curve.coherent, curve.noise, curve.total))
+                [(curve.times, curve.coherent, curve.noise, curve.total)])
 
 
 def write_correlation_csv(path, series: CorrelationSeries):
     comments = [f"convention={series.convention}",
                 "t=stationary" if series.stationary else f"t={_fmt(series.t)}"]
-    _write_rows(path, "tau,re,im",
-                (series.tau, series.values.real, series.values.imag),
+    _write_rows(path, "tau,re,im", [(series.tau, series.values.real, series.values.imag)],
                 comments=comments)
 
 
 def write_spectrum_csv(lines_path, continuum_path, result: SpectrumResult):
-    _write_rows(lines_path, "omega,weight", result.lines.T,
+    _write_rows(lines_path, "omega,weight", [result.lines.T],
                 comments=[f"normalization={result.normalization}"])
-    _write_rows(continuum_path, "omega,s", (result.omega, result.continuum),
+    _write_rows(continuum_path, "omega,s", [(result.omega, result.continuum)],
                 comments=[f"normalization={result.normalization}",
                           f"grid_truncated={result.grid_truncated}"])
 
@@ -297,17 +298,16 @@ def write_ensemble_csv(path, ensemble: TrajectoryEnsemble, which: str = "occupat
     comments = [f"n_trials={ensemble.n_trials}", f"seed={ensemble.seed}"]
     if which == "occupation":
         _write_rows(path, "t,mean_re,mean_im,stderr",
-                    (ensemble.times, ensemble.mean_occupation,
-                     np.zeros_like(ensemble.mean_occupation),
-                     ensemble.stderr_occupation),
+                    [(ensemble.times, ensemble.mean_occupation,
+                      np.zeros_like(ensemble.mean_occupation), ensemble.stderr_occupation)],
                     comments=comments)
     elif which == "two_time":
         if ensemble.tau is None:
             raise ValueError("ensemble has no two-time data")
         comments.append(f"reference_time={_fmt(ensemble.reference_time)}")
         _write_rows(path, "tau,mean_re,mean_im,stderr",
-                    (ensemble.tau, ensemble.mean_two_time.real,
-                     ensemble.mean_two_time.imag, ensemble.stderr_two_time),
+                    [(ensemble.tau, ensemble.mean_two_time.real,
+                      ensemble.mean_two_time.imag, ensemble.stderr_two_time)],
                     comments=comments)
     else:
         raise ValueError(f"unknown ensemble table {which!r}")

@@ -109,15 +109,15 @@ def noise_times(params: CavityParams) -> np.ndarray:
     return noise_step(params) * np.arange(noise_points(params))
 
 
-def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
-                            t_grid) -> TimeSeries:
-    """Integrate d<a_q>/dt = -(i omega_q + kappa) <a_q> + g_q d(t) from vacuum.
+def amplitude_ode_blocks(params: CavityParams, mean_dipole: DipoleSpectrum, t_grid):
+    """The states of ``integrate_amplitude_ode``, one row block of phase tables at a time.
 
-    The drive is the positive-frequency signal of the DipoleSpectrum
-    ``mean_dipole``, evaluated analytically at the step and half-step nodes.
-    Returns <a_q(t)> on the grid; the conjugate is what mode_amplitude computes.
-    The forcing is formed and scanned in row blocks of the comb's phase
-    tables, so besides the result only one block's temporaries are held.
+    ``t_grid`` is the grid of times, or a point count n for the grid of the
+    points k h, k < n, with h = ``amplitude_ode_step`` (the points that
+    np.arange(0, stop, h) holds), whose nodes are formed one block at a time.
+    Yields (times, states) of each block's new nodes, the first block's with
+    t_0 and the vacuum, so no block has a single row unless the grid has two
+    points; besides them only one block's temporaries are held.
 
     A block's drive at its grid nodes t_n .. t_{n+m} gives each step both
     f(t_n) and, where t_n + h equals t_{n+1} bit for bit, f(t_n + h); only the
@@ -125,23 +125,50 @@ def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
     beside its step's start, since a one-row phase-table product rounds
     differently from the rows of a taller one.
     """
-    t = np.asarray(t_grid, dtype=float)
+    step = None
+    if np.ndim(t_grid) == 0:  # the grid k h, checked on its first step
+        n, step = operator.index(t_grid), amplitude_ode_step(params, mean_dipole)
+        t = step * np.arange(min(n, 2))
+    else:
+        t = np.asarray(t_grid, dtype=float)
+        n = t.size
     h, (r, c0, cm, c1) = _rk4_grid(params, t)
     drive = mean_dipole.positive_frequency_signal
-    states = np.empty(t.size, dtype=complex)
-    states[0] = 0j
-    for rows in _phase_row_blocks(t.size - 1, mean_dipole.coeffs.size):
-        on_grid = drive(t[rows.start:rows.stop + 1])
-        nodes = t[rows]
+    z = 0j
+    for rows in _phase_row_blocks(n - 1, mean_dipole.coeffs.size):
+        on_grid = (t[rows.start:rows.stop + 1] if step is None
+                   else step * np.arange(rows.start, rows.stop + 1))
+        nodes = on_grid[:-1]
+        f_grid = drive(on_grid)
         ends = nodes + h
-        f1 = on_grid[1:]
-        miss = np.flatnonzero(ends != t[rows.start + 1:rows.stop + 1])
+        f1 = f_grid[1:]
+        miss = np.flatnonzero(ends != on_grid[1:])
         if miss.size:
             f1 = f1.copy()
             alone = np.append(ends[miss], nodes[miss]) if miss.size == 1 else ends[miss]
             f1[miss] = drive(alone)[:miss.size]
-        forcing = params.g_q * (c0 * on_grid[:-1] + cm * drive(nodes + h / 2.0) + c1 * f1)
-        states[rows.start:rows.stop + 1] = _scan(r, forcing, states[rows.start])
+        forcing = params.g_q * (c0 * f_grid[:-1] + cm * drive(nodes + h / 2.0) + c1 * f1)
+        states = _scan(r, forcing, z)
+        z = states[-1]
+        first = 0 if rows.start == 0 else 1
+        yield on_grid[first:], states[first:]
+
+
+def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
+                            t_grid) -> TimeSeries:
+    """Integrate d<a_q>/dt = -(i omega_q + kappa) <a_q> + g_q d(t) from vacuum.
+
+    The drive is the positive-frequency signal of the DipoleSpectrum
+    ``mean_dipole``, evaluated analytically at the step and half-step nodes.
+    Returns <a_q(t)> on the grid; the conjugate is what mode_amplitude computes.
+    The states are collected from ``amplitude_ode_blocks``.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    states = np.empty(t.size, dtype=complex)
+    stop = 0
+    for _, block in amplitude_ode_blocks(params, mean_dipole, t):
+        states[stop:stop + block.size] = block
+        stop += block.size
     return TimeSeries(times=t, values=states)
 
 

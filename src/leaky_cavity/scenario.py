@@ -32,15 +32,23 @@ MAX_GRID_POINTS = 10 ** 6
 # Largest drive.n_max: the closed forms' time and memory grow with grid points x
 # comb lines.  On the shipped grids 10^4 lines load in 0.23 s and run the five
 # closed-form outputs in 4.9 s and 550 MB of peak RSS (0.4 s and 90 MB at 10^3).
-# The amplitude oracle grows as n_max^2 x t_end (15 s at n_max = 100): this
-# ceiling does not bound it.
 MAX_N_MAX = 10 ** 4
+# Largest RK4 steps x comb lines of the amplitude oracle (runner.amplitude_oracle_points)
+# when a run requests amplitude_oracle; it grows as n_max^2 x t_end, in time only, as
+# it holds one row block at a time.  A step-line costs about 500 ns at two lines, the
+# fewest, and 100 ns from 100 lines on (2-vCPU Xeon), so the budget is at most about
+# 25 s; the shipped scenario takes 240 000.
+MAX_ODE_STEP_LINES = 5 * 10 ** 7
 # Largest oracle.n_trials x walk steps (runner.noise_walk_steps) when a run
 # requests noise_oracle.  A walk costs about 17 ns per normal drawn and 25 ns per
 # trial-step in all (2-vCPU Xeon), so the budget is about 25 s, as a bath at
 # MAX_BATH_MODES takes 17 s; the shipped cavity's walk of 34 350 steps takes
 # up to 29 112 trials.
 MAX_TRIAL_STEPS = 10 ** 9
+# Largest runner.noise_walk_steps when a run requests noise_oracle.  The walk holds
+# about 49 B per step in per-point arrays, so a million steps peak at about 90 MB of
+# RSS, as a t grid of MAX_GRID_POINTS does; the shipped cavity's walk takes 34 350.
+MAX_WALK_STEPS = 10 ** 6
 
 # PyYAML's libyaml parser where PyYAML was built with it (the shipped scenario
 # parses in 0.3 ms, not 2.6 ms, on a 2-vCPU Xeon), else its pure-Python one; both
@@ -186,7 +194,8 @@ def decompose_series(path, drive: DriveParams) -> DipoleSpectrum:
 
 def load_scenario(path, seed_override=None) -> ScenarioConfig:
     """Parse and validate a scenario file, ``seed_override`` as its seed; raises ScenarioError."""
-    from .runner import ARTIFACTS, DEFAULT_OUTPUTS, noise_walk_steps  # runner imports us
+    from .runner import ARTIFACTS, DEFAULT_OUTPUTS, amplitude_oracle_points, \
+        noise_walk_steps  # runner imports us
 
     with open(path, "rb") as fh:  # bytes, so that YAML's reader also judges the encoding
         try:
@@ -301,6 +310,19 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
             errors["oracle.n_trials"] = (
                 f"must be at most {MAX_TRIAL_STEPS // steps} for this cavity's walk of {steps} "
                 f"steps ({MAX_TRIAL_STEPS} trial-steps in all), got {osettings.n_trials}")
+        elif steps is not None and steps > MAX_WALK_STEPS:
+            errors["cavity"] = (f"must give a Monte-Carlo walk of at most {MAX_WALK_STEPS} steps, "
+                                f"got {steps} at omega_q = {cavity.omega_q!r} and "
+                                f"kappa = {cavity.kappa!r}")
+
+    if (cavity is not None and spectrum is not None and t_grid is not None
+            and "amplitude_oracle" in outputs):
+        points = _build(errors, "grids.t.stop", amplitude_oracle_points, cavity, spectrum,
+                        float(t_grid[-1]))
+        if points is not None and (points - 1) * spectrum.coeffs.size > MAX_ODE_STEP_LINES:
+            errors["grids.t.stop"] = (
+                f"gives the amplitude oracle {points - 1} RK4 steps x {spectrum.coeffs.size} "
+                f"comb lines, above its budget of {MAX_ODE_STEP_LINES} step-lines")
 
     if (cavity is not None and "bath_oracle" in outputs
             and not {"oracle.bath_modes", "oracle.bath_half_width_kappas"} & errors.keys()):

@@ -15,9 +15,11 @@ from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION, \
     default_scenario_path, main
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
-from leaky_cavity.runner import BOUNDS, failed_checks, noise_walk_steps, run
-from leaky_cavity.scenario import MAX_BATH_MODES, MAX_GRID_POINTS, MAX_N_MAX, MAX_TRIAL_STEPS, \
-    load_scenario
+from leaky_cavity.oracle import amplitude_ode_step
+from leaky_cavity.runner import BOUNDS, DEFAULT_OUTPUTS, amplitude_oracle_points, \
+    failed_checks, noise_walk_steps, run
+from leaky_cavity.scenario import MAX_BATH_MODES, MAX_GRID_POINTS, MAX_N_MAX, \
+    MAX_ODE_STEP_LINES, MAX_TRIAL_STEPS, MAX_WALK_STEPS, load_scenario
 
 SCENARIO = {
     "drive": {"omega": 1.0, "n_max": 3},
@@ -409,11 +411,72 @@ def test_n_max_above_the_ceiling_is_refused(tmp_path, capsys, n_max):
 
 
 def test_a_comb_at_the_ceiling_loads(tmp_path):
-    doc = _set_field(SCENARIO, "drive.n_max", MAX_N_MAX)
+    # without the amplitude oracle, whose budget such a comb exceeds (test below)
+    doc = {**_set_field(SCENARIO, "drive.n_max", MAX_N_MAX), "outputs": list(DEFAULT_OUTPUTS)}
     doc["dipole"] = {"coeffs": [[0.0, 0.0]] * MAX_N_MAX + [[0.125, 0.0]]}
     config = tmp_path / "ceiling.yaml"
     config.write_text(yaml.safe_dump(doc))
     assert load_scenario(config).spectrum.coeffs.size == MAX_N_MAX + 1
+
+
+def _ode_scenario(tmp_path, stop, n_max=3):
+    doc = {**_set_field(SCENARIO, "grids.t.stop", stop), "outputs": ["amplitude_oracle"],
+           "drive": {"omega": 1.0, "n_max": n_max},
+           "dipole": {"coeffs": [[0.0, 0.0]] * n_max + [[0.125, 0.0]]}}
+    config = tmp_path / "ode.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    return config
+
+
+def _ode_step_lines(config) -> int:
+    loaded = load_scenario(config)
+    steps = amplitude_oracle_points(loaded.cavity, loaded.spectrum, loaded.t_grid[-1]) - 1
+    return steps * loaded.spectrum.coeffs.size
+
+
+def test_amplitude_oracle_budget_holds_the_shipped_and_test_scenarios(tmp_path):
+    assert _ode_step_lines(default_scenario_path()) == 60_000 * 4
+    assert _ode_step_lines(_ode_scenario(tmp_path, 50.0)) <= MAX_ODE_STEP_LINES / 100
+    # the most steps the shipped comb's four lines may take loads
+    shipped = load_scenario(default_scenario_path())
+    h = amplitude_ode_step(shipped.cavity, shipped.spectrum)
+    assert _ode_step_lines(_ode_scenario(tmp_path, MAX_ODE_STEP_LINES // 4 * h)) \
+        == MAX_ODE_STEP_LINES
+
+
+def test_the_amplitude_oracle_is_counted_as_np_arange_forms_its_grid():
+    shipped = load_scenario(default_scenario_path())
+    h = amplitude_ode_step(shipped.cavity, shipped.spectrum)
+    for t_end in (100.0, 1e-4, 1.0 / 3.0, 2.5 * h, 12345.678, h / 2, h / 4):
+        grid = np.arange(0.0, t_end + h / 2, h)
+        assert amplitude_oracle_points(shipped.cavity, shipped.spectrum, t_end) == grid.size
+        assert np.array_equal(grid.view(np.uint64), (h * np.arange(grid.size)).view(np.uint64))
+
+
+@pytest.mark.parametrize("stop, n_max, message", [
+    ("budget-plus-one", 3, "gives the amplitude oracle 12500001 RK4 steps x 4 comb lines, "
+                           "above its budget of 50000000 step-lines"),
+    (50.0, 100, "gives the amplitude oracle 1000000 RK4 steps x 101 comb lines, "
+                "above its budget of 50000000 step-lines"),
+    (50.0, MAX_N_MAX, "gives the amplitude oracle 100000000 RK4 steps x 10001 comb lines, "
+                      "above its budget of 50000000 step-lines"),
+    (1e308, 3, "the amplitude oracle out to t = 1e+308 at its step 0.0016666666666666668 "
+               "has more steps than a float holds"),
+], ids=["budget-plus-one", "hundred-lines", "comb-at-the-ceiling", "beyond-a-float"])
+def test_amplitude_oracle_work_beyond_the_budget_is_refused(tmp_path, capsys, stop, n_max,
+                                                            message):
+    # a step-line costs 100 ns or more: 101 lines to t = 50 take about 10 s, MAX_N_MAX hours
+    if stop == "budget-plus-one":
+        shipped = load_scenario(default_scenario_path())
+        stop = (MAX_ODE_STEP_LINES // 4 + 1) * amplitude_ode_step(shipped.cavity,
+                                                                  shipped.spectrum)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(_ode_scenario(tmp_path, stop, n_max)), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"invalid config: grids.t.stop: {message}\n"
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _noise_scenario(tmp_path, n_trials, cavity=None, outputs=("noise_oracle",)):
@@ -455,6 +518,31 @@ def test_monte_carlo_work_beyond_the_budget_is_refused(tmp_path, capsys, n_trial
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err == f"invalid config: oracle.n_trials: {message}\n"
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_monte_carlo_walk_ceiling_holds_the_shipped_and_test_scenarios(tmp_path):
+    shipped = load_scenario(default_scenario_path())
+    for cavity in (shipped.cavity, load_scenario(_noise_scenario(tmp_path, 200)).cavity):
+        assert noise_walk_steps(cavity) <= MAX_WALK_STEPS / 10
+    # a walk of exactly MAX_WALK_STEPS loads
+    at_ceiling = {**SCENARIO["cavity"], "kappa": 0.0034498997}
+    assert noise_walk_steps(load_scenario(_noise_scenario(tmp_path, 2, at_ceiling)).cavity) \
+        == MAX_WALK_STEPS
+
+
+@pytest.mark.parametrize("kappa, steps", [(0.001, 3450000), (0.00344, 1002893)],
+                         ids=["kappa-1e-3", "just-beyond"])
+def test_monte_carlo_walk_beyond_the_ceiling_is_refused(tmp_path, capsys, kappa, steps):
+    # at kappa = 0.001 the walk peaked at 210 MB of RSS with 2 trials, within the trial budget
+    out = tmp_path / "out"
+    cavity = {**SCENARIO["cavity"], "kappa": kappa}
+    code = main(["run", "--config", str(_noise_scenario(tmp_path, 2, cavity)), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (f"invalid config: cavity: must give a Monte-Carlo walk of at most "
+                   f"{MAX_WALK_STEPS} steps, got {steps} at omega_q = 3.0 and kappa = {kappa}\n")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -583,6 +671,7 @@ def test_benchmark_tracer_binds_to_the_package(config_path, tmp_path, monkeypatc
     import tracing
     import workloads
     import leaky_cavity.cli as cli_mod
+    import leaky_cavity.oracle as oracle_mod
 
     sweep = workloads.SweepSeries(workloads.SweepSeries.default_seed, str(tmp_path))
     Path(sweep.scenario_path()).write_text(config_path.read_text())
@@ -601,6 +690,10 @@ def test_benchmark_tracer_binds_to_the_package(config_path, tmp_path, monkeypatc
         assert cli_mod.main(["decompose", "--config", str(config_path),
                              "--input", str(series_path), "--out", str(tmp_path / "dec")]) == EXIT_OK
         assert sweep.check(sweep.op()) == []
+        # run streams its amplitude oracle through amplitude_ode_blocks, which the tracer
+        # does not count, so the binding of oracle.rk4_steps is checked on a direct call
+        oracle_mod.integrate_amplitude_ode(sweep.config.cavity, sweep.config.spectrum,
+                                           np.arange(0.0, 1.0, 1e-3))
         metrics = tracer.layer_metrics(1)
     finally:
         tracer.uninstall()

@@ -58,6 +58,34 @@ def test_cos_cubed_against_quadrature_oracle():
         assert abs(spec.coeffs[n] - oracle) < 1e-9
 
 
+def trapezoid_projection(signal, drive):
+    """d_N by np.trapezoid of each harmonic's integrand over the window, N = 0..n_max."""
+    t = signal.times - signal.times[0]
+    return np.array([np.trapezoid(signal.values * np.exp(1j * n * drive.omega * t), t)
+                     for n in range(drive.n_max + 1)]) / signal.span
+
+
+@pytest.mark.parametrize("omega, n_max, periods, per_period, start", [
+    (1.0, 15, 40, 1024, 0.0),  # the sweep-series benchmark's window
+    (1.3, 6, 3, 13, 0.0),      # 2 n_max + 1 samples a period: the top bin is just below M/2
+    (0.7, 4, 5, 51, 12.5),     # a window that does not start at 0
+    (2.0, 1, 1, 4, 0.0),
+], ids=["sweep-comb", "least-sampling", "offset-start", "one-period"])
+def test_fft_projection_is_the_trapezoid_rule(omega, n_max, periods, per_period, start):
+    # the real FFT rounds otherwise than the per-harmonic sum: 9.6e-15 of the largest
+    # coefficient on the sweep comb
+    drive = DriveParams(omega=omega, n_max=n_max)
+    rng = np.random.default_rng(n_max)
+    spec = DipoleSpectrum(drive=drive, coeffs=rng.normal(size=n_max + 1)
+                          + 1j * rng.normal(size=n_max + 1))
+    t = start + np.linspace(0.0, periods * drive.period, periods * per_period + 1)
+    values = synthesize_mean_dipole(spec, t).values + rng.normal(size=t.size)  # and off-comb noise
+    signal = TimeSeries(times=t, values=values)
+    reference = trapezoid_projection(signal, drive)
+    coeffs = fourier_decompose(signal, drive).coeffs
+    assert np.max(np.abs(coeffs - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
 def test_incommensurate_window_rejected():
     drive = DriveParams(omega=1.0, n_max=2)
     t = np.linspace(0.0, 1.7 * drive.period, 1001)

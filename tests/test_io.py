@@ -174,7 +174,8 @@ def one_shot_rows(header, columns, comments=()):
     return "\n".join(lines) + "\n"
 
 
-BATCH = lcio._ROW_BATCH
+# four kernel blocks of rows, so the cases below cross block boundaries
+BATCH = 4 * lcio._KERNEL_ROWS
 
 # signed zero, the smallest subnormal and normal, the largest finite values,
 # a value with no short binary form, a small integer and one above 2**53
@@ -192,23 +193,34 @@ def test_batched_rows_equal_one_shot_join(tmp_path, n):
         columns = (np.arange(n) * 0.1, rng.normal(size=n) * 1e-300,
                    -rng.normal(size=n) * 1e300)
     path = tmp_path / "rows.csv"
-    lcio._write_rows(path, "t,a,b", columns, comments=["first", "second=2"])
+    lcio._write_rows(path, "t,a,b", [columns], comments=["first", "second=2"])
     assert path.read_bytes() == one_shot_rows("t,a,b", columns, ["first", "second=2"]).encode()
 
 
+@pytest.mark.parametrize("cuts", [[], [1], [1, 2], [1023, 1025, 3000], [0, 0, 4096]],
+                         ids=["one", "first-row-alone", "single-rows", "uneven", "empty-batches"])
+def test_streamed_batches_equal_one_batch(tmp_path, cuts):
+    rng = np.random.default_rng(len(cuts))
+    columns = (np.arange(5000) * 0.1, rng.normal(size=5000), np.tile(EDGES, 625))
+    batches = zip(*(np.split(col, cuts) for col in columns))
+    path = tmp_path / "rows.csv"
+    lcio._write_rows(path, "t,a,b", batches)
+    assert path.read_bytes() == one_shot_rows("t,a,b", columns).encode()
+
+
 def test_failed_write_leaves_the_target_untouched(tmp_path, monkeypatch):
-    # the third row cannot be formatted, after the first batch is written
-    monkeypatch.setattr(lcio, "_ROW_BATCH", 2)
+    # the third row cannot be formatted, after the first block of rows is written
+    monkeypatch.setattr(lcio, "_KERNEL_ROWS", 2)
     column = np.array([1.0, 2.0, "three", 4.0], dtype=object)
     fresh = tmp_path / "fresh.csv"
     with pytest.raises(ValueError):
-        lcio._write_rows(fresh, "x", (column,))
+        lcio._write_rows(fresh, "x", [(column,)])
     assert list(tmp_path.iterdir()) == []
 
     kept = tmp_path / "kept.csv"
     kept.write_text("earlier run\n")
     with pytest.raises(ValueError):
-        lcio._write_rows(kept, "x", (column,))
+        lcio._write_rows(kept, "x", [(column,)])
     with pytest.raises(TypeError):
         lcio._write_json(kept, {"a": 1.0, "b": object()})
     assert kept.read_text() == "earlier run\n"
@@ -255,9 +267,9 @@ def formatted(rows) -> str:
 @pytest.mark.parametrize("cols", [1, 2, 3, 4])
 def test_kernel_matches_format_on_hard_values(tmp_path, cols):
     values = hard_corpus()
-    columns = np.resize(values, (cols, -(-values.size // cols)))  # rows cross both batch sizes
+    columns = np.resize(values, (cols, -(-values.size // cols)))  # rows cross many kernel blocks
     path = tmp_path / "rows.csv"
-    lcio._write_rows(path, "x", columns)
+    lcio._write_rows(path, "x", [columns])
     assert path.read_bytes() == one_shot_rows("x", columns).encode()
 
 

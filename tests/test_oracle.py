@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,11 @@ from leaky_cavity.oracle import (
     amplitude_ode_step,
     continuum_pole,
     discrete_bath_decay,
+    amplitude_ode_blocks,
     integrate_amplitude_ode,
     monte_carlo_noise,
 )
+from leaky_cavity.runner import AmplitudeDeviation, _amplitude_oracle
 from leaky_cavity.scenario import load_scenario
 
 
@@ -230,6 +233,92 @@ def test_amplitude_oracle_working_set_does_not_grow_with_the_comb_tables():
     finally:
         tracemalloc.stop()
     assert peak < 2 * ode.values.nbytes
+
+
+def whole_array_deviation(params, spec, ode):
+    """The amplitude figure of the whole arrays: max |conj(ODE) - closed| / max |closed|."""
+    closed = mode_amplitude(params, spec, ode.times)
+    return np.max(np.abs(np.conj(ode.values) - closed)) / np.max(np.abs(closed))
+
+
+def streamed(params, spec, t_grid):
+    """The times, states and amplitude figure of amplitude_ode_blocks, block by block."""
+    figure = AmplitudeDeviation(params, spec)
+    times, states = [], []
+    for block_times, block_states in amplitude_ode_blocks(params, spec, t_grid):
+        assert block_times.size == block_states.size >= 2
+        figure.add(block_times, block_states)
+        times.append(block_times.copy())
+        states.append(block_states.copy())
+    return np.concatenate(times), np.concatenate(states), figure.value()
+
+
+STREAM_CASES = {name: case[:3] for name, case in STEP_END_CASES.items() if case[0].g_q}
+for seed in range(8):  # random combs of 1-20 lines on arange and linspace grids
+    rng = np.random.default_rng(seed)
+    n_max = int(rng.integers(1, 21))
+    params = CavityParams(omega_q=float(rng.uniform(0.5, 5.0)), g_q=float(rng.uniform(0.01, 0.3)),
+                          kappa=float(10.0 ** rng.uniform(-2, 0)))
+    spec = comb(n_max, seed)
+    h = amplitude_ode_step(params, spec)
+    t_end = float(rng.uniform(10.0, 30.0))
+    grid = (np.arange(0.0, t_end, h) if seed % 2 else
+            np.linspace(0.0, t_end, int(t_end / h) + 2))
+    STREAM_CASES[f"seed-{seed}-{'arange' if seed % 2 else 'linspace'}-{n_max}-lines"] = \
+        (params, spec, grid)
+
+
+@pytest.mark.parametrize("case", STREAM_CASES.values(), ids=STREAM_CASES.keys())
+def test_streamed_states_and_figure_equal_the_collected_ones(case):
+    params, spec, t = case
+    times, states, figure = streamed(params, spec, t)
+    ode = integrate_amplitude_ode(params, spec, t)
+    assert np.array_equal(times.view(np.uint64), t.view(np.uint64))
+    assert np.array_equal(states.view(np.uint64), ode.values.view(np.uint64))
+    assert figure == whole_array_deviation(params, spec, ode)
+    assert figure < 1e-6
+
+
+@pytest.mark.parametrize("t_end", [0.01, 1.0 / 3.0, 7.0])
+def test_a_point_count_streams_the_arange_grid(t_end):
+    # run's grid np.arange(0, t_end + h/2, h), given by its point count
+    params, spec = CavityParams(omega_q=3.0, g_q=0.05, kappa=0.1), comb(7, 11)
+    h = amplitude_ode_step(params, spec)
+    t = np.arange(0.0, t_end + h / 2, h)
+    times, states, figure = streamed(params, spec, t.size)
+    ode = integrate_amplitude_ode(params, spec, t)
+    assert np.array_equal(times.view(np.uint64), t.view(np.uint64))
+    assert np.array_equal(states.view(np.uint64), ode.values.view(np.uint64))
+    assert figure == whole_array_deviation(params, spec, ode)
+
+
+def test_a_point_count_below_two_is_refused():
+    params, spec = comb_case()
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="t grid is not uniform"):
+            next(amplitude_ode_blocks(params, spec, n))
+
+
+def test_amplitude_oracle_heap_does_not_grow_with_the_horizon(tmp_path):
+    # run's amplitude oracle (ODE, closed form, figure and CSV) holds one row block at a time
+    shipped = load_scenario(default_scenario_path())
+
+    def peak(t_end):
+        config = replace(shipped, t_grid=np.array([0.0, t_end]))
+        tracemalloc.start()
+        try:
+            checks = _amplitude_oracle(config, lambda name: str(tmp_path / name))
+            return tracemalloc.get_traced_memory()[1], checks
+        finally:
+            tracemalloc.stop()
+
+    peak(1.0)  # the CSV kernel's tables are built once
+    shipped_peak, checks = peak(100.0)
+    long_peak, long_checks = peak(1000.0)
+    assert long_peak <= 1.2 * shipped_peak
+    assert checks["amplitude_oracle_max_rel_deviation"] < 1e-8
+    assert long_checks["amplitude_oracle_max_rel_deviation"] < 1e-8
+    assert (tmp_path / "amplitude_oracle.csv").read_text().count("\n") == 600_002
 
 
 def mc_setup():
