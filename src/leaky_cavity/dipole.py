@@ -195,6 +195,21 @@ class TimeSeries:
         return float(self.times[-1]) - float(self.times[0])
 
 
+@dataclass(frozen=True)
+class SeriesBlocks:
+    """A time series of ``length`` points handed over as TimeSeries blocks, in order.
+
+    ``blocks`` is an iterable read once, such as a generator that forms each
+    block as it is asked for, so no whole series is held.
+    """
+
+    length: int
+    blocks: object = field(repr=False)
+
+    def __len__(self) -> int:
+        return self.length
+
+
 def fourier_decompose(signal: TimeSeries, drive: DriveParams) -> DipoleSpectrum:
     """Project a real dipole series onto the harmonic comb.
 

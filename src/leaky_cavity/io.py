@@ -10,6 +10,7 @@ untouched.
 """
 
 import functools
+import itertools
 import json
 import os
 import warnings
@@ -19,7 +20,7 @@ import numpy as np
 
 from .cavity import OccupationCurve
 from .correlation import CorrelationSeries
-from .dipole import DipoleSpectrum, TimeSeries
+from .dipole import DipoleSpectrum, SeriesBlocks, TimeSeries
 from .oracle import TrajectoryEnsemble
 from .spectrum import PowerReport, SpectrumResult
 
@@ -266,12 +267,27 @@ def _write_rows(path, header: str, batches, comments=()):
                 fh.write(text)
 
 
-def write_timeseries_csv(path, series: TimeSeries, label: str = "value"):
-    if np.iscomplexobj(series.values):
-        _write_rows(path, f"t,{label}_re,{label}_im",
-                    [(series.times, series.values.real, series.values.imag)])
-    else:
-        _write_rows(path, f"t,{label}", [(series.times, series.values)])
+def write_timeseries_csv(path, series: TimeSeries | SeriesBlocks, label: str = "value"):
+    """Write rows t,{label} of a real series, or t,{label}_re,{label}_im of a complex one.
+
+    A SeriesBlocks is written block by block as its blocks come; ValueError if
+    they hold other than its length of rows.
+    """
+    blocks = iter([series] if isinstance(series, TimeSeries) else series.blocks)
+    first = next(blocks)
+    is_complex = np.iscomplexobj(first.values)
+    header = f"t,{label}_re,{label}_im" if is_complex else f"t,{label}"
+
+    def batches():
+        rows = 0
+        for block in itertools.chain([first], blocks):
+            rows += len(block)
+            yield ((block.times, block.values.real, block.values.imag) if is_complex
+                   else (block.times, block.values))
+        if rows != len(series):
+            raise ValueError(f"the blocks of a series of {len(series)} points hold {rows}")
+
+    _write_rows(path, header, batches())
 
 
 def write_occupation_csv(path, curve: OccupationCurve):

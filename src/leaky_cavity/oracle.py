@@ -64,11 +64,18 @@ def _scan(r: complex, forcing: np.ndarray, z: complex = 0j) -> np.ndarray:
     return states
 
 
-def _rk4_grid(params: CavityParams, t: np.ndarray):
-    """Step h of the uniform grid t, held to the stability limit, and the cavity's RK4 transfer."""
-    h = float(uniform_steps(t, "t")[0])
-    if t[0] != 0.0:  # both integrators start from the vacuum
-        raise ValueError("t grid must start at 0 (vacuum initial condition)")
+def _rk4_grid(params: CavityParams, t: np.ndarray, step=None):
+    """Step h of the uniform grid t, held to the stability limit, and the cavity's RK4 transfer.
+
+    A grid from the vacuum starts at 0 and its step is its first; ``step``
+    gives the step of a longer grid that t is a block of.
+    """
+    if step is None:
+        h = float(uniform_steps(t, "t")[0])
+        if t[0] != 0.0:  # both integrators start from the vacuum
+            raise ValueError("t grid must start at 0 (vacuum initial condition)")
+    else:
+        h = step
     rate = max(params.omega_q, params.kappa)
     if h * rate > _STABILITY_LIMIT:
         raise ValueError(f"step too large: h*max(omega_q, kappa) = {h * rate:.3g} "
@@ -76,9 +83,30 @@ def _rk4_grid(params: CavityParams, t: np.ndarray):
     return h, _rk4_transfer(-(1j * params.omega_q + params.kappa), h)
 
 
+def _arange_points(stop: float, step: float, what: str) -> int:
+    """Points of np.arange(0, stop, step), ceil(stop / step), counted without building it.
+
+    ValueError if that count is beyond a float, naming the grid as ``what``.
+    """
+    count = stop / step
+    if not math.isfinite(count):
+        raise ValueError(f"{what} has more steps than a float holds")
+    return math.ceil(count)
+
+
 def amplitude_ode_step(params: CavityParams, spectrum: DipoleSpectrum) -> float:
     """Step 0.005/max(omega_q, top harmonic, kappa) of the amplitude oracle against the closed form."""
     return 0.005 / max(params.omega_q, spectrum.harmonics()[-1], params.kappa)
+
+
+def amplitude_ode_points(params: CavityParams, spectrum: DipoleSpectrum, t_end: float) -> int:
+    """Points of run's amplitude-oracle grid out to ``t_end``, counted without building it.
+
+    They are np.arange(0, t_end + h/2, h)'s for h = ``amplitude_ode_step``.
+    """
+    h = amplitude_ode_step(params, spectrum)
+    return _arange_points(t_end + h / 2, h,
+                          f"the amplitude oracle out to t = {t_end!r} at its step {h!r}")
 
 
 def noise_step(params: CavityParams) -> float:
@@ -89,16 +117,13 @@ def noise_step(params: CavityParams) -> float:
 def noise_points(params: CavityParams) -> int:
     """Points of ``noise_times``, counted without building the grid.
 
-    This is np.arange's count ceil(stop / step) for steps of ``noise_step`` to
-    the stop kappa t = NOISE_KAPPA_T plus half a step; ValueError if that count
-    is beyond a float.
+    This is np.arange's count for steps of ``noise_step`` to the stop
+    kappa t = NOISE_KAPPA_T plus half a step.
     """
     dt = noise_step(params)
-    count = (NOISE_KAPPA_T / params.kappa + dt / 2) / dt
-    if not math.isfinite(count):
-        raise ValueError(f"the Monte-Carlo walk at kappa = {params.kappa!r} and "
-                         f"omega_q = {params.omega_q!r} has more steps than a float holds")
-    return math.ceil(count)
+    return _arange_points(NOISE_KAPPA_T / params.kappa + dt / 2, dt,
+                          f"the Monte-Carlo walk at kappa = {params.kappa!r} and "
+                          f"omega_q = {params.omega_q!r}")
 
 
 def noise_times(params: CavityParams) -> np.ndarray:
@@ -110,20 +135,16 @@ def noise_times(params: CavityParams) -> np.ndarray:
 
 
 def amplitude_ode_blocks(params: CavityParams, mean_dipole: DipoleSpectrum, t_grid):
-    """The states of ``integrate_amplitude_ode``, one row block of phase tables at a time.
+    """``integrate_amplitude_ode`` on ``t_grid``, one row block of phase tables at a time.
 
     ``t_grid`` is the grid of times, or a point count n for the grid of the
     points k h, k < n, with h = ``amplitude_ode_step`` (the points that
     np.arange(0, stop, h) holds), whose nodes are formed one block at a time.
-    Yields (times, states) of each block's new nodes, the first block's with
-    t_0 and the vacuum, so no block has a single row unless the grid has two
-    points; besides them only one block's temporaries are held.
-
-    A block's drive at its grid nodes t_n .. t_{n+m} gives each step both
-    f(t_n) and, where t_n + h equals t_{n+1} bit for bit, f(t_n + h); only the
-    other step ends are evaluated on their own.  A lone such end is evaluated
-    beside its step's start, since a one-row phase-table product rounds
-    differently from the rows of a taller one.
+    Each block is integrated by ``integrate_amplitude_ode`` from the last state
+    of the block before, with the grid's step, so the states are those of the
+    whole grid bit for bit.  Yields a TimeSeries of each block's new nodes, the
+    first block's with t_0 and the vacuum, so no block has a single row unless
+    the grid has two points; besides it only one block's temporaries are held.
     """
     step = None
     if np.ndim(t_grid) == 0:  # the grid k h, checked on its first step
@@ -132,43 +153,52 @@ def amplitude_ode_blocks(params: CavityParams, mean_dipole: DipoleSpectrum, t_gr
     else:
         t = np.asarray(t_grid, dtype=float)
         n = t.size
-    h, (r, c0, cm, c1) = _rk4_grid(params, t)
-    drive = mean_dipole.positive_frequency_signal
-    z = 0j
+    h, _ = _rk4_grid(params, t)
+    state = None
     for rows in _phase_row_blocks(n - 1, mean_dipole.coeffs.size):
-        on_grid = (t[rows.start:rows.stop + 1] if step is None
-                   else step * np.arange(rows.start, rows.stop + 1))
-        nodes = on_grid[:-1]
-        f_grid = drive(on_grid)
-        ends = nodes + h
-        f1 = f_grid[1:]
-        miss = np.flatnonzero(ends != on_grid[1:])
-        if miss.size:
-            f1 = f1.copy()
-            alone = np.append(ends[miss], nodes[miss]) if miss.size == 1 else ends[miss]
-            f1[miss] = drive(alone)[:miss.size]
-        forcing = params.g_q * (c0 * f_grid[:-1] + cm * drive(nodes + h / 2.0) + c1 * f1)
-        states = _scan(r, forcing, z)
-        z = states[-1]
-        first = 0 if rows.start == 0 else 1
-        yield on_grid[first:], states[first:]
+        grid = (t[rows.start:rows.stop + 1] if step is None
+                else step * np.arange(rows.start, rows.stop + 1))
+        block = integrate_amplitude_ode(params, mean_dipole, grid, state=state, step=h)
+        state = block.values[-1]
+        yield block if rows.start == 0 else TimeSeries(block.times[1:], block.values[1:])
 
 
 def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
-                            t_grid) -> TimeSeries:
+                            t_grid, *, state=None, step=None) -> TimeSeries:
     """Integrate d<a_q>/dt = -(i omega_q + kappa) <a_q> + g_q d(t) from vacuum.
 
     The drive is the positive-frequency signal of the DipoleSpectrum
     ``mean_dipole``, evaluated analytically at the step and half-step nodes.
     Returns <a_q(t)> on the grid; the conjugate is what mode_amplitude computes.
-    The states are collected from ``amplitude_ode_blocks``.
+    The forcing is formed and scanned in row blocks of the comb's phase
+    tables, so besides the result only one block's temporaries are held.
+    ``amplitude_ode_blocks`` continues a grid on its blocks: it passes the
+    ``state`` at the block's first time and the whole grid's ``step``, which
+    the block's own first step may miss by rounding.
+
+    A block's drive at its grid nodes t_n .. t_{n+m} gives each step both
+    f(t_n) and, where t_n + h equals t_{n+1} bit for bit, f(t_n + h); only the
+    other step ends are evaluated on their own.  A lone such end is evaluated
+    beside its step's start, since a one-row phase-table product rounds
+    differently from the rows of a taller one.
     """
     t = np.asarray(t_grid, dtype=float)
+    h, (r, c0, cm, c1) = _rk4_grid(params, t, step)
+    drive = mean_dipole.positive_frequency_signal
     states = np.empty(t.size, dtype=complex)
-    stop = 0
-    for _, block in amplitude_ode_blocks(params, mean_dipole, t):
-        states[stop:stop + block.size] = block
-        stop += block.size
+    states[0] = 0j if state is None else state
+    for rows in _phase_row_blocks(t.size - 1, mean_dipole.coeffs.size):
+        on_grid = drive(t[rows.start:rows.stop + 1])
+        nodes = t[rows]
+        ends = nodes + h
+        f1 = on_grid[1:]
+        miss = np.flatnonzero(ends != t[rows.start + 1:rows.stop + 1])
+        if miss.size:
+            f1 = f1.copy()
+            alone = np.append(ends[miss], nodes[miss]) if miss.size == 1 else ends[miss]
+            f1[miss] = drive(alone)[:miss.size]
+        forcing = params.g_q * (c0 * on_grid[:-1] + cm * drive(nodes + h / 2.0) + c1 * f1)
+        states[rows.start:rows.stop + 1] = _scan(r, forcing, states[rows.start])
     return TimeSeries(times=t, values=states)
 
 

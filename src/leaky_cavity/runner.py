@@ -1,7 +1,6 @@
 """Scenario execution: compute the requested artifacts and write a manifest."""
 
 import hashlib
-import math
 import os
 
 import numpy as np
@@ -9,9 +8,10 @@ import numpy as np
 from . import io as lcio
 from .cavity import CavityParams, dipole_noise_occupation, mode_amplitude, occupation
 from .correlation import stationary_correlation, two_time_correlation
-from .dipole import DipoleSpectrum, FluctuationModel, synthesize_mean_dipole
+from .dipole import DipoleSpectrum, FluctuationModel, SeriesBlocks, TimeSeries, \
+    synthesize_mean_dipole
 from .oracle import NOISE_KAPPA_TAU, BathDecayResult, BathDiscretization, \
-    TrajectoryEnsemble, amplitude_ode_blocks, amplitude_ode_step, bath_times, cavity_bath, \
+    TrajectoryEnsemble, amplitude_ode_blocks, amplitude_ode_points, bath_times, cavity_bath, \
     continuum_pole, discrete_bath_decay, monte_carlo_noise, noise_points, noise_step, noise_times
 from .scenario import load_scenario
 from .spectrum import integrated_power, power_spectrum
@@ -45,27 +45,35 @@ def failed_checks(checks: dict) -> list:
             if name != "noise_oracle_max_pull_stderr" and not value <= BOUNDS[name]]
 
 
+def amplitude_block_maxima(params: CavityParams, spectrum: DipoleSpectrum,
+                           block: TimeSeries) -> np.ndarray:
+    """[max |mode_amplitude|, max |conj(ODE oracle) - mode_amplitude|] over one block of the oracle."""
+    closed = mode_amplitude(params, spectrum, block.times)
+    scale = np.max(np.abs(closed))
+    # |conj(ode) - closed| equals |conj(closed) - ode| bit for bit; formed in closed's buffer
+    np.subtract(np.conjugate(closed, out=closed), block.values, out=closed)
+    return np.array([scale, np.max(np.abs(closed))])
+
+
 class AmplitudeDeviation:
     """Max |conj(ODE oracle) - mode_amplitude| over max |mode_amplitude|, taken block by block.
 
-    ``add`` takes each (times, states) block of ``amplitude_ode_blocks``; both
+    ``add`` takes each TimeSeries block of ``amplitude_ode_blocks``; both
     maxima are exact, so the figure is that of the whole arrays.  NaN propagates.
     """
 
     def __init__(self, params: CavityParams, spectrum: DipoleSpectrum):
         self.params, self.spectrum = params, spectrum
-        self.deviation = self.scale = 0.0
+        self.maxima = np.zeros(2)
 
-    def add(self, times, states):
-        closed = mode_amplitude(self.params, self.spectrum, times)
-        self.scale = np.maximum(self.scale, np.max(np.abs(closed)))
-        # |conj(ode) - closed| equals |conj(closed) - ode| bit for bit; formed in closed's buffer
-        np.subtract(np.conjugate(closed, out=closed), states, out=closed)
-        self.deviation = np.maximum(self.deviation, np.max(np.abs(closed)))
+    def add(self, block: TimeSeries):
+        np.maximum(self.maxima, amplitude_block_maxima(self.params, self.spectrum, block),
+                   out=self.maxima)
 
     def value(self) -> float | None:
         """The figure; None if the closed form is 0 throughout."""
-        return None if self.scale == 0 else float(self.deviation / self.scale)
+        scale, deviation = self.maxima
+        return None if scale == 0 else float(deviation / scale)
 
 
 def pull(mean, model, stderr) -> np.ndarray:
@@ -127,31 +135,18 @@ def _power(config, target):
     lcio.write_power_report_json(target("power_report.json"), report)
 
 
-def amplitude_oracle_points(params: CavityParams, spectrum: DipoleSpectrum, t_end: float) -> int:
-    """Points of run's amplitude-oracle grid out to ``t_end``, counted without building it.
-
-    They are np.arange(0, t_end + h/2, h)'s, ceil((t_end + h/2) / h) of them for
-    h = ``amplitude_ode_step``; ValueError if that count is beyond a float.
-    """
-    h = amplitude_ode_step(params, spectrum)
-    count = (t_end + h / 2) / h
-    if not math.isfinite(count):
-        raise ValueError(f"the amplitude oracle out to t = {t_end!r} at its step {h!r} has "
-                         "more steps than a float holds")
-    return math.ceil(count)
-
-
 def _amplitude_oracle(config, target):
     params, spectrum = config.cavity, config.spectrum
     deviation = AmplitudeDeviation(params, spectrum)
+    n = amplitude_ode_points(params, spectrum, float(config.t_grid[-1]))
 
-    def rows():
-        n = amplitude_oracle_points(params, spectrum, float(config.t_grid[-1]))
-        for times, states in amplitude_ode_blocks(params, spectrum, n):
-            deviation.add(times, states)
-            yield times, states.real, states.imag
+    def blocks():
+        for block in amplitude_ode_blocks(params, spectrum, n):
+            deviation.add(block)
+            yield block
 
-    lcio._write_rows(target("amplitude_oracle.csv"), "t,alpha_re,alpha_im", rows())
+    lcio.write_timeseries_csv(target("amplitude_oracle.csv"), SeriesBlocks(n, blocks()),
+                              label="alpha")
     figure = deviation.value()
     return {} if figure is None else {"amplitude_oracle_max_rel_deviation": figure}
 

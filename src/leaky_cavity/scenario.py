@@ -16,7 +16,7 @@ from .cavity import CavityParams
 from .correlation import CONVENTIONS, tag_factor
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, fourier_decompose
 from .io import read_timeseries_csv
-from .oracle import BATH_HALF_WIDTH_KAPPAS, bath_times, cavity_bath
+from .oracle import BATH_HALF_WIDTH_KAPPAS, amplitude_ode_points, bath_times, cavity_bath
 from .spectrum import NORMALIZATIONS
 
 # Relative slack in cavity.omega_q == cavity.q * drive.omega.
@@ -33,7 +33,7 @@ MAX_GRID_POINTS = 10 ** 6
 # comb lines.  On the shipped grids 10^4 lines load in 0.23 s and run the five
 # closed-form outputs in 4.9 s and 550 MB of peak RSS (0.4 s and 90 MB at 10^3).
 MAX_N_MAX = 10 ** 4
-# Largest RK4 steps x comb lines of the amplitude oracle (runner.amplitude_oracle_points)
+# Largest RK4 steps x comb lines of the amplitude oracle (oracle.amplitude_ode_points)
 # when a run requests amplitude_oracle; it grows as n_max^2 x t_end, in time only, as
 # it holds one row block at a time.  A step-line costs about 500 ns at two lines, the
 # fewest, and 100 ns from 100 lines on (2-vCPU Xeon), so the budget is at most about
@@ -194,8 +194,7 @@ def decompose_series(path, drive: DriveParams) -> DipoleSpectrum:
 
 def load_scenario(path, seed_override=None) -> ScenarioConfig:
     """Parse and validate a scenario file, ``seed_override`` as its seed; raises ScenarioError."""
-    from .runner import ARTIFACTS, DEFAULT_OUTPUTS, amplitude_oracle_points, \
-        noise_walk_steps  # runner imports us
+    from .runner import ARTIFACTS, DEFAULT_OUTPUTS, noise_walk_steps  # runner imports us
 
     with open(path, "rb") as fh:  # bytes, so that YAML's reader also judges the encoding
         try:
@@ -317,7 +316,7 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
 
     if (cavity is not None and spectrum is not None and t_grid is not None
             and "amplitude_oracle" in outputs):
-        points = _build(errors, "grids.t.stop", amplitude_oracle_points, cavity, spectrum,
+        points = _build(errors, "grids.t.stop", amplitude_ode_points, cavity, spectrum,
                         float(t_grid[-1]))
         if points is not None and (points - 1) * spectrum.coeffs.size > MAX_ODE_STEP_LINES:
             errors["grids.t.stop"] = (

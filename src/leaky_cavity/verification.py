@@ -83,11 +83,11 @@ def check_amplitude_and_occupation(seed: int = DEFAULT_SEED):
         t = np.arange(0.0, t_end, amplitude_ode_step(params, spectrum))
         amplitude = runner.AmplitudeDeviation(params, spectrum)
         occ_deviation = occ_scale = 0.0
-        for times, states in amplitude_ode_blocks(params, spectrum, t):
-            amplitude.add(times, states)
+        for block in amplitude_ode_blocks(params, spectrum, t):
+            amplitude.add(block)
             # the block's response sum is cached by the amplitude's closed form
-            occ = occupation(params, spectrum, FluctuationModel(0.0), times)
-            ref = np.abs(states) ** 2
+            occ = occupation(params, spectrum, FluctuationModel(0.0), block.times)
+            ref = np.abs(block.values) ** 2
             occ_deviation = np.maximum(occ_deviation, np.max(np.abs(occ.coherent - ref)))
             occ_scale = np.maximum(occ_scale, np.max(ref))
         worst_amp = max(worst_amp, amplitude.value())

@@ -15,9 +15,8 @@ from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION, \
     default_scenario_path, main
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
-from leaky_cavity.oracle import amplitude_ode_step
-from leaky_cavity.runner import BOUNDS, DEFAULT_OUTPUTS, amplitude_oracle_points, \
-    failed_checks, noise_walk_steps, run
+from leaky_cavity.oracle import amplitude_ode_points, amplitude_ode_step
+from leaky_cavity.runner import BOUNDS, DEFAULT_OUTPUTS, failed_checks, noise_walk_steps, run
 from leaky_cavity.scenario import MAX_BATH_MODES, MAX_GRID_POINTS, MAX_N_MAX, \
     MAX_ODE_STEP_LINES, MAX_TRIAL_STEPS, MAX_WALK_STEPS, load_scenario
 
@@ -430,7 +429,7 @@ def _ode_scenario(tmp_path, stop, n_max=3):
 
 def _ode_step_lines(config) -> int:
     loaded = load_scenario(config)
-    steps = amplitude_oracle_points(loaded.cavity, loaded.spectrum, loaded.t_grid[-1]) - 1
+    steps = amplitude_ode_points(loaded.cavity, loaded.spectrum, loaded.t_grid[-1]) - 1
     return steps * loaded.spectrum.coeffs.size
 
 
@@ -449,7 +448,7 @@ def test_the_amplitude_oracle_is_counted_as_np_arange_forms_its_grid():
     h = amplitude_ode_step(shipped.cavity, shipped.spectrum)
     for t_end in (100.0, 1e-4, 1.0 / 3.0, 2.5 * h, 12345.678, h / 2, h / 4):
         grid = np.arange(0.0, t_end + h / 2, h)
-        assert amplitude_oracle_points(shipped.cavity, shipped.spectrum, t_end) == grid.size
+        assert amplitude_ode_points(shipped.cavity, shipped.spectrum, t_end) == grid.size
         assert np.array_equal(grid.view(np.uint64), (h * np.arange(grid.size)).view(np.uint64))
 
 
@@ -671,7 +670,6 @@ def test_benchmark_tracer_binds_to_the_package(config_path, tmp_path, monkeypatc
     import tracing
     import workloads
     import leaky_cavity.cli as cli_mod
-    import leaky_cavity.oracle as oracle_mod
 
     sweep = workloads.SweepSeries(workloads.SweepSeries.default_seed, str(tmp_path))
     Path(sweep.scenario_path()).write_text(config_path.read_text())
@@ -690,10 +688,6 @@ def test_benchmark_tracer_binds_to_the_package(config_path, tmp_path, monkeypatc
         assert cli_mod.main(["decompose", "--config", str(config_path),
                              "--input", str(series_path), "--out", str(tmp_path / "dec")]) == EXIT_OK
         assert sweep.check(sweep.op()) == []
-        # run streams its amplitude oracle through amplitude_ode_blocks, which the tracer
-        # does not count, so the binding of oracle.rk4_steps is checked on a direct call
-        oracle_mod.integrate_amplitude_ode(sweep.config.cavity, sweep.config.spectrum,
-                                           np.arange(0.0, 1.0, 1e-3))
         metrics = tracer.layer_metrics(1)
     finally:
         tracer.uninstall()
@@ -705,6 +699,31 @@ def test_benchmark_tracer_binds_to_the_package(config_path, tmp_path, monkeypatc
         assert metrics[name][0] > 0, name
     assert metrics["oracle.bath_modes"][0] == SCENARIO["oracle"]["bath_modes"]
     assert metrics["verification.checks_failed"][0] == 0
+
+
+def test_benchmark_tracer_counts_the_streamed_amplitude_oracle(tmp_path, monkeypatch):
+    """run's amplitude oracle streams through calls the tracer counts: every RK4 step and row."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    config = tmp_path / "ode.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "outputs": ["amplitude_oracle"]}))
+    loaded = load_scenario(config)
+    points = amplitude_ode_points(loaded.cavity, loaded.spectrum, loaded.t_grid[-1])
+    out = tmp_path / "out"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.op = 1
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        metrics = tracer.layer_metrics(1)
+    finally:
+        tracer.uninstall()
+    csv = out / "amplitude_oracle.csv"
+    assert metrics["oracle.rk4_steps"][0] == points - 1
+    assert metrics["io.rows_written"][0] == points == csv.read_text().count("\n") - 1
+    assert metrics["io.bytes_written"][0] >= csv.stat().st_size
+    assert metrics["cavity.points"][0] == points * loaded.spectrum.coeffs.size
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -12,7 +12,8 @@ from leaky_cavity import io as lcio
 from leaky_cavity.cavity import CavityParams, occupation
 from leaky_cavity.cli import default_scenario_path
 from leaky_cavity.correlation import stationary_correlation
-from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, TimeSeries
+from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, SeriesBlocks, \
+    TimeSeries
 from leaky_cavity.io import (
     read_timeseries_csv,
     write_correlation_csv,
@@ -206,6 +207,26 @@ def test_streamed_batches_equal_one_batch(tmp_path, cuts):
     path = tmp_path / "rows.csv"
     lcio._write_rows(path, "t,a,b", batches)
     assert path.read_bytes() == one_shot_rows("t,a,b", columns).encode()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_series_blocks_are_written_as_the_whole_series(tmp_path, dtype):
+    rng = np.random.default_rng(5)
+    t = np.arange(3000) * 0.01
+    values = rng.normal(size=3000) * (1j if dtype is complex else 1) + rng.normal(size=3000)
+    write_timeseries_csv(tmp_path / "whole.csv", TimeSeries(t, values), label="x")
+    cuts = [(0, 1025), (1025, 1026), (1026, 3000)]
+    blocks = (TimeSeries(t[lo:hi], values[lo:hi]) for lo, hi in cuts)
+    write_timeseries_csv(tmp_path / "blocks.csv", SeriesBlocks(3000, blocks), label="x")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_series_blocks_of_another_length_leave_no_file(tmp_path, length):
+    blocks = [TimeSeries(np.arange(3.0), np.ones(3))]
+    with pytest.raises(ValueError, match=f"a series of {length} points hold 3"):
+        write_timeseries_csv(tmp_path / "short.csv", SeriesBlocks(length, blocks))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_leaves_the_target_untouched(tmp_path, monkeypatch):

@@ -245,11 +245,11 @@ def streamed(params, spec, t_grid):
     """The times, states and amplitude figure of amplitude_ode_blocks, block by block."""
     figure = AmplitudeDeviation(params, spec)
     times, states = [], []
-    for block_times, block_states in amplitude_ode_blocks(params, spec, t_grid):
-        assert block_times.size == block_states.size >= 2
-        figure.add(block_times, block_states)
-        times.append(block_times.copy())
-        states.append(block_states.copy())
+    for block in amplitude_ode_blocks(params, spec, t_grid):
+        assert len(block) >= 2
+        figure.add(block)
+        times.append(block.times)
+        states.append(block.values)
     return np.concatenate(times), np.concatenate(states), figure.value()
 
 
