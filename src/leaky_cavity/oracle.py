@@ -94,9 +94,14 @@ def _arange_points(stop: float, step: float, what: str) -> int:
     return math.ceil(count)
 
 
+def _fastest_rate(params: CavityParams, spectrum: DipoleSpectrum) -> float:
+    """max(omega_q, top harmonic, kappa), the fastest rate of the driven cavity."""
+    return max(params.omega_q, spectrum.harmonics()[-1], params.kappa)
+
+
 def amplitude_ode_step(params: CavityParams, spectrum: DipoleSpectrum) -> float:
-    """Step 0.005/max(omega_q, top harmonic, kappa) of the amplitude oracle against the closed form."""
-    return 0.005 / max(params.omega_q, spectrum.harmonics()[-1], params.kappa)
+    """Step 0.005/``_fastest_rate`` of the amplitude oracle against the closed form."""
+    return 0.005 / _fastest_rate(params, spectrum)
 
 
 def amplitude_ode_points(params: CavityParams, spectrum: DipoleSpectrum, t_end: float) -> int:
@@ -134,30 +139,23 @@ def noise_times(params: CavityParams) -> np.ndarray:
     return noise_step(params) * np.arange(noise_points(params))
 
 
-def amplitude_ode_blocks(params: CavityParams, mean_dipole: DipoleSpectrum, t_grid):
-    """``integrate_amplitude_ode`` on ``t_grid``, one row block of phase tables at a time.
+def amplitude_ode_blocks(params: CavityParams, mean_dipole: DipoleSpectrum, n: int):
+    """``integrate_amplitude_ode`` on the n points k h, k < n, one row block at a time.
 
-    ``t_grid`` is the grid of times, or a point count n for the grid of the
-    points k h, k < n, with h = ``amplitude_ode_step`` (the points that
-    np.arange(0, stop, h) holds), whose nodes are formed one block at a time.
-    Each block is integrated by ``integrate_amplitude_ode`` from the last state
-    of the block before, with the grid's step, so the states are those of the
-    whole grid bit for bit.  Yields a TimeSeries of each block's new nodes, the
-    first block's with t_0 and the vacuum, so no block has a single row unless
-    the grid has two points; besides it only one block's temporaries are held.
+    h is ``amplitude_ode_step``; the points are those np.arange(0, stop, h)
+    holds, and a count such as ``amplitude_ode_points`` gives.  Each block's
+    nodes are formed as it is reached and integrated by
+    ``integrate_amplitude_ode`` from the last state of the block before, with
+    the step h, so the states are those of the whole grid bit for bit.  Yields
+    a TimeSeries of each block's new nodes, the first block's with t_0 and the
+    vacuum, so no block has a single row unless the grid has two points;
+    besides it only one block's temporaries are held.
     """
-    step = None
-    if np.ndim(t_grid) == 0:  # the grid k h, checked on its first step
-        n, step = operator.index(t_grid), amplitude_ode_step(params, mean_dipole)
-        t = step * np.arange(min(n, 2))
-    else:
-        t = np.asarray(t_grid, dtype=float)
-        n = t.size
-    h, _ = _rk4_grid(params, t)
+    n, h = operator.index(n), amplitude_ode_step(params, mean_dipole)
+    _rk4_grid(params, h * np.arange(min(n, 2)))  # the grid's checks, on its first step
     state = None
     for rows in _phase_row_blocks(n - 1, mean_dipole.coeffs.size):
-        grid = (t[rows.start:rows.stop + 1] if step is None
-                else step * np.arange(rows.start, rows.stop + 1))
+        grid = h * np.arange(rows.start, rows.stop + 1)
         block = integrate_amplitude_ode(params, mean_dipole, grid, state=state, step=h)
         state = block.values[-1]
         yield block if rows.start == 0 else TimeSeries(block.times[1:], block.values[1:])

@@ -8,8 +8,7 @@ import numpy as np
 from . import io as lcio
 from .cavity import CavityParams, dipole_noise_occupation, mode_amplitude, occupation
 from .correlation import stationary_correlation, two_time_correlation
-from .dipole import DipoleSpectrum, FluctuationModel, SeriesBlocks, TimeSeries, \
-    synthesize_mean_dipole
+from .dipole import FluctuationModel, SeriesBlocks, synthesize_mean_dipole
 from .oracle import NOISE_KAPPA_TAU, BathDecayResult, BathDiscretization, \
     TrajectoryEnsemble, amplitude_ode_blocks, amplitude_ode_points, bath_times, cavity_bath, \
     continuum_pole, discrete_bath_decay, monte_carlo_noise, noise_points, noise_step, noise_times
@@ -45,33 +44,22 @@ def failed_checks(checks: dict) -> list:
             if name != "noise_oracle_max_pull_stderr" and not value <= BOUNDS[name]]
 
 
-def amplitude_block_maxima(params: CavityParams, spectrum: DipoleSpectrum,
-                           block: TimeSeries) -> np.ndarray:
-    """[max |mode_amplitude|, max |conj(ODE oracle) - mode_amplitude|] over one block of the oracle."""
-    closed = mode_amplitude(params, spectrum, block.times)
-    scale = np.max(np.abs(closed))
-    # |conj(ode) - closed| equals |conj(closed) - ode| bit for bit; formed in closed's buffer
-    np.subtract(np.conjugate(closed, out=closed), block.values, out=closed)
-    return np.array([scale, np.max(np.abs(closed))])
+class RelativeDeviation:
+    """Max |value - reference| over max |reference|, taken block by block.
 
-
-class AmplitudeDeviation:
-    """Max |conj(ODE oracle) - mode_amplitude| over max |mode_amplitude|, taken block by block.
-
-    ``add`` takes each TimeSeries block of ``amplitude_ode_blocks``; both
-    maxima are exact, so the figure is that of the whole arrays.  NaN propagates.
+    ``add`` takes the arrays of one block; both maxima are exact, so the figure
+    is that of the whole arrays.  NaN propagates.
     """
 
-    def __init__(self, params: CavityParams, spectrum: DipoleSpectrum):
-        self.params, self.spectrum = params, spectrum
+    def __init__(self):
         self.maxima = np.zeros(2)
 
-    def add(self, block: TimeSeries):
-        np.maximum(self.maxima, amplitude_block_maxima(self.params, self.spectrum, block),
+    def add(self, value, reference):
+        np.maximum(self.maxima, [np.max(np.abs(reference)), np.max(np.abs(value - reference))],
                    out=self.maxima)
 
     def value(self) -> float | None:
-        """The figure; None if the closed form is 0 throughout."""
+        """The figure; None if the reference is 0 throughout."""
         scale, deviation = self.maxima
         return None if scale == 0 else float(deviation / scale)
 
@@ -137,12 +125,13 @@ def _power(config, target):
 
 def _amplitude_oracle(config, target):
     params, spectrum = config.cavity, config.spectrum
-    deviation = AmplitudeDeviation(params, spectrum)
+    deviation = RelativeDeviation()
     n = amplitude_ode_points(params, spectrum, float(config.t_grid[-1]))
 
     def blocks():
         for block in amplitude_ode_blocks(params, spectrum, n):
-            deviation.add(block)
+            # the ODE's <a> against the closed form's conjugate, <a^dagger>
+            deviation.add(block.values, np.conjugate(mode_amplitude(params, spectrum, block.times)))
             yield block
 
     lcio.write_timeseries_csv(target("amplitude_oracle.csv"), SeriesBlocks(n, blocks()),

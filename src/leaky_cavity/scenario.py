@@ -16,8 +16,9 @@ from .cavity import CavityParams
 from .correlation import CONVENTIONS, tag_factor
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, fourier_decompose
 from .io import read_timeseries_csv
-from .oracle import BATH_HALF_WIDTH_KAPPAS, amplitude_ode_points, bath_times, cavity_bath
-from .spectrum import NORMALIZATIONS
+from .oracle import BATH_HALF_WIDTH_KAPPAS, _fastest_rate, amplitude_ode_points, bath_times, \
+    cavity_bath
+from .spectrum import NORMALIZATIONS, _default_omega_span
 
 # Relative slack in cavity.omega_q == cavity.q * drive.omega.
 _Q_RTOL = 1e-12
@@ -25,13 +26,15 @@ _Q_RTOL = 1e-12
 # Largest oracle.bath_modes: the bath oracle's time and memory grow linearly in
 # the mode count, and a million modes take about 17 s and 250 MB.
 MAX_BATH_MODES = 10 ** 6
-# Largest grids.*.num: a run's time and memory grow linearly in each grid's points.
+# Largest grids.*.num, and the most points of the default omega grid: a run's time
+# and memory grow linearly in each grid's points.
 # A million points on the shipped scenario take about 1.8 s and 90 MB of peak RSS
 # for t, 1.5 s and 200 MB for tau, and 1.0 s and 60 MB for omega (2-vCPU Xeon).
 MAX_GRID_POINTS = 10 ** 6
 # Largest drive.n_max: the closed forms' time and memory grow with grid points x
-# comb lines.  On the shipped grids 10^4 lines load in 0.23 s and run the five
-# closed-form outputs in 4.9 s and 550 MB of peak RSS (0.4 s and 90 MB at 10^3).
+# comb lines.  On the shipped grids 10^4 lines loaded in 0.23 s and ran the five
+# closed-form outputs in 4.9 s and 550 MB of peak RSS (0.4 s and 90 MB at 10^3),
+# with a default omega grid of 2 000 201 points that MAX_GRID_POINTS now refuses.
 MAX_N_MAX = 10 ** 4
 # Largest RK4 steps x comb lines of the amplitude oracle (oracle.amplitude_ode_points)
 # when a run requests amplitude_oracle; it grows as n_max^2 x t_end, in time only, as
@@ -172,6 +175,56 @@ def _grid(grids, path, errors, required=True):
     return None if num is None else np.linspace(0.0, float(stop), num)
 
 
+def _float(value) -> float:
+    """``value()`` as a float, inf where float arithmetic overflows or divides by 0.
+
+    numpy's warnings of it are silenced.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            return float(value())
+        except ArithmeticError:
+            return math.inf
+
+
+def _magnitude_problem(cavity, spectrum, fluct, t_stop: float, tau_stop: float,
+                       dipole_path: str):
+    """(path, message) of the first bound on a run's numbers beyond a float, else None.
+
+    The rule that keeps a run's artifacts finite: each number a run forms is
+    bounded by one of these, and twice each bound must be a finite float, so
+    that a sum of two, such as an occupation's coherent and noise parts, stays
+    finite too.  The largest time is t.stop + tau.stop, the two-time
+    correlator's, and as |i(omega_q - omega_N) + kappa| >= kappa, a line's
+    response to a unit drive is at most 1/kappa.
+    """
+    drive = _float(lambda: 2.0 * np.sum(np.abs(spectrum.coeffs)))  # 2 sum |d_N|
+    rate = _float(lambda: _fastest_rate(cavity, spectrum))
+    g_q, kappa = abs(cavity.g_q), cavity.kappa
+    bounds = (
+        ("drive.omega", "a top harmonic n_max omega", lambda: spectrum.harmonics()[-1]),
+        ("grids.t.stop", "phases up to t.stop max(omega_q, top harmonic, kappa)",
+         lambda: t_stop * rate),
+        ("grids.tau.stop", "phases up to (t.stop + tau.stop) max(omega_q, top harmonic, kappa)",
+         lambda: (t_stop + tau_stop) * rate),
+        (dipole_path, "a drive power up to (2 sum |d_N|)^2", lambda: drive ** 2),
+        ("cavity.kappa", "kappa^2", lambda: kappa ** 2),
+        ("cavity.kappa", "a response to the drive up to (2 sum |d_N| / kappa)^2",
+         lambda: (drive / kappa) ** 2),
+        ("cavity.g_q", "g_q^2", lambda: g_q ** 2),
+        ("cavity.g_q", "a force up to |g_q| 2 sum |d_N|", lambda: g_q * drive),
+        ("cavity.g_q", "coherent parts up to (2 |g_q| sum |d_N| / kappa)^2",
+         lambda: (g_q * drive / kappa) ** 2),
+        ("fluctuation.delta", "noise parts up to 2 C_Delta max(pi, kappa, 1/kappa)",
+         lambda: fluct.delta * g_q ** 2 / kappa * max(np.pi, kappa, 1.0 / kappa)),
+    )
+    for path, what, bound in bounds:
+        value = _float(bound)
+        if not math.isfinite(2.0 * value):
+            return path, f"gives {what} = {value:.3g}; twice it must be a finite float"
+    return None
+
+
 def _yaml_problem(exc: yaml.YAMLError) -> str:
     """What a YAML parse error found, and where (1-based line and column) if the parser says."""
     mark = getattr(exc, "problem_mark", None)
@@ -300,6 +353,14 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
         if name not in known:
             errors[f"outputs.{name}"] = f"unknown artifact; known: {known}"
 
+    if (not grids.get("omega") and "spectrum" in outputs and cavity is not None
+            and spectrum is not None):
+        points = _float(lambda: _default_omega_span(cavity, spectrum)[1])
+        if points > MAX_GRID_POINTS:
+            errors["grids.omega"] = (
+                f"must be given here: the default grid, kappa/20 apart out to 10 kappa above the "
+                f"top line, has {points:.10g} points, more than {MAX_GRID_POINTS}")
+
     if "noise_oracle" in outputs and osettings.seed is None:
         errors["oracle.seed"] = "seed is mandatory when Monte-Carlo output is requested"
 
@@ -330,6 +391,12 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
         if bath is not None:
             _build(errors, "oracle.bath_modes", bath.check_horizon, bath_times(cavity)[-1])
 
+    if not errors:  # the bounds of a scenario that every other rule admits
+        problem = _magnitude_problem(cavity, spectrum, fluct, float(t_grid[-1]),
+                                     float(tau_grid[-1]),
+                                     "dipole.series" if series else "dipole.coeffs")
+        if problem is not None:
+            errors[problem[0]] = problem[1]
     if errors:
         raise ScenarioError(errors)
     return ScenarioConfig(

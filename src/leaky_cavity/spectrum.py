@@ -47,11 +47,16 @@ class PowerReport:
         return self.p_coherent + self.p_fluctuation
 
 
+def _default_omega_span(params: CavityParams, spectrum: DipoleSpectrum) -> tuple[float, float]:
+    """Stop and point count of ``default_omega_grid``, counted without building it."""
+    top = max(float(spectrum.harmonics()[-1]), params.omega_q) + 10.0 * params.kappa
+    return top, np.ceil(top / (params.kappa / 20.0)) + 1
+
+
 def default_omega_grid(params: CavityParams, spectrum: DipoleSpectrum) -> np.ndarray:
     """Uniform grid with spacing kappa/20 spanning [0, max line + 10 kappa]."""
-    top = max(float(spectrum.harmonics()[-1]), params.omega_q) + 10.0 * params.kappa
-    step = params.kappa / 20.0
-    return np.linspace(0.0, top, int(np.ceil(top / step)) + 1)
+    top, points = _default_omega_span(params, spectrum)
+    return np.linspace(0.0, top, int(points))
 
 
 def power_spectrum(params: CavityParams, spectrum: DipoleSpectrum,
@@ -68,9 +73,10 @@ def power_spectrum(params: CavityParams, spectrum: DipoleSpectrum,
     omega = np.asarray(omega_grid, dtype=float)
     lines = np.column_stack([spectrum.harmonics(),
                              np.abs(line_amplitudes(params, spectrum)) ** 2])
-    continuum = factor * 2.0 * noise_saturation(params, fluct) * params.kappa / (
-        (omega - params.omega_q) ** 2 + params.kappa ** 2
-    )
+    with np.errstate(over="ignore"):  # a detuning beyond 1e154 squares to inf: a continuum of 0
+        continuum = factor * 2.0 * noise_saturation(params, fluct) * params.kappa / (
+            (omega - params.omega_q) ** 2 + params.kappa ** 2
+        )
     truncated = bool(
         fluct.delta > 0
         and (omega[0] > params.omega_q - 5.0 * params.kappa

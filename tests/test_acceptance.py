@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leaky_cavity import runner, verification
-from leaky_cavity.cli import default_scenario_path
+from leaky_cavity import oracle, runner, verification
+from leaky_cavity.cli import EXIT_ORACLE, default_scenario_path, main
 
 
 def report(results):
@@ -72,7 +72,8 @@ def test_noise_gate_fails_a_zero_spread_ensemble(noise_bundle):
 
 # Each figure of the bound table, a verify check that judges it, and the run of
 # that check: the Monte-Carlo checks read the module's bundle, and criterion 1
-# takes ten times the ODE step, which keeps its code path at a tenth of the cost.
+# counts its points at ten times the ODE step, which keeps its code path at a
+# tenth of the cost.
 BOUND_CHECKS = [
     ("amplitude_oracle_max_rel_deviation", "coherent amplitude vs ODE oracle", "amplitude"),
     ("noise_oracle_max_pull_stderr", "Monte-Carlo noise occupation law", "noise"),
@@ -105,6 +106,90 @@ def test_verify_judges_each_figure_by_the_bound_table(noise_bundle, monkeypatch,
         result = judged()
         assert (result.measured, result.tolerance, result.passed) == (first.measured, bound,
                                                                       passed)
+
+
+def test_criterion_1_counts_the_arange_grid(monkeypatch):
+    # the grid np.arange(0, t_end, h) of each of seed 1234's scenarios, given by its count
+    counts = []
+
+    def count(stop, step, what):
+        counts.append((stop, step, oracle._arange_points(stop, step, what)))
+        return counts[-1][2]
+
+    monkeypatch.setattr(verification, "_arange_points", count)
+    monkeypatch.setattr(verification, "amplitude_ode_blocks", lambda *args: iter(()))
+    verification.check_amplitude_and_occupation(seed=1234)
+    assert len(counts) == 50
+    cases = [(k * h, h) for h in (step for _, step, _ in counts[:5])
+             for k in (1, 2, 3, 1000, 4567, 1_000_003)]
+    for t_end, h in [(stop, step) for stop, step, _ in counts] + cases:
+        grid = np.arange(0.0, t_end, h)
+        assert oracle._arange_points(t_end, h, "") == grid.size
+        points = h * np.arange(grid.size)
+        assert np.array_equal(points.view(np.uint64), grid.view(np.uint64))
+
+
+def _nan_in_one_scenario(monkeypatch):
+    # the closed form of criterion 1's tenth scenario reads NaN throughout
+    closed, seen = verification.mode_amplitude, []
+
+    def amplitude(params, spectrum, t):
+        if params not in seen:
+            seen.append(params)
+        return closed(params, spectrum, t) * (np.nan if len(seen) == 10 else 1.0)
+
+    monkeypatch.setattr(verification, "mode_amplitude", amplitude)
+
+
+def _nan_line_weight(monkeypatch):
+    # the expected weight of the second line of the WKT round trip's comb, the one with
+    # three lines, is NaN
+    shipped = verification.power_spectrum
+
+    def spectrum(*args, **kwargs):
+        result = shipped(*args, **kwargs)
+        if len(result.lines) == 4:
+            result.lines[2, 1] = np.nan
+        return result
+
+    monkeypatch.setattr(verification, "power_spectrum", spectrum)
+
+
+def _nan_bath_norm(monkeypatch):
+    # the 2000-mode bath's norm error is NaN
+    shipped = verification.discrete_bath_decay
+
+    def decay(bath, params, t):
+        result = shipped(bath, params, t)
+        return replace(result, norm_error=np.nan) if bath.n_modes == 2000 else result
+
+    monkeypatch.setattr(verification, "discrete_bath_decay", decay)
+
+
+NAN_FIGURES = {
+    "criterion-1-scenario": (_nan_in_one_scenario, "coherent amplitude vs ODE oracle: measured "
+                             "nan vs tolerance 1.000e-08 (50 random scenarios)"),
+    "wkt-line-weight": (_nan_line_weight,
+                        "WKT line weights |A_N|^2: measured nan vs tolerance 1.000e-02"),
+    "bath-norm-error": (_nan_bath_norm, "single-excitation norm conservation: measured nan vs "
+                        "tolerance 1.000e-08"),
+}
+
+
+@pytest.mark.parametrize("inject, line", NAN_FIGURES.values(), ids=NAN_FIGURES.keys())
+def test_a_nan_figure_fails_its_line_and_verify_exits_2(amplitude_results, noise_bundle,
+                                                        monkeypatch, capsys, inject, line):
+    # the Monte-Carlo bundle, and criteria 1 and 2 where nothing is injected into them,
+    # are the module's
+    monkeypatch.setattr(verification, "_noise_benchmark", lambda seed: noise_bundle)
+    if inject is not _nan_in_one_scenario:
+        monkeypatch.setattr(verification, "check_amplitude_and_occupation",
+                            lambda seed: amplitude_results)
+    inject(monkeypatch)
+    assert main(["verify", "--seed-override", "1234"]) == EXIT_ORACLE
+    out = capsys.readouterr().out.splitlines()
+    assert [text for text in out if not text.startswith("[PASS]")] == [
+        f"[FAIL] {line}", f"{len(out) - 2}/{len(out) - 1} checks passed"]
 
 
 def test_criterion_4_longtime_limit():

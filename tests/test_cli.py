@@ -2,9 +2,11 @@ import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
 from leaky_cavity.oracle import amplitude_ode_points, amplitude_ode_step
 from leaky_cavity.runner import BOUNDS, DEFAULT_OUTPUTS, failed_checks, noise_walk_steps, run
+from leaky_cavity.spectrum import default_omega_grid
 from leaky_cavity.scenario import MAX_BATH_MODES, MAX_GRID_POINTS, MAX_N_MAX, \
     MAX_ODE_STEP_LINES, MAX_TRIAL_STEPS, MAX_WALK_STEPS, load_scenario
 
@@ -410,8 +413,10 @@ def test_n_max_above_the_ceiling_is_refused(tmp_path, capsys, n_max):
 
 
 def test_a_comb_at_the_ceiling_loads(tmp_path):
-    # without the amplitude oracle, whose budget such a comb exceeds (test below)
+    # without the amplitude oracle, whose budget such a comb exceeds (test below), and
+    # with an omega grid, as the default one would exceed MAX_GRID_POINTS (test below)
     doc = {**_set_field(SCENARIO, "drive.n_max", MAX_N_MAX), "outputs": list(DEFAULT_OUTPUTS)}
+    doc["grids"] = {**doc["grids"], "omega": {"stop": 2.0 * MAX_N_MAX, "num": 4001}}
     doc["dipole"] = {"coeffs": [[0.0, 0.0]] * MAX_N_MAX + [[0.125, 0.0]]}
     config = tmp_path / "ceiling.yaml"
     config.write_text(yaml.safe_dump(doc))
@@ -594,6 +599,96 @@ def test_non_finite_input_exit_code(tmp_path, capsys, section, value, message):
     assert f"invalid config: {message}" in capsys.readouterr().err
     assert caught == []
     assert not out.exists()
+
+
+# Large finite inputs whose run wrote NaN or inf, or ended in an OverflowError traceback,
+# with the five closed-form outputs: the field set, its value, and the refusal.
+OVERFLOWING_INPUTS = {
+    "t-stop": ("grids.t.stop", 1e308, "grids.t.stop: gives phases up to t.stop max(omega_q, "
+               "top harmonic, kappa) = inf; twice it must be a finite float"),
+    "tau-stop": ("grids.tau.stop", 1e308, "grids.tau.stop: gives phases up to (t.stop + "
+                 "tau.stop) max(omega_q, top harmonic, kappa) = inf; twice it must be a "
+                 "finite float"),
+    "g_q-inf-artifacts": ("cavity.g_q", 1e154, "cavity.g_q: gives g_q^2 = 1e+308; twice it "
+                          "must be a finite float"),
+    "g_q-overflow-error": ("cavity.g_q", 1e200, "cavity.g_q: gives g_q^2 = inf; twice it must "
+                           "be a finite float"),
+    "dc-coefficient": ("dipole.coeffs", [[1e308, 0.0], [0.375, 0.0], [0.0, 0.0], [0.125, 0.0]],
+                       "dipole.coeffs: gives a drive power up to (2 sum |d_N|)^2 = inf; twice "
+                       "it must be a finite float"),
+    "kappa": ("cavity.kappa", 1e300, "cavity.kappa: gives kappa^2 = inf; twice it must be a "
+              "finite float"),
+}
+
+
+@pytest.mark.parametrize("field, value, message", OVERFLOWING_INPUTS.values(),
+                         ids=OVERFLOWING_INPUTS.keys())
+def test_inputs_beyond_a_float_are_refused_at_load(tmp_path, capsys, field, value, message):
+    doc = {**_set_field(SCENARIO, field, value), "outputs": list(DEFAULT_OUTPUTS)}
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"invalid config: {message}\n"
+    assert not out.exists()
+
+
+def test_a_dipole_series_beyond_a_float_is_refused_under_its_path(tmp_path, capsys):
+    series_path = tmp_path / "dipole.csv"
+    reference = load_scenario(default_scenario_path()).spectrum
+    series = synthesize_mean_dipole(reference, np.linspace(0.0, 4 * 2 * np.pi, 4001))
+    write_timeseries_csv(series_path, replace(series, values=1e160 * series.values), label="d")
+    doc = {**SCENARIO, "dipole": {"series": str(series_path)}, "outputs": list(DEFAULT_OUTPUTS)}
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: dipole.series: gives a drive power up to "
+                          "(2 sum |d_N|)^2 = inf;")
+    assert not out.exists()
+
+
+def test_large_finite_inputs_within_the_bounds_write_finite_numbers(tmp_path):
+    # stops of 1e300 give phases of 6e300, and an omega grid to 1e308 squares its
+    # detunings to inf, which leaves a continuum of 0
+    doc = {**SCENARIO, "outputs": list(DEFAULT_OUTPUTS),
+           "grids": {"t": {"stop": 1e300, "num": 101}, "tau": {"stop": 1e300, "num": 201},
+                     "omega": {"stop": 1e308, "num": 301}}}
+    config = tmp_path / "large.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    for path in out.iterdir():
+        assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), path.name
+
+
+@pytest.mark.parametrize("kappa, points", [(1e-5, "6000201"), (1e-7, "600000201"),
+                                           (1e-300, "6e+301"), (5e-324, "inf")])
+def test_a_default_omega_grid_above_the_ceiling_is_refused(tmp_path, capsys, kappa, points):
+    # 1e-5 loaded with 6 million points, 1e-7 with 4.8 GB per array, and 1e-300 ended
+    # in numpy's "Maximum allowed size exceeded" without a path
+    doc = {**_set_field(SCENARIO, "cavity.kappa", kappa), "outputs": list(DEFAULT_OUTPUTS)}
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"invalid config: grids.omega: must be given here: the default grid, kappa/20 apart "
+        f"out to 10 kappa above the top line, has {points} points, more than "
+        f"{MAX_GRID_POINTS}\n")
+    assert not out.exists()
+
+
+def test_a_default_omega_grid_at_the_ceiling_loads(tmp_path):
+    # 20 (top + 10 kappa) / kappa + 1 points: kappa = 3 / 49989.95 gives 10^6
+    doc = {**_set_field(SCENARIO, "cavity.kappa", 3.0 / 49989.95),
+           "outputs": list(DEFAULT_OUTPUTS)}
+    config = tmp_path / "ceiling.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    config = load_scenario(config)
+    assert config.omega_grid is None
+    assert default_omega_grid(config.cavity, config.spectrum).size == MAX_GRID_POINTS
 
 
 def test_run_imports_no_scipy(tmp_path):

@@ -30,7 +30,7 @@ from leaky_cavity.oracle import (
     integrate_amplitude_ode,
     monte_carlo_noise,
 )
-from leaky_cavity.runner import AmplitudeDeviation, _amplitude_oracle
+from leaky_cavity.runner import RelativeDeviation, _amplitude_oracle
 from leaky_cavity.scenario import load_scenario
 
 
@@ -241,37 +241,37 @@ def whole_array_deviation(params, spec, ode):
     return np.max(np.abs(np.conj(ode.values) - closed)) / np.max(np.abs(closed))
 
 
-def streamed(params, spec, t_grid):
-    """The times, states and amplitude figure of amplitude_ode_blocks, block by block."""
-    figure = AmplitudeDeviation(params, spec)
+def streamed(params, spec, n):
+    """Times, states and amplitude figure of amplitude_ode_blocks on n points, block by block."""
+    figure = RelativeDeviation()
     times, states = [], []
-    for block in amplitude_ode_blocks(params, spec, t_grid):
+    for block in amplitude_ode_blocks(params, spec, n):
         assert len(block) >= 2
-        figure.add(block)
+        figure.add(block.values, np.conj(mode_amplitude(params, spec, block.times)))
         times.append(block.times)
         states.append(block.values)
     return np.concatenate(times), np.concatenate(states), figure.value()
 
 
-STREAM_CASES = {name: case[:3] for name, case in STEP_END_CASES.items() if case[0].g_q}
-for seed in range(8):  # random combs of 1-20 lines on arange and linspace grids
+# (cavity, comb, the grid k h of the oracle's step h whose point count is streamed): the
+# grid of steps 2^-9, the oracle's step at omega_q = 0.005 * 2^9, where every step ends
+# on the next node, and np.arange grids of random combs of 1-20 lines
+STREAM_CASES = {"every-end-on-the-grid": (
+    CavityParams(omega_q=0.005 * 2 ** 9, g_q=0.05, kappa=0.1), comb(3, 1), exact_grid(5000))}
+for seed in range(1, 8, 2):
     rng = np.random.default_rng(seed)
     n_max = int(rng.integers(1, 21))
     params = CavityParams(omega_q=float(rng.uniform(0.5, 5.0)), g_q=float(rng.uniform(0.01, 0.3)),
                           kappa=float(10.0 ** rng.uniform(-2, 0)))
     spec = comb(n_max, seed)
-    h = amplitude_ode_step(params, spec)
-    t_end = float(rng.uniform(10.0, 30.0))
-    grid = (np.arange(0.0, t_end, h) if seed % 2 else
-            np.linspace(0.0, t_end, int(t_end / h) + 2))
-    STREAM_CASES[f"seed-{seed}-{'arange' if seed % 2 else 'linspace'}-{n_max}-lines"] = \
-        (params, spec, grid)
+    h, t_end = amplitude_ode_step(params, spec), float(rng.uniform(10.0, 30.0))
+    STREAM_CASES[f"seed-{seed}-arange-{n_max}-lines"] = (params, spec, np.arange(0.0, t_end, h))
 
 
 @pytest.mark.parametrize("case", STREAM_CASES.values(), ids=STREAM_CASES.keys())
 def test_streamed_states_and_figure_equal_the_collected_ones(case):
     params, spec, t = case
-    times, states, figure = streamed(params, spec, t)
+    times, states, figure = streamed(params, spec, t.size)
     ode = integrate_amplitude_ode(params, spec, t)
     assert np.array_equal(times.view(np.uint64), t.view(np.uint64))
     assert np.array_equal(states.view(np.uint64), ode.values.view(np.uint64))
@@ -297,6 +297,38 @@ def test_a_point_count_below_two_is_refused():
     for n in (0, 1):
         with pytest.raises(ValueError, match="t grid is not uniform"):
             next(amplitude_ode_blocks(params, spec, n))
+
+
+def relative_deviation(blocks):
+    """The figure of RelativeDeviation fed the (value, reference) pairs of ``blocks``."""
+    figure = RelativeDeviation()
+    for value, reference in blocks:
+        figure.add(value, reference)
+    return figure.value()
+
+
+def test_relative_deviation_equals_the_whole_array_figure():
+    rng = np.random.default_rng(3)
+    value, reference = rng.normal(size=(2, 1000)) + 1j * rng.normal(size=(2, 1000))
+    bounds = [0, 1, 7, 500, 998, 1000]  # uneven blocks, single points among them
+    blocks = [(value[lo:hi], reference[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    assert relative_deviation(blocks) == (np.max(np.abs(value - reference))
+                                          / np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("where", ["value", "reference"])
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_relative_deviation_propagates_nan(where, block):
+    # a NaN in any block stays, whichever block holds the maxima
+    blocks = [(np.array([1.0, 2.0]), np.array([1.5, 4.0])) for _ in range(3)]
+    blocks[block][where == "reference"][1] = np.nan
+    assert np.isnan(relative_deviation(blocks))
+
+
+def test_relative_deviation_is_none_at_a_zero_reference():
+    assert relative_deviation([(np.array([1.0, -2.0]), np.zeros(2))] * 3) is None
+    assert relative_deviation([(np.zeros(2), np.zeros(2)), (np.ones(2), np.array([0.0, 0.5]))]) \
+        == 2.0
 
 
 def test_amplitude_oracle_heap_does_not_grow_with_the_horizon(tmp_path):
