@@ -31,8 +31,8 @@ BATH_HALF_WIDTH_KAPPAS = 40.0
 # agree to rounding, as the per-chunk sums over trials reassociate.
 _MC_CHUNK = 512
 # Steps per block of the Monte-Carlo recursion (one GEMM row) and blocks per
-# slab (one GEMM): 256 steps x 512 trials keep the slab arrays at a few MB.
-# Like _MC_CHUNK, they bound work and memory; results agree to rounding.
+# slab, whose pick blocks' |d|^2 one GEMV sums over trials.  Like _MC_CHUNK,
+# they bound work and memory; results agree to rounding.
 _MC_BLOCK = 16
 _MC_SLAB_BLOCKS = 16
 # Slabs of normals drawn per trial at a time: the draw tile holds
@@ -263,12 +263,16 @@ def _slab_reads(picked: np.ndarray, snaps: np.ndarray, slab: int, tile: int) -> 
 
     State s >= 1 comes out of step s - 1, at position s - 1 - s0 of the slab
     starting at step s0; state 0 is the vacuum.  Maps each such s0 to
-    (sel, k, k_occ, span, cols, here, snap_cols): the k blocks to form, as
-    indices into the draw tile (a slice when consecutive), of which the first
+    (groups, k, k_occ, span, cols): the k blocks to form, of which the first
     k_occ hold a pick (picks lie at or before t_ref = snaps[0], snapshots at
-    or after it); the slice ``span`` of ``picked`` in the slab and their state
-    columns among the formed blocks (None without picks); the indices
-    ``here`` of ``snaps`` in the slab and their columns.
+    or after it); the slice ``span`` of ``picked`` in the slab and their
+    columns among the states of the pick blocks (None without picks).  The
+    blocks are formed two at a time, the last three when k is odd, so no
+    product has one row unless the slab holds one block and the chunk one
+    trial.  Each group is (sel, n, at, ref, lag_cols, lags): its n blocks as
+    indices into the draw tile (a slice when consecutive), its first column
+    among the slab's formed states, the column of t_ref in it (or None), and
+    the columns of the snapshots at t_ref + tau[lags].
     """
     n_l = _MC_BLOCK
     reads = {}
@@ -284,9 +288,17 @@ def _slab_reads(picked: np.ndarray, snaps: np.ndarray, slab: int, tile: int) -> 
         column = np.empty(kind.size, dtype=int)
         column[blocks] = n_l * np.arange(blocks.size)
         cols = _as_slice(column[pos // n_l] + pos % n_l) if hi > lo else None
-        reads[int(s0)] = (_as_slice(blocks + s0 % tile // n_l), blocks.size,
-                          np.count_nonzero(kind == 2), slice(lo, hi), cols, here,
-                          column[snap_pos // n_l] + snap_pos % n_l)
+        snap_cols = column[snap_pos // n_l] + snap_pos % n_l
+        edges = [*range(0, max(blocks.size - 1, 1), 2), blocks.size]
+        groups = []
+        for g0, g1 in zip(edges, edges[1:]):
+            at = n_l * g0
+            mine = (snap_cols >= at) & (snap_cols < n_l * g1)
+            got, where = here[mine], snap_cols[mine] - at
+            ref = int(got.size > 0 and got[0] == 0)  # here is sorted: t_ref first
+            groups.append((_as_slice(blocks[g0:g1] + s0 % tile // n_l), g1 - g0, at,
+                           where[0] if ref else None, where[ref:], got[ref:] - 1))
+        reads[int(s0)] = (groups, blocks.size, np.count_nonzero(kind == 2), slice(lo, hi), cols)
     return reads
 
 
@@ -311,13 +323,13 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     block of a draw tile comes from one GEMM of the tile, and a short scan
     turns them into each block's start state (its carry).  States are formed
     only in the blocks that hold a read state (a pick, t_ref or t_ref + tau):
-    per slab those blocks, with their carries as two extra columns, are
-    gathered and multiplied by ``_block_propagator`` in one real GEMM, and the
-    |d|^2 sums over trials are GEMVs with a ones vector over every state of
-    the blocks that hold a pick.  Each trial's generator stays open across its
-    chunk and fills one row of a fixed draw tile at a time, so memory grows
-    with the walk only through the sums at the picks.  The two-time products
-    and their squared moduli reuse the slab buffers at the chunk's end.
+    a slab's blocks, with their carries as two extra columns, are gathered two
+    or three at a time and multiplied by ``_block_propagator`` in a real GEMM.
+    The |d|^2 of a slab's pick blocks fill one buffer, summed over trials by
+    GEMVs with a ones vector, and each snapshot's product with conj d(t_ref)
+    joins the two-time sums as soon as it is formed.  Each trial's generator
+    stays open across its chunk and fills one row of a fixed draw tile at a
+    time, so memory grows with the walk only through the sums at the picks.
     """
     t = np.asarray(t_grid, dtype=float)
     h, (r, c0, cm, c1) = _rk4_grid(params, t)
@@ -358,16 +370,13 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     rows = min(_MC_CHUNK, n_trials)
     draws = np.empty((rows, tile))
     block_end = np.empty((rows * (tile // n_l), 2))  # then, in place, each block's carry
-    aug = np.empty(rows * n_blocks * (n_l + 2))  # noise blocks | Re, Im carry
-    states = np.empty(rows * slab * 2)  # Re z, Im z of each state of the formed blocks
+    aug = np.empty(rows * 3 * (n_l + 2))  # a group's (up to 3) noise blocks | Re, Im carry
+    states = np.empty(rows * 3 * 2 * n_l)  # Re z, Im z of each state of a group's blocks
+    occ = np.empty(rows * n_l * max((read[2] for read in reads.values()), default=0))  # |z|^2
     col_sum = np.empty(slab)
     ones = np.ones(rows)
-    kept = np.empty((rows, snaps.size), dtype=complex)
-    # Lag columns per block of the chunk's two-time sums, which fill states (as
-    # complex) and aug.  No block is one column wide unless all are, since numpy
-    # sums a single column pairwise and wider ones row by row.
-    lag_blocks = max(1, -(-tau_steps.size // slab))
-    lag_width = max(1, -(-tau_steps.size // lag_blocks))
+    ref = np.empty(rows, dtype=complex)  # conj z(t_ref) of each trial
+    pad = 2 if tau_steps.size > 1 else 1
     for lo in range(0, n_trials, _MC_CHUNK):
         m = min(_MC_CHUNK, n_trials - lo)
         streams = trial_generators(seed, range(lo, lo + m))
@@ -387,31 +396,37 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
             for s0 in range(t0, min(t0 + tile, n_pad), slab):
                 if s0 not in reads:
                     continue
-                sel, k, k_occ, span, cols, here, snap_cols = reads[s0]
-                a = aug[:m * k * (n_l + 2)].reshape(m, k, n_l + 2)
-                a[:, :, :n_l] = noise_blocks[:, sel]
-                a[:, :, n_l:].view(complex)[..., 0] = carries[:, sel]
-                out = states[:m * k * 2 * n_l].reshape(m, 2 * k * n_l)
-                np.matmul(a.reshape(m * k, n_l + 2), prop, out=out.reshape(m * k, 2 * n_l))
-                kept[:m, here] = out[:, 2 * snap_cols] + 1j * out[:, 2 * snap_cols + 1]
-                if cols is not None:  # |z|^2 into aug, free once its GEMM is done
-                    width_occ = k_occ * n_l
-                    part = out[:, :2 * width_occ]
-                    sq = aug[:m * width_occ].reshape(m, width_occ)
-                    col = col_sum[:width_occ]
-                    np.square(part, out=part)
-                    np.add(part[:, 0::2], part[:, 1::2], out=sq)
+                groups, _, k_occ, span, cols = reads[s0]
+                sq = occ[:m * k_occ * n_l].reshape(m, k_occ * n_l)
+                for sel, n, at, ref_col, lag_cols, lags in groups:
+                    a = aug[:m * n * (n_l + 2)].reshape(m, n, n_l + 2)
+                    a[:, :, :n_l] = noise_blocks[:, sel]
+                    a[:, :, n_l:].view(complex)[..., 0] = carries[:, sel]
+                    out = states[:m * n * 2 * n_l].reshape(m, 2 * n * n_l)
+                    np.matmul(a.reshape(m * n, n_l + 2), prop, out=out.reshape(m * n, 2 * n_l))
+                    if ref_col is not None:
+                        np.conj(out[:, 2 * ref_col] + 1j * out[:, 2 * ref_col + 1], out=ref[:m])
+                    if lags.size:
+                        # The snapshots' products join the two-time sums as they are
+                        # formed.  Numpy sums a single column pairwise and wider ones
+                        # row by row, so a lone lag gets a zero column unless it is
+                        # the only one.
+                        prod = np.zeros((m, max(lags.size, pad)), dtype=complex)
+                        z_lag = out[:, 2 * lag_cols] + 1j * out[:, 2 * lag_cols + 1]
+                        np.multiply(ref[:m, None], z_lag, out=prod[:, :lags.size])
+                        tt_sum[lags] += prod.sum(axis=0)[:lags.size]
+                        moduli = np.abs(prod)
+                        tt_sumsq[lags] += np.square(moduli, out=moduli).sum(axis=0)[:lags.size]
+                    mine = sq[:, at:at + n * n_l]  # |z|^2 of the group's pick blocks
+                    if mine.size:
+                        part = out[:, :2 * mine.shape[1]]
+                        np.square(part, out=part)
+                        np.add(part[:, 0::2], part[:, 1::2], out=mine)
+                if cols is not None:  # one GEMV per sum over the pick blocks' states
+                    col = col_sum[:sq.shape[1]]
                     total[span] += np.matmul(ones[:m], sq, out=col)[cols]
                     np.square(sq, out=sq)
                     total_sq[span] += np.matmul(ones[:m], sq, out=col)[cols]
-        for first in range(0, tau_steps.size, lag_width):
-            last = min(first + lag_width, tau_steps.size)
-            prod = states[:2 * m * (last - first)].view(complex).reshape(m, last - first)
-            np.multiply(np.conj(kept[:m, :1]), kept[:m, 1 + first:1 + last], out=prod)
-            tt_sum[first:last] += prod.sum(axis=0)
-            moduli = aug[:prod.size].reshape(prod.shape)
-            np.square(np.abs(prod, out=moduli), out=moduli)
-            tt_sumsq[first:last] += moduli.sum(axis=0)
 
     times = t if picks is None else t[picked]
     mean_occ, stderr_occ = _mean_stderr(total, total_sq, n_trials)

@@ -172,8 +172,8 @@ def _noise_oracle(config, target):
     with np.errstate(divide="ignore", invalid="ignore"):
         pulls = noise_pulls(config.cavity, config.fluctuation, ens, slice(1, None))
     # the manifest reports no pull where the standard error is 0: with delta = 0 (or
-    # g_q = 0) every trial stays in the vacuum
-    pulls = np.where(ens.stderr_occupation[1:] > 0, pulls, 0.0)
+    # g_q = 0) every trial stays in the vacuum; a NaN standard error keeps its NaN pull
+    pulls = np.where(ens.stderr_occupation[1:] == 0, 0.0, pulls)
     return {"noise_oracle_max_pull_stderr": float(np.max(pulls))}
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .cavity import CavityParams
+from .cavity import CavityParams, noise_saturation
 from .correlation import CONVENTIONS, tag_factor
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, fourier_decompose
 from .io import read_timeseries_csv
@@ -52,6 +52,12 @@ MAX_TRIAL_STEPS = 10 ** 9
 # about 49 B per step in per-point arrays, so a million steps peak at about 90 MB of
 # RSS, as a t grid of MAX_GRID_POINTS does; the shipped cavity's walk takes 34 350.
 MAX_WALK_STEPS = 10 ** 6
+# Tail margin K of the walk's |d|^2 over C_Delta when a run requests noise_oracle.
+# Each d(t) is Gaussian with E|d|^2 at most about C_Delta, so |d|^2 > 100 C_Delta
+# happens in one of MAX_TRIAL_STEPS trial-steps with a chance below
+# 1e9 P(chi^2_1 > 100), about 2e-14.  The walk's sums of |d|^4 and of
+# |conj d(t_ref) d|^2 then stay below n_trials (K C_Delta)^2.
+WALK_TAIL_MARGIN = 100.0
 
 # PyYAML's libyaml parser where PyYAML was built with it (the shipped scenario
 # parses in 0.3 ms, not 2.6 ms, on a 2-vCPU Xeon), else its pure-Python one; both
@@ -374,6 +380,13 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
             errors["cavity"] = (f"must give a Monte-Carlo walk of at most {MAX_WALK_STEPS} steps, "
                                 f"got {steps} at omega_q = {cavity.omega_q!r} and "
                                 f"kappa = {cavity.kappa!r}")
+        elif steps is not None and fluct is not None:  # a walk within its budget
+            sums = _float(lambda: osettings.n_trials
+                          * (WALK_TAIL_MARGIN * noise_saturation(cavity, fluct)) ** 2)
+            if not math.isfinite(2.0 * sums):
+                errors["fluctuation.delta"] = (
+                    f"gives Monte-Carlo sums of |d|^4 up to n_trials ({WALK_TAIL_MARGIN:g} "
+                    f"C_Delta)^2 = {sums:.3g}; twice it must be a finite float")
 
     if (cavity is not None and spectrum is not None and t_grid is not None
             and "amplitude_oracle" in outputs):

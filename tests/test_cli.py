@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -21,7 +22,8 @@ from leaky_cavity.oracle import amplitude_ode_points, amplitude_ode_step
 from leaky_cavity.runner import BOUNDS, DEFAULT_OUTPUTS, failed_checks, noise_walk_steps, run
 from leaky_cavity.spectrum import default_omega_grid
 from leaky_cavity.scenario import MAX_BATH_MODES, MAX_GRID_POINTS, MAX_N_MAX, \
-    MAX_ODE_STEP_LINES, MAX_TRIAL_STEPS, MAX_WALK_STEPS, load_scenario
+    MAX_ODE_STEP_LINES, MAX_TRIAL_STEPS, MAX_WALK_STEPS, WALK_TAIL_MARGIN, \
+    ScenarioError, load_scenario
 
 SCENARIO = {
     "drive": {"omega": 1.0, "n_max": 3},
@@ -580,6 +582,63 @@ def test_noiseless_noise_oracle_reports_a_zero_pull(tmp_path):
                 if not line.startswith("#")][1:]  # after the comments and the header
         table = np.loadtxt(rows, delimiter=",")
         assert table.shape[0] > 1 and np.all(table[:, 1:] == 0.0), name
+
+
+def _noisy_scenario(tmp_path, delta):
+    config = tmp_path / "noisy.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "fluctuation": {"delta": delta},
+                                      "oracle": {"n_trials": 20, "seed": 7},
+                                      "outputs": ["noise_oracle"]}))
+    return config
+
+
+def test_a_walk_whose_sums_overflow_is_refused(tmp_path, capsys):
+    # delta = 1e300 ran, overflowed the walk's sums of |d|^4 and wrote NaN standard
+    # errors with a max pull of 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_noisy_scenario(tmp_path, 1e300)),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == ("invalid config: fluctuation.delta: gives Monte-Carlo sums of |d|^4 up to "
+                   "n_trials (100 C_Delta)^2 = inf; twice it must be a finite float\n")
+    assert not out.exists()
+    # the bound is the walk's: without noise_oracle the same delta loads
+    doc = yaml.safe_load(_noisy_scenario(tmp_path, 1e300).read_text())
+    (tmp_path / "closed.yaml").write_text(yaml.safe_dump({**doc, "outputs": ["occupation"]}))
+    assert load_scenario(tmp_path / "closed.yaml").fluctuation.delta == 1e300
+
+
+def test_a_nan_standard_error_is_not_reported_as_a_zero_pull(tmp_path, monkeypatch):
+    from leaky_cavity import runner
+    walk = runner.monte_carlo_noise
+
+    def nan_spread(*args, **kwargs):
+        ens = walk(*args, **kwargs)
+        ens.stderr_occupation[5] = np.nan
+        return ens
+
+    monkeypatch.setattr(runner, "monte_carlo_noise", nan_spread)
+    out = tmp_path / "out"
+    main(["run", "--config", str(_noisy_scenario(tmp_path, 0.2)), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert math.isnan(manifest["checks"]["noise_oracle_max_pull_stderr"])
+
+
+def test_a_walk_just_inside_its_bound_writes_finite_numbers(tmp_path):
+    cavity = SCENARIO["cavity"]
+    c_per_delta = cavity["g_q"] ** 2 / (2.0 * cavity["kappa"])
+    edge = math.sqrt(sys.float_info.max / (2 * 20)) / (WALK_TAIL_MARGIN * c_per_delta)
+    with pytest.raises(ScenarioError, match="fluctuation.delta"):
+        load_scenario(_noisy_scenario(tmp_path, 1.001 * edge))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_noisy_scenario(tmp_path, 0.999 * edge)),
+                 "--out", str(out)]) == EXIT_OK
+    for name in ("noise_oracle.csv", "noise_oracle_two_time.csv"):
+        rows = [line for line in (out / name).read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert np.all(np.isfinite(np.loadtxt(rows, delimiter=","))), name
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert 0.0 < manifest["checks"]["noise_oracle_max_pull_stderr"] < 10.0
 
 
 @pytest.mark.parametrize("section, value, message", [

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -553,15 +554,23 @@ def test_mc_memory_with_picks_does_not_grow_with_the_walk():
     assert max(excess) < 1e5
 
 
-def test_mc_chunk_heap_with_verify_reads():
-    # one 512-trial chunk of verify's walk, 20 picks and 151 snapshots 10 steps
-    # apart: 18.5 MB with an 8 MB draw tile and chunk-sized temporaries
+def verify_walk():
+    """verify's Monte-Carlo geometry: 20 picks on 10 001 points, 151 lags 10 steps apart."""
     params = CavityParams(omega_q=1.0, g_q=1.0, kappa=0.1)
-    fluct = FluctuationModel(0.2)
     t = oracle.noise_times(params)
     tau = np.arange(0.0, oracle.NOISE_KAPPA_TAU / params.kappa + 0.1, 0.2)
     picks = np.unique(np.linspace(1, t.size - 1, 20).astype(int))
     assert (t.size, tau.size, picks.size) == (10_001, 151, 20)
+    return params, FluctuationModel(0.2), t, tau, picks
+
+
+def test_mc_chunk_heap_with_verify_reads():
+    # One 512-trial chunk of verify's walk, 20 picks and 151 snapshots 10 steps
+    # apart.  The walk holds the 4 MB draw tile, the block ends and one group of
+    # two or three read blocks at a time: about 6.1 MB.  The bound fails a walk
+    # that keeps slab-wide state and product buffers and a chunk-wide snapshot
+    # table (10.4 MB).
+    params, fluct, t, tau, picks = verify_walk()
     monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=4, seed=1, picks=picks)
     tracemalloc.start()
     try:
@@ -570,7 +579,37 @@ def test_mc_chunk_heap_with_verify_reads():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 11e6
+    assert peak < 8e6
+
+
+# Digests of the walk's statistics on verify's read pattern, the same at 1 and
+# 2 OpenBLAS threads: one full chunk and one of 88 trials, and a last chunk
+# of one trial.
+@pytest.mark.parametrize("n_trials, digest", [
+    (600, "40ce8e255d9a85b501622662242ac023bc60e2f23ed003486b543fade4008908"),
+    (513, "d7fde109889a118687ce294dfe4c36681704987fed6878ebf784cc5ec1913152"),
+])
+def test_mc_bytes_on_verify_reads_are_pinned(n_trials, digest):
+    params, fluct, t, tau, picks = verify_walk()
+    ens = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials, seed=1234,
+                            picks=picks)
+    assert ensemble_digest(ens) == digest
+
+
+def test_mc_bytes_with_lone_lags_are_pinned():
+    # Lags 16 steps apart leave a single snapshot in some groups of read
+    # blocks; numpy must still sum its products row by row.
+    params, fluct, _ = mc_setup()
+    t = 0.05 * np.arange(3000)
+    picks = np.unique(np.linspace(1, t.size - 1, 20).astype(int))
+    ens = monte_carlo_noise(params, fluct, t, tau_grid=0.05 * np.arange(0.0, 800.0, 16.0),
+                            n_trials=513, seed=8, picks=picks)
+    assert ensemble_digest(ens) == \
+        "e3c16d921b7ec33147a4933053a74e920dfb3ec6cec3321ac9b9102883d72847"
+
+
+def ensemble_digest(ens):
+    return hashlib.sha256(b"".join(a.tobytes() for a in ensemble_arrays(ens))).hexdigest()
 
 
 # 2**32 and up take two or three words, 3**80 four, and with them the entropy
