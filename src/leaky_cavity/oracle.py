@@ -64,23 +64,21 @@ def _scan(r: complex, forcing: np.ndarray, z: complex = 0j) -> np.ndarray:
     return states
 
 
-def _rk4_grid(params: CavityParams, t: np.ndarray, step=None):
-    """Step h of the uniform grid t, held to the stability limit, and the cavity's RK4 transfer.
+def _vacuum_step(t: np.ndarray) -> float:
+    """Step of the uniform grid t, which starts from the vacuum at 0."""
+    h = float(uniform_steps(t, "t")[0])
+    if t[0] != 0.0:
+        raise ValueError("t grid must start at 0 (vacuum initial condition)")
+    return h
 
-    A grid from the vacuum starts at 0 and its step is its first; ``step``
-    gives the step of a longer grid that t is a block of.
-    """
-    if step is None:
-        h = float(uniform_steps(t, "t")[0])
-        if t[0] != 0.0:  # both integrators start from the vacuum
-            raise ValueError("t grid must start at 0 (vacuum initial condition)")
-    else:
-        h = step
+
+def _rk4_step(params: CavityParams, h: float):
+    """The cavity's RK4 transfer over a step h held to the stability limit."""
     rate = max(params.omega_q, params.kappa)
     if h * rate > _STABILITY_LIMIT:
         raise ValueError(f"step too large: h*max(omega_q, kappa) = {h * rate:.3g} "
                          f"exceeds {_STABILITY_LIMIT}")
-    return h, _rk4_transfer(-(1j * params.omega_q + params.kappa), h)
+    return _rk4_transfer(-(1j * params.omega_q + params.kappa), h)
 
 
 def _arange_points(stop: float, step: float, what: str) -> int:
@@ -152,7 +150,8 @@ def amplitude_ode_blocks(params: CavityParams, mean_dipole: DipoleSpectrum, n: i
     besides it only one block's temporaries are held.
     """
     n, h = operator.index(n), amplitude_ode_step(params, mean_dipole)
-    _rk4_grid(params, h * np.arange(min(n, 2)))  # the grid's checks, on its first step
+    if n < 2:
+        raise ValueError(f"the amplitude oracle needs at least two points, got {n}")
     state = None
     for rows in _phase_row_blocks(n - 1, mean_dipole.coeffs.size):
         grid = h * np.arange(rows.start, rows.stop + 1)
@@ -175,13 +174,14 @@ def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
     the block's own first step may miss by rounding.
 
     A block's drive at its grid nodes t_n .. t_{n+m} gives each step both
-    f(t_n) and, where t_n + h equals t_{n+1} bit for bit, f(t_n + h); only the
-    other step ends are evaluated on their own.  A lone such end is evaluated
-    beside its step's start, since a one-row phase-table product rounds
-    differently from the rows of a taller one.
+    f(t_n) and, where t_n + h equals t_{n+1} bit for bit, f(t_n + h).  The
+    midpoints and the other ends share a second table: a product row rounds
+    alike in any table of two rows or more, and a one-step block, which only
+    a two-point grid has, ends on t_1.
     """
     t = np.asarray(t_grid, dtype=float)
-    h, (r, c0, cm, c1) = _rk4_grid(params, t, step)
+    h = _vacuum_step(t) if step is None else step
+    r, c0, cm, c1 = _rk4_step(params, h)
     drive = mean_dipole.positive_frequency_signal
     states = np.empty(t.size, dtype=complex)
     states[0] = 0j if state is None else state
@@ -189,13 +189,12 @@ def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
         on_grid = drive(t[rows.start:rows.stop + 1])
         nodes = t[rows]
         ends = nodes + h
-        f1 = on_grid[1:]
         miss = np.flatnonzero(ends != t[rows.start + 1:rows.stop + 1])
-        if miss.size:
-            f1 = f1.copy()
-            alone = np.append(ends[miss], nodes[miss]) if miss.size == 1 else ends[miss]
-            f1[miss] = drive(alone)[:miss.size]
-        forcing = params.g_q * (c0 * on_grid[:-1] + cm * drive(nodes + h / 2.0) + c1 * f1)
+        off_grid = drive(np.concatenate([nodes + h / 2.0, ends[miss]]))
+        forcing = c0 * on_grid[:-1] + cm * off_grid[:nodes.size]
+        on_grid[1:][miss] = off_grid[nodes.size:]  # f(t_n) formed, this is f(t_n + h)
+        forcing += c1 * on_grid[1:]
+        forcing *= params.g_q
         states[rows.start:rows.stop + 1] = _scan(r, forcing, states[rows.start])
     return TimeSeries(times=t, values=states)
 
@@ -332,7 +331,8 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     time, so memory grows with the walk only through the sums at the picks.
     """
     t = np.asarray(t_grid, dtype=float)
-    h, (r, c0, cm, c1) = _rk4_grid(params, t)
+    h = _vacuum_step(t)
+    r, c0, cm, c1 = _rk4_step(params, h)
     n_t = t.size
     picked = _pick_indices(picks, n_t)
     tau = np.asarray([] if tau_grid is None else tau_grid, dtype=float)

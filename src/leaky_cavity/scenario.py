@@ -7,7 +7,7 @@ invariant violation is reported with the path of the offending field.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -16,8 +16,8 @@ from .cavity import CavityParams, noise_saturation
 from .correlation import CONVENTIONS, tag_factor
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, fourier_decompose
 from .io import read_timeseries_csv
-from .oracle import BATH_HALF_WIDTH_KAPPAS, _fastest_rate, amplitude_ode_points, bath_times, \
-    cavity_bath
+from .oracle import BATH_HALF_WIDTH_KAPPAS, _fastest_rate, amplitude_ode_points, \
+    amplitude_ode_step, bath_times, cavity_bath
 from .spectrum import NORMALIZATIONS, _default_omega_span
 
 # Relative slack in cavity.omega_q == cavity.q * drive.omega.
@@ -95,10 +95,39 @@ class ScenarioConfig:
     oracle: OracleSettings = field(default_factory=OracleSettings)
 
 
+# The keys the loader reads in each mapping of a scenario, by path ("" is the top
+# level); any other key is refused under its path.
+_KEYS = {
+    "": ("drive", "dipole", "fluctuation", "cavity", "grids", "conventions", "oracle",
+         "outputs"),
+    "drive": ("omega", "n_max"),
+    "dipole": ("coeffs", "series"),
+    "fluctuation": ("delta",),
+    "cavity": ("omega_q", "g_q", "kappa", "g0", "c", "q"),
+    "grids": ("t", "tau", "omega"),
+    **dict.fromkeys(("grids.t", "grids.tau", "grids.omega"), ("stop", "num")),
+    "conventions": ("correlation", "normalization"),
+    "oracle": tuple(f.name for f in fields(OracleSettings)),
+}
+
+
+def _refuse_unknown_keys(section: dict, path: str, errors: dict) -> None:
+    """Record under its path each key of the mapping at ``path`` that the loader does not read."""
+    known = _KEYS[path]
+    for key in section:
+        if key not in known:
+            errors[f"{path}.{key}" if path else str(key)] = (
+                f"unknown key; known: {', '.join(known)}")
+
+
 def _mapping(doc: dict, path: str, errors: dict) -> dict:
-    """Section at the last key of ``path``; {} if absent, or if not a mapping (recorded)."""
+    """Section at the last key of ``path``; {} if absent, or if not a mapping (recorded).
+
+    Its unknown keys are recorded too.
+    """
     value = doc.get(path.rsplit(".", 1)[-1]) or {}
     if isinstance(value, dict):
+        _refuse_unknown_keys(value, path, errors)
         return value
     errors[path] = "must be a mapping"
     return {}
@@ -222,7 +251,7 @@ def _magnitude_problem(cavity, spectrum, fluct, t_stop: float, tau_stop: float,
         ("cavity.g_q", "coherent parts up to (2 |g_q| sum |d_N| / kappa)^2",
          lambda: (g_q * drive / kappa) ** 2),
         ("fluctuation.delta", "noise parts up to 2 C_Delta max(pi, kappa, 1/kappa)",
-         lambda: fluct.delta * g_q ** 2 / kappa * max(np.pi, kappa, 1.0 / kappa)),
+         lambda: 2.0 * noise_saturation(cavity, fluct) * max(np.pi, kappa, 1.0 / kappa)),
     )
     for path, what, bound in bounds:
         value = _float(bound)
@@ -263,6 +292,7 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ScenarioError({"<root>": "config must be a mapping"})
     errors: dict = {}
+    _refuse_unknown_keys(doc, "", errors)
 
     drive = None
     dd = _mapping(doc, "drive", errors)
@@ -392,7 +422,12 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
             and "amplitude_oracle" in outputs):
         points = _build(errors, "grids.t.stop", amplitude_ode_points, cavity, spectrum,
                         float(t_grid[-1]))
-        if points is not None and (points - 1) * spectrum.coeffs.size > MAX_ODE_STEP_LINES:
+        if points is not None and points < 2:
+            errors["grids.t.stop"] = (
+                f"gives the amplitude oracle {points} point at its step "
+                f"{amplitude_ode_step(cavity, spectrum)!r}; it needs two, so t.stop must "
+                f"exceed half the step")
+        elif points is not None and (points - 1) * spectrum.coeffs.size > MAX_ODE_STEP_LINES:
             errors["grids.t.stop"] = (
                 f"gives the amplitude oracle {points - 1} RK4 steps x {spectrum.coeffs.size} "
                 f"comb lines, above its budget of {MAX_ODE_STEP_LINES} step-lines")

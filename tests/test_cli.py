@@ -1,11 +1,14 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION, \
     default_scenario_path, main
@@ -275,6 +279,51 @@ def _set_field(doc, field, value):
     return doc
 
 
+def _rename_key(doc, field, new_name):
+    """Copy of the scenario ``doc`` with the key at the dotted ``field`` renamed ``new_name``."""
+    doc = copy.deepcopy(doc)
+    *parents, last = field.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[new_name] = node.pop(last)
+    return doc
+
+
+TOP_KEYS = "drive, dipole, fluctuation, cavity, grids, conventions, oracle, outputs"
+# a misspelled key in each mapping of a scenario: the key, its misspelling, and the keys
+# the refusal names; each loaded with the default of the key it stands for
+MISSPELLED_KEYS = {
+    "top-level": ("fluctuation", "fluctation", TOP_KEYS),
+    "drive": ("drive.omega", "omgea", "omega, n_max"),
+    "dipole": ("dipole.coeffs", "coefs", "coeffs, series"),
+    "fluctuation": ("fluctuation.delta", "delt", "delta"),
+    "cavity": ("cavity.g_q", "gq", "omega_q, g_q, kappa, g0, c, q"),
+    "grids": ("grids.tau", "tua", "t, tau, omega"),
+    "grids-t": ("grids.t.num", "nun", "stop, num"),
+    "grids-tau": ("grids.tau.stop", "stp", "stop, num"),
+    "grids-omega": ("grids.omega.num", "points", "stop, num"),
+    "conventions": ("conventions.normalization", "normalisation", "correlation, normalization"),
+    "oracle": ("oracle.n_trials", "n_trails", "n_trials, seed, bath_modes, bath_half_width_kappas"),
+}
+
+
+@pytest.mark.parametrize("field, misspelled, known", MISSPELLED_KEYS.values(),
+                         ids=MISSPELLED_KEYS.keys())
+def test_a_misspelled_key_is_refused_under_its_path(tmp_path, capsys, field, misspelled, known):
+    doc = _set_field(SCENARIO, "grids.omega", {"stop": 10.0, "num": 101})
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert load_scenario(config).omega_grid.size == 101  # spelled right, it loads
+    config.write_text(yaml.safe_dump(_rename_key(doc, field, misspelled)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    path = ".".join([*field.split(".")[:-1], misspelled])
+    assert f"invalid config: {path}: unknown key; known: {known}" \
+        in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
 BATH_CAVITY = {"omega_q": 3.0, "g_q": 0.05, "g0": 0.2, "c": 1.0, "q": 3}
 
 # field, the path it is reported under, and the message's start; the grid and
@@ -485,6 +534,30 @@ def test_amplitude_oracle_work_beyond_the_budget_is_refused(tmp_path, capsys, st
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stop", [1e-6, 3e-4])
+def test_an_amplitude_oracle_grid_of_one_point_is_refused(tmp_path, capsys, stop):
+    # np.arange(0, stop + h/2, h) has one point for stop <= h/2 = 1/1200; such stops
+    # exited 1 with "invalid input: t grid is not uniform", which named no path
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(_ode_scenario(tmp_path, stop)), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "invalid config: grids.t.stop: gives the amplitude oracle 1 point at its step "
+        "0.0016666666666666668; it needs two, so t.stop must exceed half the step\n")
+    assert not out.exists()
+    # without the oracle the same stop loads
+    doc = {**yaml.safe_load(_ode_scenario(tmp_path, stop).read_text()), "outputs": ["occupation"]}
+    (tmp_path / "closed.yaml").write_text(yaml.safe_dump(doc))
+    assert load_scenario(tmp_path / "closed.yaml").t_grid[-1] == stop
+
+
+def test_an_amplitude_oracle_grid_of_two_points_runs(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_ode_scenario(tmp_path, 1e-3)), "--out", str(out)]) \
+        == EXIT_OK
+    assert len((out / "amplitude_oracle.csv").read_text().splitlines()) == 1 + 2
+
+
 def _noise_scenario(tmp_path, n_trials, cavity=None, outputs=("noise_oracle",)):
     doc = {**SCENARIO, "cavity": cavity or SCENARIO["cavity"], "outputs": list(outputs),
            "oracle": {**SCENARIO["oracle"], "n_trials": n_trials}}
@@ -692,6 +765,22 @@ def test_inputs_beyond_a_float_are_refused_at_load(tmp_path, capsys, field, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta, shown", [(1e306, "1e+308"), (1e308, "inf")])
+def test_a_noise_strength_beyond_a_float_is_refused_at_load(tmp_path, capsys, delta, shown):
+    # at g_q = 1 and kappa = 0.1 the noise parts' bound 2 C_Delta max(pi, kappa, 1/kappa)
+    # is 100 delta, whose double is beyond a float
+    doc = {**_set_field(_set_field(SCENARIO, "cavity.g_q", 1.0), "fluctuation.delta", delta),
+           "outputs": list(DEFAULT_OUTPUTS)}
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"invalid config: fluctuation.delta: gives noise parts up to 2 C_Delta max(pi, kappa, "
+        f"1/kappa) = {shown}; twice it must be a finite float\n")
+    assert not out.exists()
+
+
 def test_a_dipole_series_beyond_a_float_is_refused_under_its_path(tmp_path, capsys):
     series_path = tmp_path / "dipole.csv"
     reference = load_scenario(default_scenario_path()).spectrum
@@ -720,6 +809,46 @@ def test_large_finite_inputs_within_the_bounds_write_finite_numbers(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
     for path in out.iterdir():
         assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), path.name
+
+
+def _fields(node, prefix=""):
+    """Dotted path of every key and list item under ``node``, as ``_set_field`` takes it."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        path = f"{prefix}{key}"
+        yield path
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, path + ".")
+
+
+SHIPPED = {**yaml.safe_load(Path(default_scenario_path()).read_text()),
+           "outputs": list(DEFAULT_OUTPUTS)}
+# every field of the shipped scenario but its outputs, and a key misspelled beside each
+# key of a mapping
+FUZZ_FIELDS = [path for path in _fields(SHIPPED) if path != "outputs" and
+               not path.startswith("outputs.")]
+FUZZ_FIELDS += [path + path[-1] for path in FUZZ_FIELDS if not path[-1].isdigit()]
+# magnitudes from 1e-300 to the largest float, as the magnitude rule was swept over
+# them, and values of a wrong type
+FUZZ_VALUES = [1e-300, 1e-100, 1e-10, 0.01, 0.5, 3.0, 1e10, 1e100, 1e154, 1e200, 1e300,
+               1.7e308, 0, 2, None, True, [1.0, 2.0], "text"]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
+def test_a_changed_field_exits_0_or_1_and_writes_only_finite_numbers(field, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "fuzz.yaml", Path(tmp) / "out"
+        config.write_text(yaml.safe_dump(_set_field(SHIPPED, field, value)))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", "--config", str(config), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+        written = sorted(out.iterdir()) if out.exists() else []
+        assert code == EXIT_OK or written == []
+        for path in written:
+            assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), \
+                path.name
 
 
 @pytest.mark.parametrize("kappa, points", [(1e-5, "6000201"), (1e-7, "600000201"),
