@@ -72,6 +72,18 @@ def _vacuum_step(t: np.ndarray) -> float:
     return h
 
 
+def _grid_step(t: np.ndarray, step: float) -> float:
+    """``step``, if t is step * np.arange(k0, k0 + t.size) bit for bit; ValueError otherwise.
+
+    k0 is t[0] / step rounded.  That is the grid ``amplitude_ode_blocks`` forms, whose
+    steps can spread beyond ``uniform_steps``' tolerance far from t = 0.
+    """
+    k0 = np.rint(t[0] / step) if t.size and step > 0 else math.nan
+    if not (math.isfinite(k0) and np.array_equal(t, step * np.arange(k0, k0 + t.size))):
+        raise ValueError(f"t grid is not step * k for consecutive whole k, at step {step!r}")
+    return step
+
+
 def _rk4_step(params: CavityParams, h: float):
     """The cavity's RK4 transfer over a step h held to the stability limit."""
     rate = max(params.omega_q, params.kappa)
@@ -137,6 +149,28 @@ def noise_times(params: CavityParams) -> np.ndarray:
     return noise_step(params) * np.arange(noise_points(params))
 
 
+def noise_lag_steps(params: CavityParams) -> np.ndarray:
+    """The lags of run's Monte-Carlo oracle, as indices into ``noise_times(params)``.
+
+    Every (n_t // 200)-th point of the n_t-point grid out to kappa tau =
+    NOISE_KAPPA_TAU, found by counting, so the grid need not be built.
+    """
+    n_t = noise_points(params)
+    h = noise_step(params)
+    limit = NOISE_KAPPA_TAU / params.kappa
+    last = min(int(limit / h), n_t - 1)  # the last k whose point k * h is at most limit
+    while last + 1 < n_t and (last + 1) * h <= limit:
+        last += 1
+    while last * h > limit:
+        last -= 1
+    return np.arange(0, last + 1, max(1, n_t // 200))
+
+
+def noise_walk_steps(params: CavityParams) -> int:
+    """Steps of run's Monte-Carlo walk: those of ``noise_times`` and then its largest lag."""
+    return noise_points(params) - 1 + int(noise_lag_steps(params)[-1])
+
+
 def amplitude_ode_blocks(params: CavityParams, mean_dipole: DipoleSpectrum, n: int):
     """``integrate_amplitude_ode`` on the n points k h, k < n, one row block at a time.
 
@@ -171,7 +205,8 @@ def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
     tables, so besides the result only one block's temporaries are held.
     ``amplitude_ode_blocks`` continues a grid on its blocks: it passes the
     ``state`` at the block's first time and the whole grid's ``step``, which
-    the block's own first step may miss by rounding.
+    the block's own first step may miss by rounding; a grid that is not
+    ``step`` times consecutive whole numbers is refused.
 
     A block's drive at its grid nodes t_n .. t_{n+m} gives each step both
     f(t_n) and, where t_n + h equals t_{n+1} bit for bit, f(t_n + h).  The
@@ -180,7 +215,7 @@ def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
     a two-point grid has, ends on t_1.
     """
     t = np.asarray(t_grid, dtype=float)
-    h = _vacuum_step(t) if step is None else step
+    h = _vacuum_step(t) if step is None else _grid_step(t, step)
     r, c0, cm, c1 = _rk4_step(params, h)
     drive = mean_dipole.positive_frequency_signal
     states = np.empty(t.size, dtype=complex)

@@ -12,13 +12,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import yaml
 
+from .artifacts import ARTIFACTS, DEFAULT_OUTPUTS, MAX_GRID_POINTS, _build, _float
 from .cavity import CavityParams, noise_saturation
 from .correlation import CONVENTIONS, tag_factor
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, fourier_decompose
 from .io import read_timeseries_csv
-from .oracle import BATH_HALF_WIDTH_KAPPAS, _fastest_rate, amplitude_ode_points, \
-    amplitude_ode_step, bath_times, cavity_bath
-from .spectrum import NORMALIZATIONS, _default_omega_span
+from .oracle import BATH_HALF_WIDTH_KAPPAS, _fastest_rate
+from .spectrum import NORMALIZATIONS
 
 # Relative slack in cavity.omega_q == cavity.q * drive.omega.
 _Q_RTOL = 1e-12
@@ -26,38 +26,9 @@ _Q_RTOL = 1e-12
 # Largest oracle.bath_modes: the bath oracle's time and memory grow linearly in
 # the mode count, and a million modes take about 17 s and 250 MB.
 MAX_BATH_MODES = 10 ** 6
-# Largest grids.*.num, and the most points of the default omega grid: a run's time
-# and memory grow linearly in each grid's points.
-# A million points on the shipped scenario take about 1.8 s and 90 MB of peak RSS
-# for t, 1.5 s and 200 MB for tau, and 1.0 s and 60 MB for omega (2-vCPU Xeon).
-MAX_GRID_POINTS = 10 ** 6
-# Largest drive.n_max: the closed forms' time and memory grow with grid points x
-# comb lines.  On the shipped grids 10^4 lines loaded in 0.23 s and ran the five
-# closed-form outputs in 4.9 s and 550 MB of peak RSS (0.4 s and 90 MB at 10^3),
-# with a default omega grid of 2 000 201 points that MAX_GRID_POINTS now refuses.
+# Largest drive.n_max: the closed forms grow with grid points x comb lines, and 10^4
+# lines on the shipped grids ran the five of them in 4.9 s and 550 MB of peak RSS.
 MAX_N_MAX = 10 ** 4
-# Largest RK4 steps x comb lines of the amplitude oracle (oracle.amplitude_ode_points)
-# when a run requests amplitude_oracle; it grows as n_max^2 x t_end, in time only, as
-# it holds one row block at a time.  A step-line costs about 500 ns at two lines, the
-# fewest, and 100 ns from 100 lines on (2-vCPU Xeon), so the budget is at most about
-# 25 s; the shipped scenario takes 240 000.
-MAX_ODE_STEP_LINES = 5 * 10 ** 7
-# Largest oracle.n_trials x walk steps (runner.noise_walk_steps) when a run
-# requests noise_oracle.  A walk costs about 17 ns per normal drawn and 25 ns per
-# trial-step in all (2-vCPU Xeon), so the budget is about 25 s, as a bath at
-# MAX_BATH_MODES takes 17 s; the shipped cavity's walk of 34 350 steps takes
-# up to 29 112 trials.
-MAX_TRIAL_STEPS = 10 ** 9
-# Largest runner.noise_walk_steps when a run requests noise_oracle.  The walk holds
-# about 49 B per step in per-point arrays, so a million steps peak at about 90 MB of
-# RSS, as a t grid of MAX_GRID_POINTS does; the shipped cavity's walk takes 34 350.
-MAX_WALK_STEPS = 10 ** 6
-# Tail margin K of the walk's |d|^2 over C_Delta when a run requests noise_oracle.
-# Each d(t) is Gaussian with E|d|^2 at most about C_Delta, so |d|^2 > 100 C_Delta
-# happens in one of MAX_TRIAL_STEPS trial-steps with a chance below
-# 1e9 P(chi^2_1 > 100), about 2e-14.  The walk's sums of |d|^4 and of
-# |conj d(t_ref) d|^2 then stay below n_trials (K C_Delta)^2.
-WALK_TAIL_MARGIN = 100.0
 
 # PyYAML's libyaml parser where PyYAML was built with it (the shipped scenario
 # parses in 0.3 ms, not 2.6 ms, on a 2-vCPU Xeon), else its pure-Python one; both
@@ -172,15 +143,6 @@ def _integer(value, path: str, errors: dict, least: int, why: str = "", most: in
     return None
 
 
-def _build(errors: dict, path: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, or None with its ValueError (or a file's OSError) at ``path``."""
-    try:
-        return make(*args, **kwargs)
-    except (OSError, ValueError) as exc:
-        errors[path] = str(exc)
-        return None
-
-
 def _coefficients(entries, errors: dict):
     """``dipole.coeffs`` [re, im] pairs as complex numbers; None, with an error, on a bad entry."""
     if not isinstance(entries, list):
@@ -208,18 +170,6 @@ def _grid(grids, path, errors, required=True):
                         f"got stop={stop!r}, num={doc.get('num')!r}")
         return None
     return None if num is None else np.linspace(0.0, float(stop), num)
-
-
-def _float(value) -> float:
-    """``value()`` as a float, inf where float arithmetic overflows or divides by 0.
-
-    numpy's warnings of it are silenced.
-    """
-    with np.errstate(all="ignore"):
-        try:
-            return float(value())
-        except ArithmeticError:
-            return math.inf
 
 
 def _magnitude_problem(cavity, spectrum, fluct, t_stop: float, tau_stop: float,
@@ -282,8 +232,6 @@ def decompose_series(path, drive: DriveParams) -> DipoleSpectrum:
 
 def load_scenario(path, seed_override=None) -> ScenarioConfig:
     """Parse and validate a scenario file, ``seed_override`` as its seed; raises ScenarioError."""
-    from .runner import ARTIFACTS, DEFAULT_OUTPUTS, noise_walk_steps  # runner imports us
-
     with open(path, "rb") as fh:  # bytes, so that YAML's reader also judges the encoding
         try:
             doc = yaml.load(fh, Loader=YAML_LOADER)
@@ -389,55 +337,13 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
         if name not in known:
             errors[f"outputs.{name}"] = f"unknown artifact; known: {known}"
 
-    if (not grids.get("omega") and "spectrum" in outputs and cavity is not None
-            and spectrum is not None):
-        points = _float(lambda: _default_omega_span(cavity, spectrum)[1])
-        if points > MAX_GRID_POINTS:
-            errors["grids.omega"] = (
-                f"must be given here: the default grid, kappa/20 apart out to 10 kappa above the "
-                f"top line, has {points:.10g} points, more than {MAX_GRID_POINTS}")
-
-    if "noise_oracle" in outputs and osettings.seed is None:
-        errors["oracle.seed"] = "seed is mandatory when Monte-Carlo output is requested"
-
-    if cavity is not None and "noise_oracle" in outputs and "oracle.n_trials" not in errors:
-        steps = _build(errors, "oracle.n_trials", noise_walk_steps, cavity)
-        if steps is not None and osettings.n_trials * steps > MAX_TRIAL_STEPS:
-            errors["oracle.n_trials"] = (
-                f"must be at most {MAX_TRIAL_STEPS // steps} for this cavity's walk of {steps} "
-                f"steps ({MAX_TRIAL_STEPS} trial-steps in all), got {osettings.n_trials}")
-        elif steps is not None and steps > MAX_WALK_STEPS:
-            errors["cavity"] = (f"must give a Monte-Carlo walk of at most {MAX_WALK_STEPS} steps, "
-                                f"got {steps} at omega_q = {cavity.omega_q!r} and "
-                                f"kappa = {cavity.kappa!r}")
-        elif steps is not None and fluct is not None:  # a walk within its budget
-            sums = _float(lambda: osettings.n_trials
-                          * (WALK_TAIL_MARGIN * noise_saturation(cavity, fluct)) ** 2)
-            if not math.isfinite(2.0 * sums):
-                errors["fluctuation.delta"] = (
-                    f"gives Monte-Carlo sums of |d|^4 up to n_trials ({WALK_TAIL_MARGIN:g} "
-                    f"C_Delta)^2 = {sums:.3g}; twice it must be a finite float")
-
-    if (cavity is not None and spectrum is not None and t_grid is not None
-            and "amplitude_oracle" in outputs):
-        points = _build(errors, "grids.t.stop", amplitude_ode_points, cavity, spectrum,
-                        float(t_grid[-1]))
-        if points is not None and points < 2:
-            errors["grids.t.stop"] = (
-                f"gives the amplitude oracle {points} point at its step "
-                f"{amplitude_ode_step(cavity, spectrum)!r}; it needs two, so t.stop must "
-                f"exceed half the step")
-        elif points is not None and (points - 1) * spectrum.coeffs.size > MAX_ODE_STEP_LINES:
-            errors["grids.t.stop"] = (
-                f"gives the amplitude oracle {points - 1} RK4 steps x {spectrum.coeffs.size} "
-                f"comb lines, above its budget of {MAX_ODE_STEP_LINES} step-lines")
-
-    if (cavity is not None and "bath_oracle" in outputs
-            and not {"oracle.bath_modes", "oracle.bath_half_width_kappas"} & errors.keys()):
-        bath = _build(errors, "oracle.bath_half_width_kappas", cavity_bath, cavity,
-                      osettings.bath_modes, osettings.bath_half_width_kappas)
-        if bath is not None:
-            _build(errors, "oracle.bath_modes", bath.check_horizon, bath_times(cavity)[-1])
+    config = ScenarioConfig(  # None where a part is refused, for the budgets
+        spectrum=spectrum, fluctuation=fluct, cavity=cavity, t_grid=t_grid, tau_grid=tau_grid,
+        omega_grid=omega_grid, correlation_convention=correlation_convention,
+        normalization=normalization, oracle=osettings, outputs=outputs)
+    for name, artifact in ARTIFACTS.items():  # the work of each requested output
+        if name in outputs:
+            errors.update(artifact.budget(config, errors.keys()))
 
     if not errors:  # the bounds of a scenario that every other rule admits
         problem = _magnitude_problem(cavity, spectrum, fluct, float(t_grid[-1]),
@@ -447,9 +353,4 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
             errors[problem[0]] = problem[1]
     if errors:
         raise ScenarioError(errors)
-    return ScenarioConfig(
-        spectrum=spectrum, fluctuation=fluct, cavity=cavity,
-        t_grid=t_grid, tau_grid=tau_grid, omega_grid=omega_grid,
-        correlation_convention=correlation_convention, normalization=normalization,
-        oracle=osettings, outputs=outputs,
-    )
+    return config

@@ -6,11 +6,11 @@ Each check returns a CheckResult with the measured figure and its tolerance;
 calling scenario; the scenario only contributes the seed and, for the
 determinism check, the shipped configuration itself.
 
-The amplitude, Monte-Carlo pull and bath measures and their bounds are
-``runner``'s, the same ones ``leaky-cavity run`` puts into its manifest
-``checks``; each check applies them on its own grid.  The Monte-Carlo and bath
-horizons and the bath are ``oracle``'s.  The determinism check compares the
-``files`` of two run manifests.
+The amplitude, Monte-Carlo pull and bath measures are ``artifacts``' and their
+bounds ``runner.BOUNDS``, the same ones ``leaky-cavity run`` puts into its
+manifest ``checks``; each check applies them on its own grid.  The Monte-Carlo
+and bath horizons and the bath are ``oracle``'s.  The determinism check
+compares the ``files`` of two run manifests, each run from empty caches.
 """
 
 import os
@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import runner
-from .cavity import CavityParams, mode_amplitude, occupation, occupation_longtime
-from .correlation import stationary_correlation
+from .artifacts import RelativeDeviation, bath_deviation, noise_pulls, pull
+from .cavity import CavityParams, _response_sum, mode_amplitude, occupation, occupation_longtime
+from .correlation import _comb_phases, _decay_table, stationary_correlation
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel
 from .oracle import BATH_KAPPA_T, NOISE_KAPPA_TAU, _arange_points, amplitude_ode_blocks, \
     amplitude_ode_step, bath_times, cavity_bath, discrete_bath_decay, monte_carlo_noise, \
@@ -86,7 +87,7 @@ def check_amplitude_and_occupation(seed: int = DEFAULT_SEED):
         params, spectrum = _random_scenario(rng)
         t_end = float(rng.uniform(10.0, 30.0))
         n = _arange_points(t_end, amplitude_ode_step(params, spectrum), "criterion 1's grid")
-        amplitude, occ = runner.RelativeDeviation(), runner.RelativeDeviation()
+        amplitude, occ = RelativeDeviation(), RelativeDeviation()
         for block in amplitude_ode_blocks(params, spectrum, n):
             amplitude.add(block.values, np.conjugate(mode_amplitude(params, spectrum, block.times)))
             # the block's response sum is cached by the amplitude's closed form
@@ -119,7 +120,7 @@ def _noise_benchmark(seed: int):
 def check_noise_law(bundle):
     """Criterion 3: Monte-Carlo noise occupation vs delta g^2/(2 kappa)(1 - exp(-2 kappa t))."""
     params, fluct, ens = bundle
-    worst = float(np.max(runner.noise_pulls(params, fluct, ens, slice(None))))
+    worst = float(np.max(noise_pulls(params, fluct, ens, slice(None))))
     return [CheckResult.within("Monte-Carlo noise occupation law", worst,
                                runner.BOUNDS["noise_oracle_max_pull_stderr"],
                                f"max pull over {ens.times.size} time points incl. "
@@ -132,8 +133,7 @@ def check_qrt_convention(bundle):
     pulls = {}
     for conv in ("tau-zero-consistent", "as-written"):
         model = stationary_correlation(params, _NO_DRIVE, fluct, ens.tau, conv)
-        pulls[conv] = float(np.max(runner.pull(ens.mean_two_time, model.values,
-                                               ens.stderr_two_time)))
+        pulls[conv] = float(np.max(pull(ens.mean_two_time, model.values, ens.stderr_two_time)))
     bound = runner.BOUNDS["noise_oracle_max_pull_stderr"]
     ok = pulls["tau-zero-consistent"] <= bound < pulls["as-written"]
     return [CheckResult(
@@ -267,7 +267,7 @@ def check_markov_decay():
         amplitudes[n_modes] = result.series.values
         norm_errors.append(result.norm_error)
         if n_modes == 2000:
-            dev = runner.bath_deviation(bath, result)
+            dev = bath_deviation(bath, result)
     coarse = float(np.max(np.abs(amplitudes[1000] - amplitudes[2000])))
     fine = float(np.max(np.abs(amplitudes[2000] - amplitudes[4000])))
     ratio = fine / coarse
@@ -284,10 +284,18 @@ def check_markov_decay():
     ]
 
 
+def _clear_caches() -> None:
+    """Empty the package's cached tables, so that the next call builds each of them."""
+    for cached in (_response_sum, _comb_phases, _decay_table):
+        cached.cache_clear()
+
+
 def check_determinism(config_path):
-    """Criterion 9: two runs of the same scenario produce byte-identical outputs."""
+    """Criterion 9: two runs of the same scenario, each from empty caches, write the same bytes."""
     with tempfile.TemporaryDirectory() as tmp:
+        _clear_caches()
         first = runner.run(config_path, os.path.join(tmp, "a"))
+        _clear_caches()
         second = runner.run(config_path, os.path.join(tmp, "b"))
         same = first["files"] == second["files"]
     return [CheckResult("byte-identical reruns", same, 0.0 if same else 1.0, 0.0,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leaky_cavity import oracle, runner, verification
+from leaky_cavity import artifacts, oracle, runner, verification
 from leaky_cavity.cli import EXIT_ORACLE, default_scenario_path, main
 
 
@@ -55,8 +55,8 @@ def test_noise_gate_calls_shipped_noise_law(noise_bundle, monkeypatch):
     from leaky_cavity import cavity
 
     shipped = cavity.dipole_noise_occupation
-    assert runner.dipole_noise_occupation is shipped
-    monkeypatch.setattr(runner, "dipole_noise_occupation",
+    assert artifacts.dipole_noise_occupation is shipped
+    monkeypatch.setattr(artifacts, "dipole_noise_occupation",
                         lambda *args: 2.0 * shipped(*args))
     assert not any(r.passed for r in verification.check_noise_law(noise_bundle))
 

@@ -18,16 +18,18 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from leaky_cavity import artifacts
+from leaky_cavity.artifacts import ARTIFACTS, DEFAULT_OUTPUTS, MAX_GRID_POINTS, \
+    MAX_ODE_STEP_LINES, MAX_TRIAL_STEPS, MAX_WALK_STEPS, WALK_TAIL_MARGIN
 from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION, \
     default_scenario_path, main
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
-from leaky_cavity.oracle import amplitude_ode_points, amplitude_ode_step
-from leaky_cavity.runner import BOUNDS, DEFAULT_OUTPUTS, failed_checks, noise_walk_steps, run
+from leaky_cavity.oracle import amplitude_ode_points, amplitude_ode_step, noise_walk_steps
+from leaky_cavity.runner import BOUNDS, failed_checks, run
 from leaky_cavity.spectrum import default_omega_grid
-from leaky_cavity.scenario import MAX_BATH_MODES, MAX_GRID_POINTS, MAX_N_MAX, \
-    MAX_ODE_STEP_LINES, MAX_TRIAL_STEPS, MAX_WALK_STEPS, WALK_TAIL_MARGIN, \
-    ScenarioError, load_scenario
+from leaky_cavity.scenario import MAX_BATH_MODES, MAX_N_MAX, ScenarioError, load_scenario
+from leaky_cavity.verification import _clear_caches
 
 SCENARIO = {
     "drive": {"omega": 1.0, "n_max": 3},
@@ -132,11 +134,42 @@ def test_full_output_set_is_pinned(config_path, tmp_path):
 
 
 def test_runs_are_byte_identical(config_path, tmp_path):
+    _clear_caches()  # each run builds every cached table
     first = run(config_path, tmp_path / "a")
+    _clear_caches()
     second = run(config_path, tmp_path / "b")
     assert first["files"] == second["files"]
     for name, digest in first["files"].items():
         assert second["files"][name] == digest
+
+
+def test_each_determinism_run_builds_every_table(tmp_path, monkeypatch):
+    # the second run read the correlators' tables back from the cache that the first
+    # run filled, and so compared them with themselves
+    from leaky_cavity import cavity, correlation, dipole, runner, verification
+
+    config = tmp_path / "correlation.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "outputs": ["correlation"]}))
+    tables, per_run = [], []
+    shipped_table, shipped_run = dipole.phase_table, runner.run
+
+    def counted_table(*args):
+        tables.append(args)
+        return shipped_table(*args)
+
+    def counted_run(*args, **kwargs):
+        before = len(tables), correlation._decay_table.cache_info().misses
+        manifest = shipped_run(*args, **kwargs)
+        after = len(tables), correlation._decay_table.cache_info().misses
+        per_run.append((after[0] - before[0], after[1] - before[1]))  # tables, decays built
+        return manifest
+
+    for module in (cavity, correlation):
+        monkeypatch.setattr(module, "phase_table", counted_table)
+    monkeypatch.setattr(runner, "run", counted_run)
+    _clear_caches()  # a cold start, as in a fresh process
+    assert [r.passed for r in verification.check_determinism(config)] == [True]
+    assert len(per_run) == 2 and per_run[0] == per_run[1] and min(per_run[0]) > 0
 
 
 def test_seed_override_changes_only_noise_artifacts(config_path, tmp_path):
@@ -149,12 +182,10 @@ def test_seed_override_changes_only_noise_artifacts(config_path, tmp_path):
 
 
 def test_failed_run_leaves_no_partial_outputs(config_path, tmp_path, monkeypatch):
-    import leaky_cavity.runner as runner_mod
-
     def boom(*args, **kwargs):
         raise RuntimeError("forced failure")
 
-    monkeypatch.setattr(runner_mod, "integrated_power", boom)
+    monkeypatch.setattr(artifacts, "integrated_power", boom)
     out = tmp_path / "out"
     with pytest.raises(RuntimeError):
         run(config_path, out)
@@ -382,8 +413,8 @@ def test_negative_seed_override_is_refused_before_any_work(config_path, tmp_path
     def forbidden(*args, **kwargs):
         raise AssertionError("no oracle may run for a refused option")
 
-    for name in cli_mod.runner.ARTIFACTS:  # the scenario is loaded, but nothing is written
-        monkeypatch.setitem(cli_mod.runner.ARTIFACTS, name, forbidden)
+    for name, artifact in ARTIFACTS.items():  # the scenario is loaded, but nothing is written
+        monkeypatch.setitem(ARTIFACTS, name, artifact._replace(write=forbidden))
     monkeypatch.setattr(cli_mod.verification, "run_all", forbidden)
     out = tmp_path / "out"
     argv = {"run": ["run", "--config", str(config_path), "--out", str(out)],
@@ -682,15 +713,14 @@ def test_a_walk_whose_sums_overflow_is_refused(tmp_path, capsys):
 
 
 def test_a_nan_standard_error_is_not_reported_as_a_zero_pull(tmp_path, monkeypatch):
-    from leaky_cavity import runner
-    walk = runner.monte_carlo_noise
+    walk = artifacts.monte_carlo_noise
 
     def nan_spread(*args, **kwargs):
         ens = walk(*args, **kwargs)
         ens.stderr_occupation[5] = np.nan
         return ens
 
-    monkeypatch.setattr(runner, "monte_carlo_noise", nan_spread)
+    monkeypatch.setattr(artifacts, "monte_carlo_noise", nan_spread)
     out = tmp_path / "out"
     main(["run", "--config", str(_noisy_scenario(tmp_path, 0.2)), "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
@@ -825,30 +855,55 @@ SHIPPED = {**yaml.safe_load(Path(default_scenario_path()).read_text()),
            "outputs": list(DEFAULT_OUTPUTS)}
 # every field of the shipped scenario but its outputs, and a key misspelled beside each
 # key of a mapping
-FUZZ_FIELDS = [path for path in _fields(SHIPPED) if path != "outputs" and
-               not path.startswith("outputs.")]
-FUZZ_FIELDS += [path + path[-1] for path in FUZZ_FIELDS if not path[-1].isdigit()]
+SHIPPED_FIELDS = [path for path in _fields(SHIPPED) if path != "outputs" and
+                  not path.startswith("outputs.")]
+FUZZ_FIELDS = SHIPPED_FIELDS + [path + path[-1] for path in SHIPPED_FIELDS
+                                if not path[-1].isdigit()]
 # magnitudes from 1e-300 to the largest float, as the magnitude rule was swept over
 # them, and values of a wrong type
 FUZZ_VALUES = [1e-300, 1e-100, 1e-10, 0.01, 0.5, 3.0, 1e10, 1e100, 1e154, 1e200, 1e300,
                1.7e308, 0, 2, None, True, [1.0, 2.0], "text"]
 
 
-@settings(derandomize=True, max_examples=120, deadline=None, database=None)
-@given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
-def test_a_changed_field_exits_0_or_1_and_writes_only_finite_numbers(field, value):
+def _fuzz_run(doc) -> int:
+    """Exit code of ``run`` on the scenario ``doc``; it writes no file on exit 1, and no NaN or inf."""
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "fuzz.yaml", Path(tmp) / "out"
-        config.write_text(yaml.safe_dump(_set_field(SHIPPED, field, value)))
+        config.write_text(yaml.safe_dump(doc))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["run", "--config", str(config), "--out", str(out)])
-        assert code in (EXIT_OK, EXIT_VALIDATION)
         written = sorted(out.iterdir()) if out.exists() else []
-        assert code == EXIT_OK or written == []
+        assert code != EXIT_VALIDATION or written == []
         for path in written:
             assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), \
                 path.name
+    return code
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
+def test_a_changed_field_exits_0_or_1_and_writes_only_finite_numbers(field, value):
+    assert _fuzz_run(_set_field(SHIPPED, field, value)) in (EXIT_OK, EXIT_VALIDATION)
+
+
+# the shipped scenario's closed forms, or one oracle each, the walk at a few trials;
+# its own fields changed, one or two at a time (misspelled keys are the test above's),
+# to moderate values half the time, so that more documents load and run
+FUZZ_OUTPUTS = [list(DEFAULT_OUTPUTS), ["amplitude_oracle"], ["noise_oracle"], ["bath_oracle"]]
+FUZZ_CHANGE = st.tuples(st.sampled_from(SHIPPED_FIELDS),
+                        st.sampled_from([0.01, 0.5, 3.0, 2]) | st.sampled_from(FUZZ_VALUES))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(outputs=st.sampled_from(FUZZ_OUTPUTS), changes=st.lists(FUZZ_CHANGE, min_size=1, max_size=2))
+def test_changed_fields_with_an_oracle_exit_0_1_or_2_and_write_only_finite_numbers(outputs,
+                                                                                  changes):
+    doc = {**_set_field(SHIPPED, "oracle.n_trials", 4), "outputs": outputs}
+    for field, value in changes:
+        with contextlib.suppress(TypeError, KeyError, IndexError):  # a parent changed away
+            doc = _set_field(doc, field, value)
+    assert _fuzz_run(doc) in (EXIT_OK, EXIT_VALIDATION, EXIT_ORACLE)
 
 
 @pytest.mark.parametrize("kappa, points", [(1e-5, "6000201"), (1e-7, "600000201"),

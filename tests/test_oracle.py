@@ -32,7 +32,7 @@ from leaky_cavity.oracle import (
     integrate_amplitude_ode,
     monte_carlo_noise,
 )
-from leaky_cavity.runner import RelativeDeviation, _amplitude_oracle
+from leaky_cavity.artifacts import RelativeDeviation, _amplitude_oracle
 from leaky_cavity.scenario import load_scenario
 
 
@@ -72,6 +72,30 @@ def test_ode_error_contracts():
         integrate_amplitude_ode(params, spec, np.array([0.0, 0.01, 0.03]))
     with pytest.raises(ValueError, match="start at 0"):  # the vacuum starts at t = 0
         integrate_amplitude_ode(params, spec, np.arange(1.0, 2.0, 0.01))
+
+
+@pytest.mark.parametrize("t, step", [([0.0, 1.0, 5.0], 0.001), (0.001 * np.arange(3) + 1e-9, 0.001),
+                                     (0.002 * np.arange(5), 0.001), ([0.0, 0.001, 0.003], 0.001),
+                                     ([0.0, 0.001], -0.001), ([np.nan, 0.001], 0.001)],
+                         ids=["far-apart", "shifted", "every-other", "gap", "negative", "nan"])
+def test_a_given_step_must_be_the_grids_own(t, step):
+    # t = [0, 1, 5] at step 0.001 gave two steps of 0.001 labelled t = 1 and t = 5
+    params, spec = comb_case()
+    with pytest.raises(ValueError, match="not step \\* k for consecutive whole k"):
+        integrate_amplitude_ode(params, spec, t, step=step)
+
+
+def test_a_block_far_from_zero_keeps_its_step():
+    # h * k for k from 2e7: the steps spread by 4.4e-9, which uniform_steps refuses
+    params, spec = comb_case()
+    h = amplitude_ode_step(params, spec)
+    t = h * np.arange(2 * 10 ** 7, 2 * 10 ** 7 + 8193)
+    with pytest.raises(ValueError, match="not uniform"):
+        uniform_steps(t)
+    whole = integrate_amplitude_ode(params, spec, t, state=0.5j, step=h)
+    head = integrate_amplitude_ode(params, spec, t[:4097], state=0.5j, step=h)
+    tail = integrate_amplitude_ode(params, spec, t[4096:], state=head.values[-1], step=h)
+    assert np.array_equal(whole.values, np.concatenate([head.values, tail.values[1:]]))
 
 
 def three_evaluation_ode(params, spec, t):
@@ -193,7 +217,7 @@ def test_noise_step_scales_with_the_fastest_rate():
                                             (2.3, 0.0137), (0.01, 0.3), (5.0, 0.03)])
 def test_noise_grids_are_counted_without_building_them(omega_q, kappa):
     # the grid as np.arange forms it, and run's lags as the grid's own points
-    from leaky_cavity.runner import noise_lag_steps, noise_walk_steps
+    from leaky_cavity.oracle import noise_lag_steps, noise_walk_steps
 
     params = CavityParams(omega_q=omega_q, g_q=1.0, kappa=kappa)
     dt = oracle.noise_step(params)

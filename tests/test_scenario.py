@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,7 @@ import yaml
 from leaky_cavity.cli import default_scenario_path
 from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
-from leaky_cavity.runner import ARTIFACTS
+from leaky_cavity.artifacts import ARTIFACTS
 from leaky_cavity.scenario import YAML_LOADER, ScenarioError, load_scenario
 
 BASE = {
@@ -33,6 +36,22 @@ def test_shipped_scenario_loads():
     assert config.correlation_convention == "tau-zero-consistent"
     assert config.t_grid[0] == 0.0
     assert set(config.outputs) <= set(ARTIFACTS)
+
+
+def test_the_loader_imports_no_runner(tmp_path):
+    # the loader ran the outputs' budgets through a lazy import of runner, a cycle
+    config = write_config(tmp_path, outputs=list(ARTIFACTS), oracle={"seed": 7})
+    code = ("import sys\n"
+            "import leaky_cavity.scenario as scenario\n"
+            f"scenario.load_scenario({str(config)!r})\n"
+            "print('leaky_cavity.runner' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_scenarios_are_read_by_libyaml_where_pyyaml_has_it():
