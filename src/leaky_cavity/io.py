@@ -310,7 +310,7 @@ def write_spectrum_csv(lines_path, continuum_path, result: SpectrumResult):
                           f"grid_truncated={result.grid_truncated}"])
 
 
-def write_ensemble_csv(path, ensemble: TrajectoryEnsemble, which: str = "occupation"):
+def write_ensemble_csv(path, ensemble: TrajectoryEnsemble, which: str):
     comments = [f"n_trials={ensemble.n_trials}", f"seed={ensemble.seed}"]
     if which == "occupation":
         _write_rows(path, "t,mean_re,mean_im,stderr",

@@ -243,7 +243,7 @@ class TrajectoryEnsemble:
     times: np.ndarray = field(repr=False)
     mean_occupation: np.ndarray = field(repr=False)    # E|d(t)|^2
     stderr_occupation: np.ndarray = field(repr=False)
-    reference_time: float = 0.0
+    reference_time: float
     tau: np.ndarray | None = field(default=None, repr=False)
     mean_two_time: np.ndarray | None = field(default=None, repr=False)  # E conj(d(t_ref)) d(t_ref+tau)
     stderr_two_time: np.ndarray | None = field(default=None, repr=False)

@@ -37,10 +37,14 @@ def failed_checks(checks: dict) -> list:
 def run(config_path, output_dir, seed_override: int | None = None) -> dict:
     """Run a scenario and return the manifest (also written to manifest.json).
 
-    Partial outputs are removed if any artifact fails.
+    Partial outputs are removed if any artifact fails, and an earlier run's manifest
+    goes before the first write, so a failed run leaves none naming removed files.
     """
     config = load_scenario(config_path, seed_override)
     os.makedirs(output_dir, exist_ok=True)
+    manifest_path = os.path.join(output_dir, "manifest.json")
+    if os.path.lexists(manifest_path):
+        os.remove(manifest_path)
     written = []
 
     def target(name):
@@ -66,5 +70,5 @@ def run(config_path, output_dir, seed_override: int | None = None) -> dict:
     }
     if failed := failed_checks(checks):
         manifest["failed_checks"] = failed
-    lcio._write_json(os.path.join(output_dir, "manifest.json"), manifest)
+    lcio._write_json(manifest_path, manifest)
     return manifest

@@ -60,10 +60,10 @@ class ScenarioConfig:
     t_grid: np.ndarray = field(repr=False)
     tau_grid: np.ndarray = field(repr=False)
     outputs: tuple
-    omega_grid: np.ndarray | None = field(repr=False, default=None)
-    correlation_convention: str = "tau-zero-consistent"
-    normalization: str = "as-written"
-    oracle: OracleSettings = field(default_factory=OracleSettings)
+    omega_grid: np.ndarray | None = field(repr=False)
+    correlation_convention: str
+    normalization: str
+    oracle: OracleSettings
 
 
 # The keys the loader reads in each mapping of a scenario, by path ("" is the top

@@ -26,8 +26,8 @@ class SpectrumResult:
     lines: np.ndarray = field(repr=False)       # shape (n_lines, 2): omega_N, weight
     omega: np.ndarray = field(repr=False)       # continuum grid
     continuum: np.ndarray = field(repr=False)   # S_Delta on the grid
-    normalization: str = "as-written"
-    grid_truncated: bool = False                # grid misses the Lorentzian core
+    normalization: str
+    grid_truncated: bool                        # grid misses the Lorentzian core
 
     def line_weight_total(self) -> float:
         return float(self.lines[:, 1].sum()) if self.lines.size else 0.0
@@ -40,7 +40,7 @@ class PowerReport:
     p_coherent: float
     p_fluctuation: float
     p_fluctuation_max: float
-    normalization: str = "as-written"
+    normalization: str
 
     @property
     def p_total(self) -> float:

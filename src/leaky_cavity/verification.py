@@ -3,8 +3,8 @@
 Each check returns a CheckResult with the measured figure and its tolerance;
 ``run_all`` executes the full suite.  The checks pin their own scales
 (trial counts, grids, tolerances) so a pass is meaningful regardless of the
-calling scenario; the scenario only contributes the seed and, for the
-determinism check, the shipped configuration itself.
+calling scenario.  The scenario, loaded before any check runs, gives the random
+checks their seed, and the determinism check the configuration it reruns.
 
 The amplitude, Monte-Carlo pull and bath measures are ``artifacts``' and their
 bounds ``runner.BOUNDS``, the same ones ``leaky-cavity run`` puts into its
@@ -24,9 +24,9 @@ from .artifacts import RelativeDeviation, bath_deviation, noise_pulls, pull
 from .cavity import CavityParams, _response_sum, mode_amplitude, occupation, occupation_longtime
 from .correlation import _comb_phases, _decay_table, stationary_correlation
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel
-from .oracle import BATH_KAPPA_T, NOISE_KAPPA_TAU, _arange_points, amplitude_ode_blocks, \
-    amplitude_ode_step, bath_times, cavity_bath, discrete_bath_decay, monte_carlo_noise, \
-    noise_times
+from .oracle import BATH_KAPPA_T, NOISE_KAPPA_TAU, amplitude_ode_blocks, amplitude_ode_points, \
+    bath_times, cavity_bath, discrete_bath_decay, monte_carlo_noise, noise_times
+from .scenario import load_scenario
 from .spectrum import integrated_power, power_spectrum, spectrum_from_correlation
 
 
@@ -78,15 +78,14 @@ def _worst(figures) -> float:
     return float(np.max(np.array(figures, dtype=float)))
 
 
-def check_amplitude_and_occupation(seed: int = DEFAULT_SEED):
+def check_amplitude_and_occupation(seed: int):
     """Criteria 1 and 2: closed-form amplitude and coherent occupation vs the ODE oracle."""
     n_scenarios = 50
     rng = np.random.default_rng(seed)
     amplitudes, occupations = [], []
     for _ in range(n_scenarios):
         params, spectrum = _random_scenario(rng)
-        t_end = float(rng.uniform(10.0, 30.0))
-        n = _arange_points(t_end, amplitude_ode_step(params, spectrum), "criterion 1's grid")
+        n = amplitude_ode_points(params, spectrum, float(rng.uniform(10.0, 30.0)))
         amplitude, occ = RelativeDeviation(), RelativeDeviation()
         for block in amplitude_ode_blocks(params, spectrum, n):
             amplitude.add(block.values, np.conjugate(mode_amplitude(params, spectrum, block.times)))
@@ -290,29 +289,28 @@ def _clear_caches() -> None:
         cached.cache_clear()
 
 
-def check_determinism(config_path):
+def check_determinism(config_path, seed_override: int | None = None):
     """Criterion 9: two runs of the same scenario, each from empty caches, write the same bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         _clear_caches()
-        first = runner.run(config_path, os.path.join(tmp, "a"))
+        first = runner.run(config_path, os.path.join(tmp, "a"), seed_override=seed_override)
         _clear_caches()
-        second = runner.run(config_path, os.path.join(tmp, "b"))
+        second = runner.run(config_path, os.path.join(tmp, "b"), seed_override=seed_override)
         same = first["files"] == second["files"]
     return [CheckResult("byte-identical reruns", same, 0.0 if same else 1.0, 0.0,
                         "sha256 over all numerical outputs")]
 
 
-def run_all(config_path=None, seed: int = DEFAULT_SEED):
-    """Execute the full suite; returns the list of CheckResults in criterion order."""
-    results = []
-    results += check_amplitude_and_occupation(seed=seed)
-    bundle = _noise_benchmark(seed)
-    results += check_noise_law(bundle)
-    results += check_longtime_limit()
-    results += check_qrt_convention(bundle)
-    results += check_spectrum_round_trip()
-    results += check_power_consistency()
-    results += check_markov_decay()
-    if config_path is not None:
-        results += check_determinism(config_path)
-    return results
+def run_all(config_path, seed_override: int | None = None):
+    """The full suite on the scenario at ``config_path``, loaded first, in criterion order.
+
+    Its ``oracle.seed`` (``seed_override`` in its place), else DEFAULT_SEED, seeds the
+    random checks; the determinism check reruns it with the same override.
+    """
+    seed = load_scenario(config_path, seed_override).oracle.seed
+    seed = DEFAULT_SEED if seed is None else seed
+    return [*check_amplitude_and_occupation(seed=seed),
+            *check_noise_law(bundle := _noise_benchmark(seed)), *check_longtime_limit(),
+            *check_qrt_convention(bundle), *check_spectrum_round_trip(),
+            *check_power_consistency(), *check_markov_decay(),
+            *check_determinism(config_path, seed_override)]

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from leaky_cavity import artifacts, oracle, runner, verification
-from leaky_cavity.cli import EXIT_ORACLE, default_scenario_path, main
+from leaky_cavity.cli import EXIT_OK, EXIT_ORACLE, default_scenario_path, main
 
 
 def report(results):
@@ -72,7 +73,7 @@ def test_noise_gate_fails_a_zero_spread_ensemble(noise_bundle):
 
 # Each figure of the bound table, a verify check that judges it, and the run of
 # that check: the Monte-Carlo checks read the module's bundle, and criterion 1
-# counts its points at ten times the ODE step, which keeps its code path at a
+# counts its points out to a tenth of each t_end, which keeps its code path at a
 # tenth of the cost.
 BOUND_CHECKS = [
     ("amplitude_oracle_max_rel_deviation", "coherent amplitude vs ODE oracle", "amplitude"),
@@ -87,9 +88,10 @@ BOUND_CHECKS = [
                          ids=[f"{figure}-{check}" for figure, _, check in BOUND_CHECKS])
 def test_verify_judges_each_figure_by_the_bound_table(noise_bundle, monkeypatch, figure, name,
                                                       check):
-    shipped_step = verification.amplitude_ode_step
-    monkeypatch.setattr(verification, "amplitude_ode_step",
-                        lambda params, spectrum: 10.0 * shipped_step(params, spectrum))
+    shipped_points = verification.amplitude_ode_points
+    monkeypatch.setattr(verification, "amplitude_ode_points",
+                        lambda params, spectrum, t_end: shipped_points(params, spectrum,
+                                                                       t_end / 10.0))
     runs = {"amplitude": lambda: verification.check_amplitude_and_occupation(seed=1234),
             "noise": lambda: verification.check_noise_law(noise_bundle),
             "qrt": lambda: verification.check_qrt_convention(noise_bundle),
@@ -109,22 +111,24 @@ def test_verify_judges_each_figure_by_the_bound_table(noise_bundle, monkeypatch,
 
 
 def test_criterion_1_counts_the_arange_grid(monkeypatch):
-    # the grid np.arange(0, t_end, h) of each of seed 1234's scenarios, given by its count
-    counts = []
+    # the grid np.arange(0, t_end + h/2, h) of each of seed 1234's scenarios, given by its
+    # count, run's rule for its amplitude oracle
+    scenarios = []
 
-    def count(stop, step, what):
-        counts.append((stop, step, oracle._arange_points(stop, step, what)))
-        return counts[-1][2]
+    def count(params, spectrum, t_end):
+        scenarios.append((params, spectrum, t_end))
+        return oracle.amplitude_ode_points(params, spectrum, t_end)
 
-    monkeypatch.setattr(verification, "_arange_points", count)
+    monkeypatch.setattr(verification, "amplitude_ode_points", count)
     monkeypatch.setattr(verification, "amplitude_ode_blocks", lambda *args: iter(()))
     verification.check_amplitude_and_occupation(seed=1234)
-    assert len(counts) == 50
-    cases = [(k * h, h) for h in (step for _, step, _ in counts[:5])
-             for k in (1, 2, 3, 1000, 4567, 1_000_003)]
-    for t_end, h in [(stop, step) for stop, step, _ in counts] + cases:
-        grid = np.arange(0.0, t_end, h)
-        assert oracle._arange_points(t_end, h, "") == grid.size
+    assert len(scenarios) == 50
+    cases = [(params, spectrum, k * oracle.amplitude_ode_step(params, spectrum))
+             for params, spectrum, _ in scenarios[:5] for k in (1, 2, 3, 1000, 4567, 1_000_003)]
+    for params, spectrum, t_end in scenarios + cases:
+        h = oracle.amplitude_ode_step(params, spectrum)
+        grid = np.arange(0.0, t_end + h / 2, h)
+        assert oracle.amplitude_ode_points(params, spectrum, t_end) == grid.size
         points = h * np.arange(grid.size)
         assert np.array_equal(points.view(np.uint64), grid.view(np.uint64))
 
@@ -216,20 +220,47 @@ def test_criterion_9_deterministic_outputs():
     report(verification.check_determinism(default_scenario_path()))
 
 
-def test_verify_stdout_is_pinned(amplitude_results, noise_bundle):
+def _seeded(fixture, expected):
+    """A stand-in for a random check that returns ``fixture`` once given the seed ``expected``."""
+    def check(seed):
+        assert seed == expected
+        return fixture
+    return check
+
+
+def test_verify_stdout_is_pinned(amplitude_results, noise_bundle, monkeypatch, capsys):
     """``leaky-cavity verify --seed-override 1234`` prints exactly the recorded text.
 
-    The checks run in ``run_all``'s order on the module's seed-1234 fixtures; the
-    text was recorded from the command itself.
+    Criteria 1, 2, 3 and 5 read the module's seed-1234 fixtures, which verify must ask
+    for at seed 1234; the text was recorded from the command itself.
     """
-    results = [*amplitude_results, *verification.check_noise_law(noise_bundle),
-               *verification.check_longtime_limit(),
-               *verification.check_qrt_convention(noise_bundle),
-               *verification.check_spectrum_round_trip(),
-               *verification.check_power_consistency(),
-               *verification.check_markov_decay(),
-               *verification.check_determinism(default_scenario_path())]
-    passed = sum(r.passed for r in results)
-    lines = [r.line() for r in results] + [f"{passed}/{len(results)} checks passed"]
+    monkeypatch.setattr(verification, "check_amplitude_and_occupation",
+                        _seeded(amplitude_results, 1234))
+    monkeypatch.setattr(verification, "_noise_benchmark", _seeded(noise_bundle, 1234))
+    assert main(["verify", "--seed-override", "1234"]) == EXIT_OK
     recorded = Path(__file__).with_name("data") / "verify_seed_1234.stdout"
-    assert "\n".join(lines) + "\n" == recorded.read_text()
+    assert capsys.readouterr().out == recorded.read_text()
+
+
+@pytest.fixture
+def unseeded_path(tmp_path):
+    """The shipped scenario asking for the Monte-Carlo walk, with no oracle.seed."""
+    shipped = yaml.safe_load(Path(default_scenario_path()).read_text())
+    path = tmp_path / "unseeded.yaml"
+    path.write_text(yaml.safe_dump({**shipped, "oracle": {"n_trials": 20},
+                                    "outputs": ["noise_oracle"]}))
+    return path
+
+
+def test_the_determinism_reruns_take_the_seed_override(unseeded_path):
+    assert [r.passed for r in verification.check_determinism(unseeded_path,
+                                                             seed_override=5)] == [True]
+
+
+def test_verify_seeds_from_an_override_the_scenario_needs(amplitude_results, noise_bundle,
+                                                          unseeded_path, monkeypatch, capsys):
+    monkeypatch.setattr(verification, "check_amplitude_and_occupation",
+                        _seeded(amplitude_results, 5))
+    monkeypatch.setattr(verification, "_noise_benchmark", _seeded(noise_bundle, 5))
+    assert main(["verify", "--config", str(unseeded_path), "--seed-override", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("\n15/15 checks passed\n")

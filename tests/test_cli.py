@@ -193,6 +193,22 @@ def test_failed_run_leaves_no_partial_outputs(config_path, tmp_path, monkeypatch
     assert leftovers == []
 
 
+def test_a_failed_rerun_leaves_no_manifest(tmp_path, capsys):
+    # the rerun replaces occupation.csv, fails at power_report.json and removes what it
+    # wrote, so the first run's manifest would name a file that is gone
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "outputs": ["occupation", "power"]}))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert (out / "manifest.json").is_file()
+    (out / "power_report.json").unlink()
+    (out / "power_report.json").mkdir()
+    assert main(argv) == EXIT_IO
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["power_report.json"]
+
+
 def test_invalid_config_exit_code(tmp_path, capsys):
     bad = dict(SCENARIO)
     bad["cavity"] = {"omega_q": 3.0, "g_q": 0.05}
@@ -415,7 +431,9 @@ def test_negative_seed_override_is_refused_before_any_work(config_path, tmp_path
 
     for name, artifact in ARTIFACTS.items():  # the scenario is loaded, but nothing is written
         monkeypatch.setitem(ARTIFACTS, name, artifact._replace(write=forbidden))
-    monkeypatch.setattr(cli_mod.verification, "run_all", forbidden)
+    for name in dir(cli_mod.verification):  # nor is any check run
+        if name.startswith("check_") or name == "_noise_benchmark":
+            monkeypatch.setattr(cli_mod.verification, name, forbidden)
     out = tmp_path / "out"
     argv = {"run": ["run", "--config", str(config_path), "--out", str(out)],
             "verify": ["verify", "--config", str(config_path)]}[command]
