@@ -15,7 +15,7 @@ from . import io as lcio
 from .cavity import CavityParams, dipole_noise_occupation, mode_amplitude, noise_saturation, \
     occupation
 from .correlation import stationary_correlation, two_time_correlation
-from .dipole import FluctuationModel, SeriesBlocks, synthesize_mean_dipole
+from .dipole import DipoleSpectrum, FluctuationModel, SeriesBlocks, synthesize_mean_dipole
 from .oracle import BathDecayResult, BathDiscretization, TrajectoryEnsemble, \
     amplitude_ode_blocks, amplitude_ode_points, amplitude_ode_step, bath_times, cavity_bath, \
     continuum_pole, discrete_bath_decay, monte_carlo_noise, noise_lag_steps, noise_times, \
@@ -186,18 +186,19 @@ def _noise_budget(config, refused) -> dict:
     return found
 
 
+def judged_ode_blocks(params: CavityParams, spectrum: DipoleSpectrum, n: int, deviation):
+    """``amplitude_ode_blocks``, each block's <a> fed to ``deviation`` against conj(closed form)."""
+    for block in amplitude_ode_blocks(params, spectrum, n):
+        deviation.add(block.values, np.conjugate(mode_amplitude(params, spectrum, block.times)))
+        yield block
+
+
 def _amplitude_oracle(config, target):
     params, spectrum = config.cavity, config.spectrum
     deviation = RelativeDeviation()
     n = amplitude_ode_points(params, spectrum, float(config.t_grid[-1]))
-
-    def blocks():
-        for block in amplitude_ode_blocks(params, spectrum, n):
-            # the ODE's <a> against the closed form's conjugate, <a^dagger>
-            deviation.add(block.values, np.conjugate(mode_amplitude(params, spectrum, block.times)))
-            yield block
-
-    lcio.write_timeseries_csv(target("amplitude_oracle.csv"), SeriesBlocks(n, blocks()),
+    lcio.write_timeseries_csv(target("amplitude_oracle.csv"),
+                              SeriesBlocks(n, judged_ode_blocks(params, spectrum, n, deviation)),
                               label="alpha")
     figure = deviation.value()
     return {} if figure is None else {"amplitude_oracle_max_rel_deviation": figure}

@@ -141,6 +141,11 @@ def line_amplitudes(params: CavityParams, spectrum: DipoleSpectrum) -> np.ndarra
     return params.g_q * spectrum.coeffs / (1j * detuning + params.kappa)
 
 
+def _line_weights(params: CavityParams, spectrum: DipoleSpectrum) -> np.ndarray:
+    """Weight |A_N|^2 of each harmonic line: its stationary occupation and its radiated power."""
+    return np.abs(line_amplitudes(params, spectrum)) ** 2
+
+
 def noise_saturation(params: CavityParams, fluct: FluctuationModel) -> float:
     """Incoherent weight C_Delta = delta g_q^2 / (2 kappa), the saturated dipole-noise occupation."""
     return fluct.delta * params.g_q ** 2 / (2.0 * params.kappa)
@@ -162,5 +167,4 @@ def occupation_longtime(params: CavityParams, spectrum: DipoleSpectrum,
     The balance between drive gain and cavity loss; the N != M cross terms
     average to zero in this limit.
     """
-    coherent = np.sum(np.abs(line_amplitudes(params, spectrum)) ** 2)
-    return float(coherent + noise_saturation(params, fluct))
+    return float(np.sum(_line_weights(params, spectrum)) + noise_saturation(params, fluct))

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavity import CavityParams, dipole_noise_occupation, line_amplitudes, mode_amplitude, \
-    noise_saturation
+from .cavity import CavityParams, _line_weights, dipole_noise_occupation, line_amplitudes, \
+    mode_amplitude, noise_saturation
 from .dipole import DipoleSpectrum, FluctuationModel, _phase_row_blocks, phase_table
 
 # Convention tag -> weight of C_Delta in the incoherent term.  "as-written"
@@ -125,7 +125,7 @@ def stationary_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     scattering, the exponentially decaying term the dipole noise.
     """
     s, tau, decay = _lag_decay(params, tau_grid, convention)
-    weights = np.abs(line_amplitudes(params, spectrum)) ** 2
+    weights = _line_weights(params, spectrum)
     lines = _comb_table(spectrum, tau) @ weights
     values = lines + s * noise_saturation(params, fluct) * decay
     return CorrelationSeries(tau=tau, values=values, convention=convention, t=None)

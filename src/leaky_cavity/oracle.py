@@ -72,18 +72,6 @@ def _vacuum_step(t: np.ndarray) -> float:
     return h
 
 
-def _grid_step(t: np.ndarray, step: float) -> float:
-    """``step``, if t is step * np.arange(k0, k0 + t.size) bit for bit; ValueError otherwise.
-
-    k0 is t[0] / step rounded.  That is the grid ``amplitude_ode_blocks`` forms, whose
-    steps can spread beyond ``uniform_steps``' tolerance far from t = 0.
-    """
-    k0 = np.rint(t[0] / step) if t.size and step > 0 else math.nan
-    if not (math.isfinite(k0) and np.array_equal(t, step * np.arange(k0, k0 + t.size))):
-        raise ValueError(f"t grid is not step * k for consecutive whole k, at step {step!r}")
-    return step
-
-
 def _rk4_step(params: CavityParams, h: float):
     """The cavity's RK4 transfer over a step h held to the stability limit."""
     rate = max(params.omega_q, params.kappa)
@@ -171,66 +159,69 @@ def noise_walk_steps(params: CavityParams) -> int:
     return noise_points(params) - 1 + int(noise_lag_steps(params)[-1])
 
 
+def _ode_rows(params: CavityParams, mean_dipole: DipoleSpectrum, t, h: float, state):
+    """States at the nodes t of one row block, by RK4 steps of h from ``state`` at t[0].
+
+    The drive at the nodes t_n .. t_{n+m} gives each step both f(t_n) and,
+    where t_n + h equals t_{n+1} bit for bit, f(t_n + h).  The midpoints and
+    the other ends share a second table: a product row rounds alike in any
+    table of two rows or more, and a one-step block, which only a two-point
+    grid has, ends on t_1.
+    """
+    r, c0, cm, c1 = _rk4_step(params, h)
+    drive = mean_dipole.positive_frequency_signal
+    on_grid = drive(t)
+    nodes = t[:-1]
+    ends = nodes + h
+    miss = np.flatnonzero(ends != t[1:])
+    off_grid = drive(np.concatenate([nodes + h / 2.0, ends[miss]]))
+    forcing = c0 * on_grid[:-1] + cm * off_grid[:nodes.size]
+    on_grid[1:][miss] = off_grid[nodes.size:]  # f(t_n) formed, this is f(t_n + h)
+    forcing += c1 * on_grid[1:]
+    forcing *= params.g_q
+    return _scan(r, forcing, state)
+
+
 def amplitude_ode_blocks(params: CavityParams, mean_dipole: DipoleSpectrum, n: int):
     """``integrate_amplitude_ode`` on the n points k h, k < n, one row block at a time.
 
     h is ``amplitude_ode_step``; the points are those np.arange(0, stop, h)
-    holds, and a count such as ``amplitude_ode_points`` gives.  Each block's
-    nodes are formed as it is reached and integrated by
-    ``integrate_amplitude_ode`` from the last state of the block before, with
-    the step h, so the states are those of the whole grid bit for bit.  Yields
-    a TimeSeries of each block's new nodes, the first block's with t_0 and the
-    vacuum, so no block has a single row unless the grid has two points;
-    besides it only one block's temporaries are held.
+    holds, and a count such as ``amplitude_ode_points`` gives.  A block of
+    rows k0 .. k1 has the nodes h * np.arange(k0, k1 + 1), formed as it is
+    reached and integrated from the last state of the block before, so the
+    states are those of the whole grid bit for bit.  Yields a TimeSeries of
+    each block's new nodes, the first block's with t_0 and the vacuum, so no
+    block has a single row unless the grid has two points; besides it only
+    one block's temporaries are held.
     """
     n, h = operator.index(n), amplitude_ode_step(params, mean_dipole)
     if n < 2:
         raise ValueError(f"the amplitude oracle needs at least two points, got {n}")
-    state = None
+    state = 0j
     for rows in _phase_row_blocks(n - 1, mean_dipole.coeffs.size):
-        grid = h * np.arange(rows.start, rows.stop + 1)
-        block = integrate_amplitude_ode(params, mean_dipole, grid, state=state, step=h)
-        state = block.values[-1]
-        yield block if rows.start == 0 else TimeSeries(block.times[1:], block.values[1:])
+        t = h * np.arange(rows.start, rows.stop + 1)
+        states = _ode_rows(params, mean_dipole, t, h, state)
+        state, new = states[-1], int(rows.start > 0)  # a later block's t[0] ends the last
+        yield TimeSeries(t[new:], states[new:])
 
 
 def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
-                            t_grid, *, state=None, step=None) -> TimeSeries:
+                            t_grid) -> TimeSeries:
     """Integrate d<a_q>/dt = -(i omega_q + kappa) <a_q> + g_q d(t) from vacuum.
 
     The drive is the positive-frequency signal of the DipoleSpectrum
     ``mean_dipole``, evaluated analytically at the step and half-step nodes.
-    Returns <a_q(t)> on the grid; the conjugate is what mode_amplitude computes.
-    The forcing is formed and scanned in row blocks of the comb's phase
-    tables, so besides the result only one block's temporaries are held.
-    ``amplitude_ode_blocks`` continues a grid on its blocks: it passes the
-    ``state`` at the block's first time and the whole grid's ``step``, which
-    the block's own first step may miss by rounding; a grid that is not
-    ``step`` times consecutive whole numbers is refused.
-
-    A block's drive at its grid nodes t_n .. t_{n+m} gives each step both
-    f(t_n) and, where t_n + h equals t_{n+1} bit for bit, f(t_n + h).  The
-    midpoints and the other ends share a second table: a product row rounds
-    alike in any table of two rows or more, and a one-step block, which only
-    a two-point grid has, ends on t_1.
+    Returns <a_q(t)> on the uniform grid t_grid, which starts at 0; the
+    conjugate is what mode_amplitude computes.  The forcing is formed and
+    scanned in row blocks of the comb's phase tables, so besides the result
+    only one block's temporaries are held.
     """
     t = np.asarray(t_grid, dtype=float)
-    h = _vacuum_step(t) if step is None else _grid_step(t, step)
-    r, c0, cm, c1 = _rk4_step(params, h)
-    drive = mean_dipole.positive_frequency_signal
-    states = np.empty(t.size, dtype=complex)
-    states[0] = 0j if state is None else state
+    h = _vacuum_step(t)
+    states = np.zeros(t.size, dtype=complex)
     for rows in _phase_row_blocks(t.size - 1, mean_dipole.coeffs.size):
-        on_grid = drive(t[rows.start:rows.stop + 1])
-        nodes = t[rows]
-        ends = nodes + h
-        miss = np.flatnonzero(ends != t[rows.start + 1:rows.stop + 1])
-        off_grid = drive(np.concatenate([nodes + h / 2.0, ends[miss]]))
-        forcing = c0 * on_grid[:-1] + cm * off_grid[:nodes.size]
-        on_grid[1:][miss] = off_grid[nodes.size:]  # f(t_n) formed, this is f(t_n + h)
-        forcing += c1 * on_grid[1:]
-        forcing *= params.g_q
-        states[rows.start:rows.stop + 1] = _scan(r, forcing, states[rows.start])
+        block = slice(rows.start, rows.stop + 1)
+        states[block] = _ode_rows(params, mean_dipole, t[block], h, states[rows.start])
     return TimeSeries(times=t, values=states)
 
 

@@ -37,8 +37,9 @@ def failed_checks(checks: dict) -> list:
 def run(config_path, output_dir, seed_override: int | None = None) -> dict:
     """Run a scenario and return the manifest (also written to manifest.json).
 
-    Partial outputs are removed if any artifact fails, and an earlier run's manifest
-    goes before the first write, so a failed run leaves none naming removed files.
+    If an artifact fails, the regular files at the run's paths are removed, the one kind a
+    run writes, and the artifact's error is raised.  An earlier run's manifest goes before
+    the first write, so a failed run leaves none naming removed files.
     """
     config = load_scenario(config_path, seed_override)
     os.makedirs(output_dir, exist_ok=True)
@@ -59,7 +60,7 @@ def run(config_path, output_dir, seed_override: int | None = None) -> dict:
                 checks.update(artifact.write(config, target) or {})
     except Exception:
         for path in written:
-            if os.path.exists(path):
+            if os.path.isfile(path) and not os.path.islink(path):
                 os.remove(path)
         raise
 

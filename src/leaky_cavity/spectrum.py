@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavity import CavityParams, line_amplitudes, noise_saturation
+from .cavity import CavityParams, _line_weights, noise_saturation
 from .correlation import CorrelationSeries, tag_factor
 from .dipole import DipoleSpectrum, FluctuationModel, uniform_steps
 
@@ -71,8 +71,7 @@ def power_spectrum(params: CavityParams, spectrum: DipoleSpectrum,
     if omega_grid is None:
         omega_grid = default_omega_grid(params, spectrum)
     omega = np.asarray(omega_grid, dtype=float)
-    lines = np.column_stack([spectrum.harmonics(),
-                             np.abs(line_amplitudes(params, spectrum)) ** 2])
+    lines = np.column_stack([spectrum.harmonics(), _line_weights(params, spectrum)])
     with np.errstate(over="ignore"):  # a detuning beyond 1e154 squares to inf: a continuum of 0
         continuum = factor * 2.0 * noise_saturation(params, fluct) * params.kappa / (
             (omega - params.omega_q) ** 2 + params.kappa ** 2
@@ -96,7 +95,7 @@ def integrated_power(params: CavityParams, spectrum: DipoleSpectrum,
     limit 2 pi C_Delta, which is c delta (g_q/g0)^2 when the bath coupling is given.
     """
     factor = tag_factor(NORMALIZATIONS, normalization, "normalization")
-    p_coherent = float(np.sum(np.abs(line_amplitudes(params, spectrum)) ** 2))
+    p_coherent = float(np.sum(_line_weights(params, spectrum)))
     weight = factor * 2.0 * noise_saturation(params, fluct)
     p_fluct = weight * (np.pi / 2.0 + np.arctan(params.omega_q / params.kappa))
     p_max = weight * np.pi

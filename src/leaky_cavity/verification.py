@@ -6,11 +6,12 @@ Each check returns a CheckResult with the measured figure and its tolerance;
 calling scenario.  The scenario, loaded before any check runs, gives the random
 checks their seed, and the determinism check the configuration it reruns.
 
-The amplitude, Monte-Carlo pull and bath measures are ``artifacts``' and their
-bounds ``runner.BOUNDS``, the same ones ``leaky-cavity run`` puts into its
-manifest ``checks``; each check applies them on its own grid.  The Monte-Carlo
-and bath horizons and the bath are ``oracle``'s.  The determinism check
-compares the ``files`` of two run manifests, each run from empty caches.
+The amplitude figure with its ODE blocks, and the Monte-Carlo pull and bath
+measures, are ``artifacts``' and their bounds ``runner.BOUNDS``, the same ones
+``leaky-cavity run`` puts into its manifest ``checks``; each check applies them
+on its own grid.  The Monte-Carlo and bath horizons and the bath are
+``oracle``'s.  The determinism check compares the ``files`` of two run
+manifests, each run from empty caches.
 """
 
 import os
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import runner
-from .artifacts import RelativeDeviation, bath_deviation, noise_pulls, pull
-from .cavity import CavityParams, _response_sum, mode_amplitude, occupation, occupation_longtime
+from .artifacts import RelativeDeviation, bath_deviation, judged_ode_blocks, noise_pulls, pull
+from .cavity import CavityParams, _response_sum, occupation, occupation_longtime
 from .correlation import _comb_phases, _decay_table, stationary_correlation
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel
-from .oracle import BATH_KAPPA_T, NOISE_KAPPA_TAU, amplitude_ode_blocks, amplitude_ode_points, \
-    bath_times, cavity_bath, discrete_bath_decay, monte_carlo_noise, noise_times
+from .oracle import BATH_KAPPA_T, NOISE_KAPPA_TAU, amplitude_ode_points, bath_times, cavity_bath, \
+    discrete_bath_decay, monte_carlo_noise, noise_times
 from .scenario import load_scenario
 from .spectrum import integrated_power, power_spectrum, spectrum_from_correlation
 
@@ -87,8 +88,7 @@ def check_amplitude_and_occupation(seed: int):
         params, spectrum = _random_scenario(rng)
         n = amplitude_ode_points(params, spectrum, float(rng.uniform(10.0, 30.0)))
         amplitude, occ = RelativeDeviation(), RelativeDeviation()
-        for block in amplitude_ode_blocks(params, spectrum, n):
-            amplitude.add(block.values, np.conjugate(mode_amplitude(params, spectrum, block.times)))
+        for block in judged_ode_blocks(params, spectrum, n, amplitude):
             # the block's response sum is cached by the amplitude's closed form
             occ.add(occupation(params, spectrum, FluctuationModel(0.0), block.times).coherent,
                     np.abs(block.values) ** 2)

@@ -62,6 +62,25 @@ def test_noise_gate_calls_shipped_noise_law(noise_bundle, monkeypatch):
     assert not any(r.passed for r in verification.check_noise_law(noise_bundle))
 
 
+def test_criterion_1_judges_the_blocks_run_judges(monkeypatch):
+    # the amplitude figure is artifacts.judged_ode_blocks', the generator run writes from;
+    # the points are counted out to a tenth of each t_end, a tenth of the cost
+    shipped, shipped_points, judges = artifacts.judged_ode_blocks, oracle.amplitude_ode_points, []
+    assert verification.judged_ode_blocks is shipped
+
+    def judged(params, spectrum, n, deviation):
+        judges.append(deviation)
+        return shipped(params, spectrum, n, deviation)
+
+    monkeypatch.setattr(verification, "judged_ode_blocks", judged)
+    monkeypatch.setattr(verification, "amplitude_ode_points",
+                        lambda params, spectrum, t_end: shipped_points(params, spectrum,
+                                                                       t_end / 10.0))
+    amplitude = verification.check_amplitude_and_occupation(seed=1234)[0]
+    assert len(judges) == 50
+    assert amplitude.measured == max(deviation.value() for deviation in judges)
+
+
 def test_noise_gate_fails_a_zero_spread_ensemble(noise_bundle):
     # every trial drawing the same noise leaves no standard error to judge by
     params, fluct, ens = noise_bundle
@@ -120,7 +139,7 @@ def test_criterion_1_counts_the_arange_grid(monkeypatch):
         return oracle.amplitude_ode_points(params, spectrum, t_end)
 
     monkeypatch.setattr(verification, "amplitude_ode_points", count)
-    monkeypatch.setattr(verification, "amplitude_ode_blocks", lambda *args: iter(()))
+    monkeypatch.setattr(artifacts, "amplitude_ode_blocks", lambda *args: iter(()))
     verification.check_amplitude_and_occupation(seed=1234)
     assert len(scenarios) == 50
     cases = [(params, spectrum, k * oracle.amplitude_ode_step(params, spectrum))
@@ -135,14 +154,14 @@ def test_criterion_1_counts_the_arange_grid(monkeypatch):
 
 def _nan_in_one_scenario(monkeypatch):
     # the closed form of criterion 1's tenth scenario reads NaN throughout
-    closed, seen = verification.mode_amplitude, []
+    closed, seen = artifacts.mode_amplitude, []
 
     def amplitude(params, spectrum, t):
         if params not in seen:
             seen.append(params)
         return closed(params, spectrum, t) * (np.nan if len(seen) == 10 else 1.0)
 
-    monkeypatch.setattr(verification, "mode_amplitude", amplitude)
+    monkeypatch.setattr(artifacts, "mode_amplitude", amplitude)
 
 
 def _nan_line_weight(monkeypatch):

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from leaky_cavity import cavity, dipole
+from leaky_cavity import cavity, correlation, dipole, spectrum
 from leaky_cavity.cavity import (
     CavityParams,
     dipole_noise_occupation,
     kappa_from_coupling,
+    line_amplitudes,
     mode_amplitude,
     occupation,
     occupation_longtime,
 )
-from leaky_cavity.correlation import two_time_correlation
+from leaky_cavity.correlation import stationary_correlation, two_time_correlation
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, phase_table
 from leaky_cavity.oracle import integrate_amplitude_ode
 
@@ -256,3 +257,30 @@ def test_cached_response_is_read_only():
     assert cavity._response_sum.cache_info().hits >= 1
     with pytest.raises(ValueError):
         cached[0] = 0.0
+
+
+# Each closed form that sums or lists the line weights |A_N|^2, read where only they
+# contribute: no noise, and the stationary correlator at tau = 0
+LINE_WEIGHT_SITES = {
+    "spectrum-lines": lambda params, spec: spectrum.power_spectrum(
+        params, spec, FluctuationModel(0.0), [0.0, 1.0]).lines[:, 1],
+    "coherent-power": lambda params, spec: spectrum.integrated_power(
+        params, spec, FluctuationModel(0.0)).p_coherent,
+    "long-time-occupation": lambda params, spec: occupation_longtime(
+        params, spec, FluctuationModel(0.0)),
+    "stationary-correlation": lambda params, spec: stationary_correlation(
+        params, spec, FluctuationModel(0.0), [0.0], "tau-zero-consistent").values[0],
+}
+
+
+@pytest.mark.parametrize("site", LINE_WEIGHT_SITES.values(), ids=LINE_WEIGHT_SITES.keys())
+def test_each_line_weight_site_calls_the_one_formula(site, monkeypatch):
+    # doubling the one formula doubles each site exactly, as a factor of 2 rounds alike
+    params, spec = three_line_case()
+    weights = np.abs(line_amplitudes(params, spec)) ** 2
+    assert np.array_equal(cavity._line_weights(params, spec), weights)
+    before = np.asarray(site(params, spec))
+    shipped = cavity._line_weights
+    for module in (cavity, correlation, spectrum):
+        monkeypatch.setattr(module, "_line_weights", lambda *args: 2.0 * shipped(*args))
+    assert np.array_equal(np.asarray(site(params, spec)), 2.0 * before)

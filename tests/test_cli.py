@@ -18,7 +18,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from leaky_cavity import artifacts
+from leaky_cavity import artifacts, oracle
 from leaky_cavity.artifacts import ARTIFACTS, DEFAULT_OUTPUTS, MAX_GRID_POINTS, \
     MAX_ODE_STEP_LINES, MAX_TRIAL_STEPS, MAX_WALK_STEPS, WALK_TAIL_MARGIN
 from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION, \
@@ -207,6 +207,36 @@ def test_a_failed_rerun_leaves_no_manifest(tmp_path, capsys):
     assert main(argv) == EXIT_IO
     assert "Is a directory" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["power_report.json"]
+
+
+def test_a_failed_write_reports_its_own_error(tmp_path, capsys):
+    # a directory at power_report.json: the write's replace of its temporary file fails,
+    # and the clean-up leaves the directory, which the run did not write, so the error
+    # printed is the write's
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump({**SCENARIO, "outputs": ["occupation", "power"]}))
+    out = tmp_path / "out"
+    (out / "power_report.json").mkdir(parents=True)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_IO
+    assert re.fullmatch(r"i/o error: \[Errno 21\] Is a directory: '\S+/power_report\.json\.\d+\.tmp' "
+                        r"-> '\S+/power_report\.json'\n", capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == ["power_report.json"]
+
+
+def test_a_failed_run_leaves_a_link_it_did_not_write(config_path, tmp_path, monkeypatch):
+    # the write of power_report.json fails before it replaces the link standing there
+    def boom(*args, **kwargs):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(artifacts.lcio, "write_power_report_json", boom)
+    out, kept = tmp_path / "out", tmp_path / "kept.json"
+    kept.write_text("{}")
+    out.mkdir()
+    (out / "power_report.json").symlink_to(kept)
+    with pytest.raises(RuntimeError, match="forced failure"):
+        run(config_path, out)
+    assert [p.name for p in out.iterdir()] == ["power_report.json"]
+    assert (out / "power_report.json").is_symlink() and kept.read_text() == "{}"
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):
@@ -1048,9 +1078,10 @@ def test_benchmark_tracer_binds_to_the_package(config_path, tmp_path, monkeypatc
     finally:
         tracer.uninstall()
     assert not hasattr(cli_mod.main, "__wrapped__")  # uninstalled
+    # no traced call takes RK4 steps: run's amplitude oracle integrates in a private step
     for name in ("cavity.points", "correlation.points", "spectrum.wkt_terms", "io.bytes_read",
-                 "io.bytes_written", "io.rows_written", "oracle.rk4_steps",
-                 "oracle.mc_trial_steps", "oracle.bath_modes", "runner.run.self_s",
+                 "io.bytes_written", "io.rows_written", "oracle.mc_trial_steps",
+                 "oracle.bath_modes", "runner.run.self_s",
                  "cavity.occupation.self_s", "spectrum.spectrum_from_correlation.self_s"):
         assert metrics[name][0] > 0, name
     assert metrics["oracle.bath_modes"][0] == SCENARIO["oracle"]["bath_modes"]
@@ -1058,9 +1089,14 @@ def test_benchmark_tracer_binds_to_the_package(config_path, tmp_path, monkeypatc
 
 
 def test_benchmark_tracer_counts_the_streamed_amplitude_oracle(tmp_path, monkeypatch):
-    """run's amplitude oracle streams through calls the tracer counts: every RK4 step and row."""
+    """run's amplitude oracle streams through calls the tracer counts: every row and closed-form
+    point.  Its RK4 steps, taken in the private ``oracle._ode_rows``, are counted by patching it."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
+
+    steps, ode_rows = [], oracle._ode_rows
+    monkeypatch.setattr(oracle, "_ode_rows",
+                        lambda *args: steps.append(args[2].size - 1) or ode_rows(*args))
 
     config = tmp_path / "ode.yaml"
     config.write_text(yaml.safe_dump({**SCENARIO, "outputs": ["amplitude_oracle"]}))
@@ -1076,7 +1112,7 @@ def test_benchmark_tracer_counts_the_streamed_amplitude_oracle(tmp_path, monkeyp
     finally:
         tracer.uninstall()
     csv = out / "amplitude_oracle.csv"
-    assert metrics["oracle.rk4_steps"][0] == points - 1
+    assert sum(steps) == points - 1
     assert metrics["io.rows_written"][0] == points == csv.read_text().count("\n") - 1
     assert metrics["io.bytes_written"][0] >= csv.stat().st_size
     assert metrics["cavity.points"][0] == points * loaded.spectrum.coeffs.size

@@ -21,6 +21,7 @@ from leaky_cavity.oracle import (
     BathDiscretization,
     _arrowhead_spectrum,
     _digamma,
+    _ode_rows,
     _rk4_step,
     _rk4_transfer,
     _scan,
@@ -74,28 +75,18 @@ def test_ode_error_contracts():
         integrate_amplitude_ode(params, spec, np.arange(1.0, 2.0, 0.01))
 
 
-@pytest.mark.parametrize("t, step", [([0.0, 1.0, 5.0], 0.001), (0.001 * np.arange(3) + 1e-9, 0.001),
-                                     (0.002 * np.arange(5), 0.001), ([0.0, 0.001, 0.003], 0.001),
-                                     ([0.0, 0.001], -0.001), ([np.nan, 0.001], 0.001)],
-                         ids=["far-apart", "shifted", "every-other", "gap", "negative", "nan"])
-def test_a_given_step_must_be_the_grids_own(t, step):
-    # t = [0, 1, 5] at step 0.001 gave two steps of 0.001 labelled t = 1 and t = 5
-    params, spec = comb_case()
-    with pytest.raises(ValueError, match="not step \\* k for consecutive whole k"):
-        integrate_amplitude_ode(params, spec, t, step=step)
-
-
 def test_a_block_far_from_zero_keeps_its_step():
-    # h * k for k from 2e7: the steps spread by 4.4e-9, which uniform_steps refuses
+    # the nodes h * k for k from 2e7, as amplitude_ode_blocks forms them: their steps
+    # spread by 4.4e-9, which uniform_steps refuses, and a block split in two is the same
     params, spec = comb_case()
     h = amplitude_ode_step(params, spec)
     t = h * np.arange(2 * 10 ** 7, 2 * 10 ** 7 + 8193)
     with pytest.raises(ValueError, match="not uniform"):
         uniform_steps(t)
-    whole = integrate_amplitude_ode(params, spec, t, state=0.5j, step=h)
-    head = integrate_amplitude_ode(params, spec, t[:4097], state=0.5j, step=h)
-    tail = integrate_amplitude_ode(params, spec, t[4096:], state=head.values[-1], step=h)
-    assert np.array_equal(whole.values, np.concatenate([head.values, tail.values[1:]]))
+    whole = _ode_rows(params, spec, t, h, 0.5j)
+    head = _ode_rows(params, spec, t[:4097], h, 0.5j)
+    tail = _ode_rows(params, spec, t[4096:], h, head[-1])
+    assert np.array_equal(whole.view(np.uint64), np.concatenate([head, tail[1:]]).view(np.uint64))
 
 
 def three_evaluation_ode(params, spec, t):
@@ -293,11 +284,19 @@ for seed in range(1, 8, 2):
     spec = comb(n_max, seed)
     h, t_end = amplitude_ode_step(params, spec), float(rng.uniform(10.0, 30.0))
     STREAM_CASES[f"seed-{seed}-arange-{n_max}-lines"] = (params, spec, np.arange(0.0, t_end, h))
+# two full blocks of a 16-line comb and one row more, which joins the second block
+_JOIN = (CavityParams(omega_q=3.0, g_q=0.05, kappa=0.1), comb(15, 9))
+STREAM_CASES["single-row-join"] = (*_JOIN, amplitude_ode_step(*_JOIN) * np.arange(
+    2 * (_PHASE_BLOCK_ELEMENTS // 16) + 2))
 
 
 @pytest.mark.parametrize("case", STREAM_CASES.values(), ids=STREAM_CASES.keys())
 def test_streamed_states_and_figure_equal_the_collected_ones(case):
     params, spec, t = case
+    if case is STREAM_CASES["single-row-join"]:
+        rows = _PHASE_BLOCK_ELEMENTS // spec.coeffs.size
+        assert [b.stop - b.start for b in _phase_row_blocks(t.size - 1, spec.coeffs.size)] == [
+            rows, rows + 1]
     times, states, figure = streamed(params, spec, t.size)
     ode = integrate_amplitude_ode(params, spec, t)
     assert np.array_equal(times.view(np.uint64), t.view(np.uint64))
