@@ -9,13 +9,12 @@ response A_N and the noise weight C_Delta, are ``line_amplitudes`` and
 ``noise_saturation``.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dipole import DipoleSpectrum, FluctuationModel, _phase_row_blocks, phase_table, \
-    require_finite
+from .dipole import DipoleSpectrum, FluctuationModel, _last_table, _phase_row_blocks, \
+    phase_table, require_finite
 
 _KAPPA_CONSISTENCY_RTOL = 1e-12
 
@@ -74,36 +73,27 @@ class OccupationCurve:
         return self.coherent + self.noise
 
 
-@functools.lru_cache(maxsize=1)
-def _response_sum(params: CavityParams, harmonics: bytes, coeffs: bytes, t: bytes) -> np.ndarray:
-    """Read-only sum over N of d_N (exp(i D_N t) - exp(-kappa t)) / (i D_N + kappa).
+@_last_table
+def _response_sum(params: CavityParams, harmonics, coeffs, t) -> np.ndarray:
+    """Sum over N of d_N (exp(i D_N t) - exp(-kappa t)) / (i D_N + kappa).
 
     With the detuning D_N = omega_q - omega_N, each term is
     exp(-(i omega_q + kappa) t) times the drive integral
     int_0^t exp((i omega_q + kappa)t') d_N exp(-i omega_N t') dt', written in a
-    form that stays finite for arbitrarily large kappa*t.  The arguments are
-    the raw bytes of the comb frequencies, the coefficients d_N and the times,
-    so the one cached sum is shared by ``occupation`` and ``mode_amplitude`` at
-    the same cavity and grid, and an array changed in place is a new key.  The
-    lines are summed in row blocks of ``phase_table``, which bounds memory and
-    leaves every bit as in the one-table sum.
+    form that stays finite for arbitrarily large kappa*t.  The one kept sum is
+    shared by ``occupation`` and ``mode_amplitude`` at the same cavity, comb
+    and grid.  The lines are summed in row blocks of ``phase_table``, which
+    bounds memory and leaves every bit as in the one-table sum.
     """
-    t = np.frombuffer(t)
-    detuning = params.omega_q - np.frombuffer(harmonics)
-    weights = np.frombuffer(coeffs, dtype=complex) / (1j * detuning + params.kappa)
+    detuning = params.omega_q - harmonics
+    weights = coeffs / (1j * detuning + params.kappa)
     total = np.empty(t.size, dtype=complex)
     for rows in _phase_row_blocks(t.size, detuning.size):
         block = phase_table(t[rows], detuning)
         block -= np.exp(-params.kappa * t[rows])[:, None]
         block *= weights
         total[rows] = block.sum(axis=1)
-    total.flags.writeable = False
     return total
-
-
-def _line_response_sum(params: CavityParams, spectrum: DipoleSpectrum, t: np.ndarray):
-    return _response_sum(params, spectrum.harmonics().tobytes(), spectrum.coeffs.tobytes(),
-                         t.tobytes())
 
 
 def mode_amplitude(params: CavityParams, spectrum: DipoleSpectrum, t):
@@ -115,7 +105,7 @@ def mode_amplitude(params: CavityParams, spectrum: DipoleSpectrum, t):
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     # g_q conj(resp) exp(i omega_q t), formed in place in the same order
-    out = np.conj(_line_response_sum(params, spectrum, t_arr))
+    out = np.conj(_response_sum(params, spectrum.harmonics(), spectrum.coeffs, t_arr))
     np.multiply(params.g_q, out, out=out)
     phase = np.multiply(1j * params.omega_q, t_arr)
     np.multiply(out, np.exp(phase, out=phase), out=out)
@@ -130,7 +120,8 @@ def occupation(params: CavityParams, spectrum: DipoleSpectrum,
     harmonic sum, so it is exactly |mode_amplitude|^2.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    coherent = params.g_q ** 2 * np.abs(_line_response_sum(params, spectrum, t_arr)) ** 2
+    resp = _response_sum(params, spectrum.harmonics(), spectrum.coeffs, t_arr)
+    coherent = params.g_q ** 2 * np.abs(resp) ** 2
     noise = dipole_noise_occupation(params, fluct, t_arr)
     return OccupationCurve(times=t_arr, coherent=coherent, noise=noise)
 

@@ -7,14 +7,13 @@ the incoherent term because the as-published tau = 0 value carries the noise
 occupation twice (see ``CONVENTIONS``); the Monte-Carlo oracle adjudicates.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cavity import CavityParams, _line_weights, dipole_noise_occupation, line_amplitudes, \
     mode_amplitude, noise_saturation
-from .dipole import DipoleSpectrum, FluctuationModel, _phase_row_blocks, phase_table
+from .dipole import DipoleSpectrum, FluctuationModel, _last_table, _phase_row_blocks, phase_table
 
 # Convention tag -> weight of C_Delta in the incoherent term.  "as-written"
 # reproduces the published stationary correlator (incoherent weight
@@ -31,21 +30,10 @@ def tag_factor(table: dict, tag: str, kind: str) -> float:
         raise ValueError(f"{kind} must be one of {tuple(table)}, got {tag!r}") from None
 
 
-@functools.lru_cache(maxsize=1)
-def _comb_phases(tau: bytes, harmonics: bytes) -> np.ndarray:
-    """Read-only table exp(-i omega_N tau_j) of a lag grid against the harmonic comb.
-
-    It depends on neither the cavity nor the coefficients, so a detuning scan
-    over one comb and one lag grid builds it once; the arguments are the raw
-    bytes of both arrays, so an array changed in place is a new key.
-    """
-    table = phase_table(np.frombuffer(tau), -np.frombuffer(harmonics))
-    table.flags.writeable = False
-    return table
-
-
-def _comb_table(spectrum: DipoleSpectrum, tau: np.ndarray) -> np.ndarray:
-    return _comb_phases(tau.tobytes(), spectrum.harmonics().tobytes())
+@_last_table
+def _comb_phases(tau: np.ndarray, harmonics: np.ndarray) -> np.ndarray:
+    """exp(-i omega_N tau_j) over a lag grid and the comb: one table for a whole detuning scan."""
+    return phase_table(tau, -harmonics)
 
 
 @dataclass(frozen=True)
@@ -70,25 +58,19 @@ class CorrelationSeries:
         return self.t is None
 
 
-@functools.lru_cache(maxsize=1)
-def _decay_table(omega_q: float, kappa: float, tau: bytes) -> np.ndarray:
-    """Read-only lag decay exp(-(i omega_q + kappa) tau_j), keyed like ``_comb_phases``.
-
-    Both correlators at one cavity and one lag grid share it, so a detuning
-    scan builds it once per point.
-    """
-    decay = np.exp(-(1j * omega_q + kappa) * np.frombuffer(tau))
-    decay.flags.writeable = False
-    return decay
+@_last_table
+def _decay_table(omega_q: float, kappa: float, tau: np.ndarray) -> np.ndarray:
+    """Lag decay exp(-(i omega_q + kappa) tau_j), which both correlators at one cavity share."""
+    return np.exp(-(1j * omega_q + kappa) * tau)
 
 
 def _lag_decay(params: CavityParams, tau_grid, convention: str):
     """Convention weight s, the lag grid tau >= 0 and its decay exp(-(i omega_q + kappa) tau)."""
     s = tag_factor(CONVENTIONS, convention, "convention")
     tau = np.asarray(tau_grid, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("tau must be nonnegative; extend via C(-tau) = conj(C(tau))")
-    return s, tau, _decay_table(params.omega_q, params.kappa, tau.tobytes())
+    if tau.ndim != 1 or np.any(tau < 0):
+        raise ValueError("tau must be a nonnegative 1-d grid; extend via C(-tau) = conj(C(tau))")
+    return s, tau, _decay_table(params.omega_q, params.kappa, tau)
 
 
 def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,
@@ -106,7 +88,7 @@ def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     coherent_occ = abs(amp) ** 2  # equals the coherent occupation
     noise_occ = dipole_noise_occupation(params, fluct, t)
 
-    comb = _comb_table(spectrum, tau)
+    comb = _comb_phases(tau, spectrum.harmonics())
     weights = line_amplitudes(params, spectrum) * np.exp(-1j * spectrum.harmonics() * t)
     drive = np.empty(tau.size, dtype=complex)  # in row blocks, each bit as in one product
     for rows in _phase_row_blocks(tau.size, weights.size):
@@ -126,6 +108,6 @@ def stationary_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     """
     s, tau, decay = _lag_decay(params, tau_grid, convention)
     weights = _line_weights(params, spectrum)
-    lines = _comb_table(spectrum, tau) @ weights
+    lines = _comb_phases(tau, spectrum.harmonics()) @ weights
     values = lines + s * noise_saturation(params, fluct) * decay
     return CorrelationSeries(tau=tau, values=values, convention=convention, t=None)

@@ -7,6 +7,7 @@ zero-mean delta-correlated noise of magnitude delta, discretized as Gaussian
 increments of variance delta/dt.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -59,8 +60,8 @@ def phase_table(t, freqs) -> np.ndarray:
     cos x + i sin x from the same sine and cosine (tests/test_dipole.py checks
     this), except that a product of -0 keeps its sign in the imaginary part.
     An infinite product gives nan with numpy's "invalid value" RuntimeWarning.
-    A table that is cached to be shared across calls (the correlators' comb
-    table) is made read-only, and its users subtract from it into a new array.
+    A table kept by ``_last_table`` to be shared across calls (the correlators'
+    comb table) is read-only, and its users subtract from it into a new array.
     """
     t = np.ravel(np.asarray(t, dtype=float))
     table = np.empty((t.size, np.size(freqs)), dtype=complex)
@@ -84,6 +85,36 @@ def _phase_row_blocks(n_rows: int, n_cols: int) -> list:
         bounds.pop()
     bounds.append(n_rows)
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+# The [key, table] cell of each _last_table memo, which _clear_tables empties.
+_MEMOS = []
+
+
+def _last_table(build):
+    """Memo of ``build`` that returns its last table, read-only, to a call with equal arguments.
+
+    Arrays are compared by dtype, shape and bytes, so one changed in place is a
+    new argument.  The build is called as ``memo.__wrapped__``, where it can be counted.
+    """
+    last = [None, None]
+    _MEMOS.append(last)
+
+    @functools.wraps(build)
+    def memo(*args):
+        key = [(a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+               for a in args]
+        if last[0] != key:
+            last[:] = key, memo.__wrapped__(*args)
+            last[1].flags.writeable = False
+        return last[1]
+    return memo
+
+
+def _clear_tables() -> None:
+    """Empty every ``_last_table`` memo, so that the next call of each builds its table."""
+    for last in _MEMOS:
+        last[:] = None, None
 
 
 @dataclass(frozen=True)

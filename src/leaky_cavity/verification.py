@@ -22,9 +22,9 @@ import numpy as np
 
 from . import runner
 from .artifacts import RelativeDeviation, bath_deviation, judged_ode_blocks, noise_pulls, pull
-from .cavity import CavityParams, _response_sum, occupation, occupation_longtime
-from .correlation import _comb_phases, _decay_table, stationary_correlation
-from .dipole import DipoleSpectrum, DriveParams, FluctuationModel
+from .cavity import CavityParams, occupation, occupation_longtime
+from .correlation import stationary_correlation
+from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, _clear_tables
 from .oracle import BATH_KAPPA_T, NOISE_KAPPA_TAU, amplitude_ode_points, bath_times, cavity_bath, \
     discrete_bath_decay, monte_carlo_noise, noise_times
 from .scenario import load_scenario
@@ -283,18 +283,12 @@ def check_markov_decay():
     ]
 
 
-def _clear_caches() -> None:
-    """Empty the package's cached tables, so that the next call builds each of them."""
-    for cached in (_response_sum, _comb_phases, _decay_table):
-        cached.cache_clear()
-
-
 def check_determinism(config_path, seed_override: int | None = None):
     """Criterion 9: two runs of the same scenario, each from empty caches, write the same bytes."""
     with tempfile.TemporaryDirectory() as tmp:
-        _clear_caches()
+        _clear_tables()
         first = runner.run(config_path, os.path.join(tmp, "a"), seed_override=seed_override)
-        _clear_caches()
+        _clear_tables()
         second = runner.run(config_path, os.path.join(tmp, "b"), seed_override=seed_override)
         same = first["files"] == second["files"]
     return [CheckResult("byte-identical reruns", same, 0.0 if same else 1.0, 0.0,

@@ -197,8 +197,8 @@ def test_blocked_response_sum_is_bit_equal_to_one_table(monkeypatch, block_rows,
     fluct = FluctuationModel(0.2)
     for n_rows in sorted({1, 2, b - 1, b, b + 1, 2 * b + 1, 3 * b}):
         t = np.sort(rng.uniform(0.0, 50.0, n_rows))
-        cavity._response_sum.cache_clear()
-        got = cavity._response_sum(params, harmonics.tobytes(), coeffs.tobytes(), t.tobytes())
+        dipole._clear_tables()
+        got = cavity._response_sum(params, harmonics, coeffs, t)
         want = _one_table_response_sum(params, harmonics, coeffs, t)
         assert got.view(np.uint8).tobytes() == want.view(np.uint8).tobytes(), n_rows
 
@@ -221,42 +221,6 @@ def test_row_blocks_cover_the_table_in_order_with_no_lone_row(monkeypatch, n_col
         assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n_rows))
         sizes = [rows.stop - rows.start for rows in blocks]
         assert all(2 <= size <= 6 for size in sizes) or sizes == [1], (n_rows, sizes)
-
-
-def test_response_cache_follows_arrays_changed_in_place():
-    params, spec = three_line_case()
-    t = np.linspace(0.0, 40.0, 401)
-    occupation(params, spec, FluctuationModel(0.2), t)
-    t *= 0.5
-    resp = _one_table_response_sum(params, spec.harmonics(), spec.coeffs, t)
-    want = params.g_q * np.conj(resp) * np.exp(1j * params.omega_q * t)
-    assert mode_amplitude(params, spec, t).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("other", [
-    DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=3), coeffs=[0.0, 0.375, 0.2j, 0.126]),
-    DipoleSpectrum(drive=DriveParams(omega=1.1, n_max=3), coeffs=[0.0, 0.375, 0.2j, 0.125]),
-], ids=["coeffs", "omega"])
-def test_response_cache_never_shared_between_spectra(other):
-    params, spec = three_line_case()
-    t = np.linspace(0.0, 40.0, 401)
-    cavity._response_sum.cache_clear()
-    cold = mode_amplitude(params, other, t)
-    mode_amplitude(params, spec, t)
-    after_spec = mode_amplitude(params, other, t)
-    assert cold.tobytes() == after_spec.tobytes()
-    assert not np.array_equal(cold, mode_amplitude(params, spec, t))
-
-
-def test_cached_response_is_read_only():
-    params, spec = three_line_case()
-    t = np.linspace(0.0, 40.0, 401)
-    occupation(params, spec, FluctuationModel(0.0), t)
-    cached = cavity._response_sum(params, spec.harmonics().tobytes(), spec.coeffs.tobytes(),
-                                  t.tobytes())
-    assert cavity._response_sum.cache_info().hits >= 1
-    with pytest.raises(ValueError):
-        cached[0] = 0.0
 
 
 # Each closed form that sums or lists the line weights |A_N|^2, read where only they

@@ -23,13 +23,12 @@ from leaky_cavity.artifacts import ARTIFACTS, DEFAULT_OUTPUTS, MAX_GRID_POINTS, 
     MAX_ODE_STEP_LINES, MAX_TRIAL_STEPS, MAX_WALK_STEPS, WALK_TAIL_MARGIN
 from leaky_cavity.cli import EXIT_IO, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION, \
     default_scenario_path, main
-from leaky_cavity.dipole import DriveParams, synthesize_mean_dipole
+from leaky_cavity.dipole import DriveParams, _clear_tables, synthesize_mean_dipole
 from leaky_cavity.io import write_timeseries_csv
 from leaky_cavity.oracle import amplitude_ode_points, amplitude_ode_step, noise_walk_steps
 from leaky_cavity.runner import BOUNDS, failed_checks, run
 from leaky_cavity.spectrum import default_omega_grid
 from leaky_cavity.scenario import MAX_BATH_MODES, MAX_N_MAX, ScenarioError, load_scenario
-from leaky_cavity.verification import _clear_caches
 
 SCENARIO = {
     "drive": {"omega": 1.0, "n_max": 3},
@@ -134,9 +133,9 @@ def test_full_output_set_is_pinned(config_path, tmp_path):
 
 
 def test_runs_are_byte_identical(config_path, tmp_path):
-    _clear_caches()  # each run builds every cached table
+    _clear_tables()  # each run builds every cached table
     first = run(config_path, tmp_path / "a")
-    _clear_caches()
+    _clear_tables()
     second = run(config_path, tmp_path / "b")
     assert first["files"] == second["files"]
     for name, digest in first["files"].items():
@@ -150,24 +149,30 @@ def test_each_determinism_run_builds_every_table(tmp_path, monkeypatch):
 
     config = tmp_path / "correlation.yaml"
     config.write_text(yaml.safe_dump({**SCENARIO, "outputs": ["correlation"]}))
-    tables, per_run = [], []
-    shipped_table, shipped_run = dipole.phase_table, runner.run
+    tables, decays, per_run = [], [], []
+    shipped_table, shipped_decay, shipped_run = (dipole.phase_table,
+                                                 correlation._decay_table.__wrapped__, runner.run)
 
     def counted_table(*args):
         tables.append(args)
         return shipped_table(*args)
 
+    def counted_decay(*args):
+        decays.append(args)
+        return shipped_decay(*args)
+
     def counted_run(*args, **kwargs):
-        before = len(tables), correlation._decay_table.cache_info().misses
+        before = len(tables), len(decays)
         manifest = shipped_run(*args, **kwargs)
-        after = len(tables), correlation._decay_table.cache_info().misses
+        after = len(tables), len(decays)
         per_run.append((after[0] - before[0], after[1] - before[1]))  # tables, decays built
         return manifest
 
     for module in (cavity, correlation):
         monkeypatch.setattr(module, "phase_table", counted_table)
+    monkeypatch.setattr(correlation._decay_table, "__wrapped__", counted_decay)
     monkeypatch.setattr(runner, "run", counted_run)
-    _clear_caches()  # a cold start, as in a fresh process
+    _clear_tables()  # a cold start, as in a fresh process
     assert [r.passed for r in verification.check_determinism(config)] == [True]
     assert len(per_run) == 2 and per_run[0] == per_run[1] and min(per_run[0]) > 0
 

@@ -1,9 +1,10 @@
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from leaky_cavity import cavity, correlation
+from leaky_cavity import cavity, correlation, dipole
 from leaky_cavity.cavity import CavityParams, line_amplitudes, mode_amplitude, noise_saturation, \
     occupation, occupation_longtime
 from leaky_cavity.correlation import (
@@ -12,7 +13,8 @@ from leaky_cavity.correlation import (
     stationary_correlation,
     two_time_correlation,
 )
-from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, phase_table
+from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, _clear_tables, \
+    phase_table
 from leaky_cavity.oracle import amplitude_ode_step, integrate_amplitude_ode
 from leaky_cavity.verification import _random_scenario
 
@@ -155,33 +157,91 @@ def _correlators(params, spec, fluct, tau):
             stationary_correlation(params, spec, fluct, tau, conv).values.tobytes())
 
 
-def test_correlators_are_byte_equal_with_warm_and_cold_cache():
-    params, spec, fluct = comb_case()
-    tau = np.linspace(0.0, 80.0, 1601)
-    for call in (lambda: two_time_correlation(params, spec, fluct, 7.0, tau, "as-written"),
-                 lambda: stationary_correlation(params, spec, fluct, tau, "as-written")):
-        correlation._comb_phases.cache_clear()
-        cold = call().values.tobytes()
-        assert call().values.tobytes() == cold
-        assert correlation._comb_phases.cache_info().hits == 1
+def _response_forms(params, spec, fluct, t):
+    """Bytes of the occupation and the amplitude on one time grid, which share one response sum."""
+    return (occupation(params, spec, fluct, t).total.tobytes(),
+            mode_amplitude(params, spec, t).tobytes())
 
 
-def test_correlators_are_byte_equal_with_warm_and_cold_decay_cache():
+class Kept(NamedTuple):
+    memo: object  # a _last_table memo
+    args: object  # its arguments at (params, spec, grid)
+    outputs: object  # bytes of the closed forms that read its table at (params, spec, fluct, grid)
+
+
+KEPT = {
+    "response": Kept(cavity._response_sum,
+                     lambda params, spec, grid: (params, spec.harmonics(), spec.coeffs, grid),
+                     _response_forms),
+    "comb": Kept(correlation._comb_phases, lambda params, spec, grid: (grid, spec.harmonics()),
+                 _correlators),
+    "decay": Kept(correlation._decay_table,
+                  lambda params, spec, grid: (params.omega_q, params.kappa, grid), _correlators),
+}
+each_kept_table = pytest.mark.parametrize("kept", KEPT.values(), ids=KEPT.keys())
+
+
+def _count_builds(monkeypatch, memo) -> list:
+    """The arguments of each table that ``memo`` builds from now on."""
+    builds, build = [], memo.__wrapped__
+    monkeypatch.setattr(memo, "__wrapped__", lambda *args: builds.append(args) or build(*args))
+    return builds
+
+
+@each_kept_table
+def test_closed_forms_are_byte_equal_with_a_warm_and_a_cold_table(kept, monkeypatch):
     params, spec, fluct = comb_case()
-    tau = np.linspace(0.0, 80.0, 1601)
-    correlation._decay_table.cache_clear()
-    cold = _correlators(params, spec, fluct, tau)
-    # the two correlators at one cavity and lag grid build the decay once
-    assert correlation._decay_table.cache_info()[:2] == (1, 1)  # hits, misses
-    for clear in (False, True):
-        if clear:
-            correlation._decay_table.cache_clear()
-        assert _correlators(params, spec, fluct, tau) == cold
-    direct = np.exp(-(1j * params.omega_q + params.kappa) * tau)
-    decay = correlation._decay_table(params.omega_q, params.kappa, tau.tobytes())
-    assert decay.tobytes() == direct.tobytes()
+    grid = np.linspace(0.0, 80.0, 1601)
+    builds = _count_builds(monkeypatch, kept.memo)
+    _clear_tables()
+    cold = kept.outputs(params, spec, fluct, grid)
+    assert len(builds) == 1  # the closed forms that read the table share one build
+    assert kept.outputs(params, spec, fluct, grid) == cold
+    assert len(builds) == 1
+    _clear_tables()
+    assert kept.outputs(params, spec, fluct, grid) == cold
+    args = kept.args(params, spec, grid)
+    assert kept.memo(*args).tobytes() == kept.memo.__wrapped__(*args).tobytes()
+
+
+@each_kept_table
+def test_kept_table_is_read_only(kept, monkeypatch):
+    params, spec, fluct = comb_case()
+    grid = np.linspace(0.0, 80.0, 1601)
+    kept.outputs(params, spec, fluct, grid)
+    builds = _count_builds(monkeypatch, kept.memo)
+    table = kept.memo(*kept.args(params, spec, grid))
+    assert builds == []  # the very table the closed forms read
     with pytest.raises(ValueError):
-        decay[0] = 0.0
+        table[0] = 0.0
+
+
+@each_kept_table
+def test_kept_table_follows_arrays_changed_in_place(kept):
+    params, spec, fluct = comb_case()
+    grid = np.linspace(0.0, 80.0, 1601)
+    _clear_tables()
+    kept.outputs(params, spec, fluct, grid)
+    grid *= 0.5
+    warm = kept.outputs(params, spec, fluct, grid)
+    _clear_tables()
+    assert warm == kept.outputs(params, spec, fluct, grid)
+
+
+@pytest.mark.parametrize("coeffs, omega", [
+    ([0.0, 0.9, 0.0, 0.4 * np.exp(0.7j), 0.0, 0.16], 1.0),
+    ([0.0, 0.9, 0.0, 0.4 * np.exp(0.7j), 0.0, 0.15], 1.1),
+], ids=["coeffs", "omega"])
+@each_kept_table
+def test_kept_table_never_shared_between_spectra(kept, coeffs, omega):
+    params, spec, fluct = comb_case()
+    other = DipoleSpectrum(drive=DriveParams(omega=omega, n_max=spec.drive.n_max), coeffs=coeffs)
+    grid = np.linspace(0.0, 80.0, 1601)
+    _clear_tables()
+    cold = kept.outputs(params, other, fluct, grid)
+    kept.outputs(params, spec, fluct, grid)
+    assert kept.outputs(params, other, fluct, grid) == cold
+    assert kept.outputs(params, spec, fluct, grid) != cold
 
 
 def test_decay_cache_follows_the_cavity_and_the_lag_grid():
@@ -193,46 +253,26 @@ def test_decay_cache_follows_the_cavity_and_the_lag_grid():
               tau), (params, 0.5 * tau)]
     cold = []
     for cavity_params, lags in cases:
-        correlation._decay_table.cache_clear()
+        _clear_tables()
         cold.append(_correlators(cavity_params, spec, fluct, lags))
     assert [_correlators(p, spec, fluct, lags) for p, lags in cases] == cold
     assert len(set(cold)) == len(cases)
 
 
-def test_comb_cache_follows_arrays_changed_in_place():
-    params, spec, fluct = comb_case()
-    tau = np.linspace(0.0, 80.0, 1601)
-    _correlators(params, spec, fluct, tau)
-    tau *= 0.5
-    lines = phase_table(tau, -spec.harmonics()) @ np.abs(line_amplitudes(params, spec)) ** 2
-    want = lines + noise_saturation(params, fluct) * np.exp(
-        -(1j * params.omega_q + params.kappa) * tau)  # the tau-zero-consistent weight is 1
-    assert _correlators(params, spec, fluct, tau)[1] == want.tobytes()
-
-
-@pytest.mark.parametrize("coeffs, omega", [
-    ([0.0, 0.9, 0.0, 0.4 * np.exp(0.7j), 0.0, 0.16], 1.0),
-    ([0.0, 0.9, 0.0, 0.4 * np.exp(0.7j), 0.0, 0.15], 1.1),
-], ids=["coeffs", "omega"])
-def test_comb_cache_never_shared_between_spectra(coeffs, omega):
-    params, spec, fluct = comb_case()
-    other = DipoleSpectrum(drive=DriveParams(omega=omega, n_max=spec.drive.n_max), coeffs=coeffs)
-    tau = np.linspace(0.0, 80.0, 1601)
-    correlation._comb_phases.cache_clear()
-    cold = _correlators(params, other, fluct, tau)
-    _correlators(params, spec, fluct, tau)
-    assert _correlators(params, other, fluct, tau) == cold
-    assert _correlators(params, spec, fluct, tau) != cold
-
-
-def test_cached_comb_table_is_read_only():
-    params, spec, fluct = comb_case()
-    tau = np.linspace(0.0, 80.0, 1601)
-    stationary_correlation(params, spec, fluct, tau, "as-written")
-    table = correlation._comb_phases(tau.tobytes(), spec.harmonics().tobytes())
-    assert correlation._comb_phases.cache_info().hits >= 1
-    with pytest.raises(ValueError):
-        table[0, 0] = 0.0
+def test_clear_tables_empties_every_memo(monkeypatch):
+    params, spec, _ = comb_case()
+    grid = np.linspace(0.0, 80.0, 1601)
+    assert len(dipole._MEMOS) == len(KEPT)
+    builds = {name: _count_builds(monkeypatch, kept.memo) for name, kept in KEPT.items()}
+    for kept in KEPT.values():
+        kept.memo(*kept.args(params, spec, grid))
+    _clear_tables()
+    assert all(cell == [None, None] for cell in dipole._MEMOS)
+    for calls in builds.values():
+        calls.clear()
+    for kept in KEPT.values():
+        kept.memo(*kept.args(params, spec, grid))
+    assert {name: len(calls) for name, calls in builds.items()} == dict.fromkeys(KEPT, 1)
 
 
 def test_detuning_scan_builds_each_phase_table_once(monkeypatch):
@@ -251,8 +291,7 @@ def test_detuning_scan_builds_each_phase_table_once(monkeypatch):
     for order, builds in ((("occupation", "amplitude", "two-time", "stationary"), 1),
                           (("occupation", "two-time", "amplitude", "stationary"), 2)):
         rows.update({cavity: 0, correlation: 0})
-        cavity._response_sum.cache_clear()
-        correlation._comb_phases.cache_clear()
+        _clear_tables()
         for params in points:
             calls = {
                 "occupation": lambda: occupation(params, spec, fluct, t),
