@@ -6,14 +6,15 @@ dipole (rotating-wave-like truncation), and dipole white noise adds an
 incoherent occupation that saturates at delta*g_q^2/(2*kappa).  The two
 per-line quantities the correlators and spectra are built from, the line
 response A_N and the noise weight C_Delta, are ``line_amplitudes`` and
-``noise_saturation``.
+``noise_saturation``.  A time argument t is a number or a 1-d array of times
+t >= 0.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dipole import DipoleSpectrum, FluctuationModel, _last_table, _phase_row_blocks, \
+from .dipole import DipoleSpectrum, FluctuationModel, _last_table, _phase_row_blocks, _times, \
     phase_table, require_finite
 
 _KAPPA_CONSISTENCY_RTOL = 1e-12
@@ -103,7 +104,7 @@ def mode_amplitude(params: CavityParams, spectrum: DipoleSpectrum, t):
     A_N^* = g_q conj(d_N) / (-i(omega_q - omega_N) + kappa); zero at t = 0 and
     oscillating at the dipole harmonics once kappa*t >> 1.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = _times(t)
     # g_q conj(resp) exp(i omega_q t), formed in place in the same order
     out = np.conj(_response_sum(params, spectrum.harmonics(), spectrum.coeffs, t_arr))
     np.multiply(params.g_q, out, out=out)
@@ -119,7 +120,7 @@ def occupation(params: CavityParams, spectrum: DipoleSpectrum,
     The coherent part keeps the N != M interference terms of the double
     harmonic sum, so it is exactly |mode_amplitude|^2.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = _times(t)
     resp = _response_sum(params, spectrum.harmonics(), spectrum.coeffs, t_arr)
     coherent = params.g_q ** 2 * np.abs(resp) ** 2
     noise = dipole_noise_occupation(params, fluct, t_arr)
@@ -144,11 +145,8 @@ def noise_saturation(params: CavityParams, fluct: FluctuationModel) -> float:
 
 def dipole_noise_occupation(params: CavityParams, fluct: FluctuationModel, t):
     """Incoherent occupation <D^dagger D>(t) = C_Delta (1 - exp(-2 kappa t))."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be nonnegative")
-    out = noise_saturation(params, fluct) * (1.0 - np.exp(-2.0 * params.kappa * t_arr))
-    return out if np.ndim(t) else float(out)
+    out = noise_saturation(params, fluct) * (1.0 - np.exp(-2.0 * params.kappa * _times(t)))
+    return out if np.ndim(t) else float(out[0])
 
 
 def occupation_longtime(params: CavityParams, spectrum: DipoleSpectrum,

@@ -50,6 +50,16 @@ def uniform_steps(times, name: str = "time") -> np.ndarray:
     return steps
 
 
+def _times(t) -> np.ndarray:
+    """Time argument t of a closed form, a number or a 1-d array of times >= 0, as a 1-d array."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if t_arr.ndim > 1:
+        raise ValueError(f"t must be a number or a 1-d array, got shape {t_arr.shape}")
+    if np.any(t_arr < 0):
+        raise ValueError("t must be nonnegative")
+    return t_arr
+
+
 def phase_table(t, freqs) -> np.ndarray:
     """Table exp(i t_j f_k) over the 1-d arrays t and freqs, built in one complex buffer.
 

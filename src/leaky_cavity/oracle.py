@@ -27,6 +27,9 @@ NOISE_KAPPA_TAU = 3.0
 BATH_KAPPA_T = 5.0
 BATH_HALF_WIDTH_KAPPAS = 40.0
 
+# Fewest Monte-Carlo trials: a standard error needs two.
+MIN_TRIALS = 2
+
 # Monte-Carlo trials drawn and filtered together.  It bounds memory; results
 # agree to rounding, as the per-chunk sums over trials reassociate.
 _MC_CHUNK = 512
@@ -368,6 +371,9 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     n_steps = n_t - 1 + int(tau_steps.max(initial=0))
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if operator.index(n_trials) < MIN_TRIALS:
+        raise ValueError(f"n_trials must be at least {MIN_TRIALS} (a standard error needs two "
+                         f"trials), got {n_trials}")
     from ._seeding import trial_generators  # only a walk compiles it and loads numpy.random
     sigma = noise_std(fluct, h)
     gain = params.g_q * (c0 + cm + c1)  # constant forcing over each step

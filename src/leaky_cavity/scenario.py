@@ -17,7 +17,7 @@ from .cavity import CavityParams, noise_saturation
 from .correlation import CONVENTIONS, tag_factor
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, fourier_decompose
 from .io import read_timeseries_csv
-from .oracle import BATH_HALF_WIDTH_KAPPAS, _fastest_rate
+from .oracle import BATH_HALF_WIDTH_KAPPAS, MIN_TRIALS, _fastest_rate
 from .spectrum import NORMALIZATIONS
 
 # Relative slack in cavity.omega_q == cavity.q * drive.omega.
@@ -316,7 +316,7 @@ def load_scenario(path, seed_override=None) -> ScenarioConfig:
     seed_path = "oracle.seed"
     if seed_override is not None:
         settings["seed"], seed_path = seed_override, "--seed-override"
-    _integer(settings["n_trials"], "oracle.n_trials", errors, 2,
+    _integer(settings["n_trials"], "oracle.n_trials", errors, MIN_TRIALS,
              " (a standard error needs two trials)")
     _integer(settings["bath_modes"], "oracle.bath_modes", errors, 100, " for a meaningful bath",
              MAX_BATH_MODES)

@@ -71,6 +71,8 @@ def power_spectrum(params: CavityParams, spectrum: DipoleSpectrum,
     if omega_grid is None:
         omega_grid = default_omega_grid(params, spectrum)
     omega = np.asarray(omega_grid, dtype=float)
+    if omega.ndim != 1 or omega.size == 0:
+        raise ValueError(f"omega grid must be a 1-d array of frequencies, got shape {omega.shape}")
     lines = np.column_stack([spectrum.harmonics(), _line_weights(params, spectrum)])
     with np.errstate(over="ignore"):  # a detuning beyond 1e154 squares to inf: a continuum of 0
         continuum = factor * 2.0 * noise_saturation(params, fluct) * params.kappa / (

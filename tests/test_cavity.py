@@ -166,6 +166,26 @@ def test_occupation_positive_for_random_parameters():
         assert np.allclose(curve.total, curve.coherent + curve.noise)
 
 
+# The closed forms that take a time argument t: a number or a 1-d array of times >= 0
+TIME_FORMS = {
+    "amplitude": lambda t: mode_amplitude(*three_line_case(), t),
+    "occupation": lambda t: occupation(*three_line_case(), FluctuationModel(0.2), t),
+    "noise-occupation": lambda t: dipole_noise_occupation(three_line_case()[0],
+                                                          FluctuationModel(0.2), t),
+}
+
+
+@pytest.mark.parametrize("t, message", [
+    (-1.0, "t must be nonnegative"),
+    ([0.0, 2.0, -1.0], "t must be nonnegative"),
+    (np.ones((2, 3)), r"t must be a number or a 1-d array, got shape \(2, 3\)"),
+], ids=["negative-number", "negative-point", "two-dimensional"])
+@pytest.mark.parametrize("form", TIME_FORMS.values(), ids=TIME_FORMS.keys())
+def test_closed_forms_share_one_time_rule(form, t, message):
+    with pytest.raises(ValueError, match=message):
+        form(t)
+
+
 def _one_table_response_sum(params, harmonics, coeffs, t):
     """The line-response sum built as one (t x lines) table, the reference for the row blocks."""
     detuning = params.omega_q - harmonics

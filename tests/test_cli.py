@@ -1009,18 +1009,21 @@ def test_run_imports_no_scipy(tmp_path):
 
 
 def test_only_the_walk_imports_numpy_random(tmp_path):
-    # loading and running the shipped scenario, which has no noise_oracle, draws nothing
+    # loading and running the shipped scenario, which has no noise_oracle, draws
+    # nothing; and it needs no scipy, which only the test extras declare
     code = (
         "import sys\n"
         "import leaky_cavity.cli\n"
         "from leaky_cavity.cli import default_scenario_path, main\n"
         "from leaky_cavity.scenario import load_scenario\n"
         "walk = {'numpy.random', 'leaky_cavity._seeding'}\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m in walk or m.split('.')[0] == 'scipy')\n"
         "load_scenario(default_scenario_path())\n"
-        "print(sorted(walk & set(sys.modules)))\n"
+        "print(loaded())\n"
         "assert main(['run', '--config', str(default_scenario_path()),\n"
         f"             '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "print(sorted(walk & set(sys.modules)))\n"
+        "print(loaded())\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,

@@ -698,6 +698,9 @@ def test_mc_error_contracts():
         monte_carlo_noise(params, fluct, np.arange(0.0, 10.0, 0.5), n_trials=4, seed=0)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         monte_carlo_noise(params, fluct, t, n_trials=4, seed=-1)
+    for n_trials in (0, 1):  # no mean, or a standard error of 0 and infinite pulls
+        with pytest.raises(ValueError, match="n_trials must be at least 2"):
+            monte_carlo_noise(params, fluct, t, n_trials=n_trials, seed=0)
     bad_picks = {"out of range": [0, t.size], "negative": [-1, 3], "unsorted": [5, 2],
                  "duplicated": [2, 2, 7], "non-integer": [1.0, 2.0], "empty": [],
                  "two-dimensional": [[1, 2]]}

@@ -119,6 +119,12 @@ def test_truncated_grid_is_flagged():
                               off_core).grid_truncated
 
 
+@pytest.mark.parametrize("grid", [[], 3.0, [[0.0, 1.0]]], ids=["empty", "0-d", "2-d"])
+def test_power_spectrum_needs_a_1d_omega_grid(grid):
+    with pytest.raises(ValueError, match="omega grid must be a 1-d array"):
+        power_spectrum(*comb_case(), grid)
+
+
 def test_transform_recovers_lorentzian():
     params = CavityParams(omega_q=2.0, g_q=0.3, kappa=0.1)
     spec = DipoleSpectrum(drive=DriveParams(1.0, 1), coeffs=[0.0, 0.0])
