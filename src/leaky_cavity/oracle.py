@@ -335,10 +335,9 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
                       picks=None) -> TrajectoryEnsemble:
     """Estimate <D^dagger D> statistics by averaging noise-driven trajectories.
 
-    Each trial draws one white-noise realization (from
+    Each trial draws one white-noise realization from its own generator,
     ``np.random.default_rng([seed, trial])``, so trials are independent and the
-    ensemble is reproducible; a chunk's generators are seeded in one
-    vectorized pass, ``_seeding.trial_generators``), pushes it through
+    ensemble is reproducible.  Each realization is pushed through
     the damped filter d(t) = g_q int_0^t exp(-(i omega_q+kappa)(t-t')) dd(t') dt'
     with the same 4th-order step and piecewise-constant forcing per step, and
     the ensemble reports mean and standard error of |d(t)|^2 at t_grid[picks]
@@ -374,7 +373,6 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     if operator.index(n_trials) < MIN_TRIALS:
         raise ValueError(f"n_trials must be at least {MIN_TRIALS} (a standard error needs two "
                          f"trials), got {n_trials}")
-    from ._seeding import trial_generators  # only a walk compiles it and loads numpy.random
     sigma = noise_std(fluct, h)
     gain = params.g_q * (c0 + cm + c1)  # constant forcing over each step
 
@@ -411,7 +409,8 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     pad = 2 if tau_steps.size > 1 else 1
     for lo in range(0, n_trials, _MC_CHUNK):
         m = min(_MC_CHUNK, n_trials - lo)
-        streams = trial_generators(seed, range(lo, lo + m))
+        # np.random is reached only here, so only a walk loads numpy.random
+        streams = [np.random.default_rng([seed, k]) for k in range(lo, lo + m)]
         noise = draws[:m]
         noise_blocks = noise.reshape(m, tile // n_l, n_l)
         carries = block_end[:m * (tile // n_l)].view(complex).reshape(m, tile // n_l)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leaky_cavity import _seeding, oracle
+from leaky_cavity import oracle
 from leaky_cavity.cavity import CavityParams, dipole_noise_occupation, mode_amplitude
 from leaky_cavity.cli import default_scenario_path
 from leaky_cavity.dipole import _PHASE_BLOCK_ELEMENTS, DipoleSpectrum, DriveParams, \
@@ -635,19 +635,6 @@ def test_mc_bytes_with_lone_lags_are_pinned():
 
 def ensemble_digest(ens):
     return hashlib.sha256(b"".join(a.tobytes() for a in ensemble_arrays(ens))).hexdigest()
-
-
-# 2**32 and up take two or three words, 3**80 four, and with them the entropy
-# [seed, k] outgrows SeedSequence's pool of four words.
-@pytest.mark.parametrize("seed", [0, 1, 7, 1234, 2**32 - 1, 2**32, 2**64 + 3, 3**80])
-def test_trial_generators_are_seeded_as_default_rng(seed):
-    keys = [0, 1, 511, 512, 2**32 - 1, 2**32]
-    words = _seeding.seed_states(seed, keys)
-    for key, row, generator in zip(keys, words, _seeding.trial_generators(seed, keys)):
-        sequence = np.random.SeedSequence([seed, key])
-        assert np.array_equal(row, sequence.generate_state(4, np.uint64))
-        assert generator.bit_generator.state == \
-            np.random.default_rng([seed, key]).bit_generator.state
 
 
 def test_mc_is_independent_of_blas_threads():
