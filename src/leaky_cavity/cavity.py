@@ -22,8 +22,8 @@ _KAPPA_CONSISTENCY_RTOL = 1e-12
 
 def kappa_from_coupling(g0: float, c: float) -> float:
     """Cavity damping rate kappa = g0^2 * pi / c for a flat bath coupling."""
-    if g0 <= 0 or c <= 0:
-        raise ValueError(f"g0 and c must be positive, got g0={g0}, c={c}")
+    if not (0 < g0 < np.inf and 0 < c < np.inf):  # NaN fails too
+        raise ValueError(f"g0 and c must be positive and finite, got g0={g0}, c={c}")
     return g0 * g0 * np.pi / c
 
 

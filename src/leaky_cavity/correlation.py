@@ -65,11 +65,13 @@ def _decay_table(omega_q: float, kappa: float, tau: np.ndarray) -> np.ndarray:
 
 
 def _lag_decay(params: CavityParams, tau_grid, convention: str):
-    """Convention weight s, the lag grid tau >= 0 and its decay exp(-(i omega_q + kappa) tau)."""
+    """Convention weight s, the finite lags tau >= 0 and their decay exp(-(i omega_q + kappa) tau)."""
     s = tag_factor(CONVENTIONS, convention, "convention")
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or np.any(tau < 0):
         raise ValueError("tau must be a nonnegative 1-d grid; extend via C(-tau) = conj(C(tau))")
+    if not np.all(np.isfinite(tau)):
+        raise ValueError("tau must be finite")
     return s, tau, _decay_table(params.omega_q, params.kappa, tau)
 
 

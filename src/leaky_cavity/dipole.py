@@ -51,12 +51,14 @@ def uniform_steps(times, name: str = "time") -> np.ndarray:
 
 
 def _times(t) -> np.ndarray:
-    """Time argument t of a closed form, a number or a 1-d array of times >= 0, as a 1-d array."""
+    """A closed form's time argument t, a number or a 1-d array of finite t >= 0, as a 1-d array."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if t_arr.ndim > 1:
         raise ValueError(f"t must be a number or a 1-d array, got shape {t_arr.shape}")
     if np.any(t_arr < 0):
         raise ValueError("t must be nonnegative")
+    if not np.all(np.isfinite(t_arr)):
+        raise ValueError("t must be finite")
     return t_arr
 
 

@@ -364,9 +364,11 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     n_t = t.size
     picked = _pick_indices(picks, n_t)
     tau = np.asarray([] if tau_grid is None else tau_grid, dtype=float)
-    tau_steps = np.rint(tau / h).astype(int)
-    if np.any(tau_steps < 0) or np.any(np.abs(tau_steps * h - tau) > 1e-9 * h):
+    steps = np.rint(tau / h)
+    # NaN, inf and lags past 2**53 steps fail the first test, before the cast to int
+    if not np.all((steps >= 0) & (steps < 2 ** 53)) or np.any(np.abs(steps * h - tau) > 1e-9 * h):
         raise ValueError("tau grid points must be nonnegative multiples of the t step")
+    tau_steps = steps.astype(int)
     n_steps = n_t - 1 + int(tau_steps.max(initial=0))
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")

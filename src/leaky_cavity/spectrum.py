@@ -73,6 +73,8 @@ def power_spectrum(params: CavityParams, spectrum: DipoleSpectrum,
     omega = np.asarray(omega_grid, dtype=float)
     if omega.ndim != 1 or omega.size == 0:
         raise ValueError(f"omega grid must be a 1-d array of frequencies, got shape {omega.shape}")
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("omega grid must be finite")
     lines = np.column_stack([spectrum.harmonics(), _line_weights(params, spectrum)])
     with np.errstate(over="ignore"):  # a detuning beyond 1e154 squares to inf: a continuum of 0
         continuum = factor * 2.0 * noise_saturation(params, fluct) * params.kappa / (

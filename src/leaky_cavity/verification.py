@@ -26,7 +26,7 @@ from .cavity import CavityParams, occupation, occupation_longtime
 from .correlation import stationary_correlation
 from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, _clear_tables
 from .oracle import BATH_KAPPA_T, NOISE_KAPPA_TAU, amplitude_ode_points, bath_times, cavity_bath, \
-    discrete_bath_decay, monte_carlo_noise, noise_times
+    discrete_bath_decay, monte_carlo_noise, noise_step, noise_times
 from .scenario import load_scenario
 from .spectrum import integrated_power, power_spectrum, spectrum_from_correlation
 
@@ -108,7 +108,7 @@ def _noise_benchmark(seed: int):
     params = CavityParams(omega_q=1.0, g_q=1.0, kappa=0.1)
     fluct = FluctuationModel(delta=0.2)
     t = noise_times(params)
-    dtau = 0.2  # ten steps
+    dtau = 10 * noise_step(params)
     tau = np.arange(0.0, NOISE_KAPPA_TAU / params.kappa + dtau / 2, dtau)
     picks = np.unique(np.linspace(1, t.size - 1, 20).astype(int))  # incl. saturation
     ensemble = monte_carlo_noise(params, fluct, t, tau_grid=tau,

@@ -33,10 +33,10 @@ def test_kappa_from_coupling(g0, c, expected):
 
 
 def test_kappa_from_coupling_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        kappa_from_coupling(0.0, 1.0)
-    with pytest.raises(ValueError):
-        kappa_from_coupling(1.0, -1.0)
+    for g0, c in [(0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                  (1.0, np.inf)]:  # NaN returned NaN
+        with pytest.raises(ValueError, match="g0 and c must be positive and finite"):
+            kappa_from_coupling(g0, c)
 
 
 def test_params_derive_kappa_from_bath():
@@ -166,7 +166,7 @@ def test_occupation_positive_for_random_parameters():
         assert np.allclose(curve.total, curve.coherent + curve.noise)
 
 
-# The closed forms that take a time argument t: a number or a 1-d array of times >= 0
+# The closed forms that take a time argument t: a number or a 1-d array of finite times >= 0
 TIME_FORMS = {
     "amplitude": lambda t: mode_amplitude(*three_line_case(), t),
     "occupation": lambda t: occupation(*three_line_case(), FluctuationModel(0.2), t),
@@ -179,7 +179,12 @@ TIME_FORMS = {
     (-1.0, "t must be nonnegative"),
     ([0.0, 2.0, -1.0], "t must be nonnegative"),
     (np.ones((2, 3)), r"t must be a number or a 1-d array, got shape \(2, 3\)"),
-], ids=["negative-number", "negative-point", "two-dimensional"])
+    # NaN returned NaN, and inf raised numpy's "invalid value" RuntimeWarning under -W error
+    (np.nan, "t must be finite"),
+    (np.inf, "t must be finite"),
+    ([0.0, np.nan, 2.0], "t must be finite"),
+], ids=["negative-number", "negative-point", "two-dimensional", "nan-number", "inf-number",
+        "nan-point"])
 @pytest.mark.parametrize("form", TIME_FORMS.values(), ids=TIME_FORMS.keys())
 def test_closed_forms_share_one_time_rule(form, t, message):
     with pytest.raises(ValueError, match=message):

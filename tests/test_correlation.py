@@ -137,6 +137,11 @@ def test_error_contracts():
         stationary_correlation(params, spec, fluct, [-1.0], "as-written")
     with pytest.raises(ValueError, match="t must be nonnegative"):
         two_time_correlation(params, spec, fluct, -1.0, [0.0], "as-written")
+    for lag in (np.nan, np.inf):  # inf raised numpy's "invalid value" RuntimeWarning
+        with pytest.raises(ValueError, match="tau must be finite"):
+            stationary_correlation(params, spec, fluct, [0.0, lag], "as-written")
+        with pytest.raises(ValueError, match="tau must be finite"):
+            two_time_correlation(params, spec, fluct, 1.0, [0.0, lag], "as-written")
     with pytest.raises(ValueError, match="equal length"):
         CorrelationSeries(tau=[0.0, 1.0], values=[1.0], convention="as-written")
 

@@ -679,8 +679,10 @@ def test_mc_error_contracts():
     params, fluct, t = mc_setup()
     with pytest.raises(ValueError, match="start at 0"):
         monte_carlo_noise(params, fluct, t + 1.0, n_trials=4, seed=0)
-    with pytest.raises(ValueError, match="multiples"):
-        monte_carlo_noise(params, fluct, t, tau_grid=[0.0, 0.07], n_trials=4, seed=0)
+    # NaN and inf raised numpy's "invalid value encountered in cast" under -W error
+    for tau in ([0.0, 0.07], [0.0, np.nan], [0.0, np.inf], [0.0, 1e300]):
+        with pytest.raises(ValueError, match="multiples of the t step"):
+            monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=4, seed=0)
     with pytest.raises(ValueError, match="step too large"):
         monte_carlo_noise(params, fluct, np.arange(0.0, 10.0, 0.5), n_trials=4, seed=0)
     with pytest.raises(ValueError, match="seed must be nonnegative"):

@@ -119,9 +119,15 @@ def test_truncated_grid_is_flagged():
                               off_core).grid_truncated
 
 
-@pytest.mark.parametrize("grid", [[], 3.0, [[0.0, 1.0]]], ids=["empty", "0-d", "2-d"])
-def test_power_spectrum_needs_a_1d_omega_grid(grid):
-    with pytest.raises(ValueError, match="omega grid must be a 1-d array"):
+@pytest.mark.parametrize("grid, message", [
+    ([], "omega grid must be a 1-d array"),
+    (3.0, "omega grid must be a 1-d array"),
+    ([[0.0, 1.0]], "omega grid must be a 1-d array"),
+    ([0.0, np.nan, 2.0], "omega grid must be finite"),  # gave a NaN continuum
+    ([0.0, 1.0, np.inf], "omega grid must be finite"),
+], ids=["empty", "0-d", "2-d", "nan", "inf"])
+def test_power_spectrum_needs_a_1d_omega_grid(grid, message):
+    with pytest.raises(ValueError, match=message):
         power_spectrum(*comb_case(), grid)
 
 
