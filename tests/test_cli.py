@@ -987,42 +987,31 @@ def test_a_default_omega_grid_at_the_ceiling_loads(tmp_path):
     assert default_omega_grid(config.cavity, config.spectrum).size == MAX_GRID_POINTS
 
 
-def test_run_imports_no_scipy(tmp_path):
+def test_only_the_walk_imports_numpy_random(tmp_path):
+    # Loading and running the shipped scenario, which has no noise_oracle, draws
+    # nothing, and neither do the bath oracle or importing verification; a
+    # two-trial walk then loads numpy.random.  Nothing loads scipy, which only
+    # the test extras declare.
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "import leaky_cavity.oracle as oracle, leaky_cavity.verification\n"
         "from leaky_cavity.cavity import CavityParams\n"
         "from leaky_cavity.cli import default_scenario_path, main\n"
+        "from leaky_cavity.dipole import FluctuationModel\n"
+        "from leaky_cavity.scenario import load_scenario\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m == 'numpy.random' or m.split('.')[0] == 'scipy')\n"
+        "params = CavityParams(omega_q=1.0, g_q=0.1, kappa=0.05)\n"
+        "load_scenario(default_scenario_path())\n"
         "assert main(['run', '--config', str(default_scenario_path()),\n"
         f"             '--out', {str(tmp_path / 'out')!r}]) == 0\n"
         "oracle.discrete_bath_decay(oracle.BathDiscretization.for_damping(0.05, 1.0, 200, 2.0),\n"
-        "                           CavityParams(omega_q=1.0, g_q=0.1, kappa=0.05), [0.0, 1.0])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-
-
-def test_only_the_walk_imports_numpy_random(tmp_path):
-    # loading and running the shipped scenario, which has no noise_oracle, draws
-    # nothing; and it needs no scipy, which only the test extras declare
-    code = (
-        "import sys\n"
-        "import leaky_cavity.cli\n"
-        "from leaky_cavity.cli import default_scenario_path, main\n"
-        "from leaky_cavity.scenario import load_scenario\n"
-        "walk = {'numpy.random', 'leaky_cavity._seeding'}\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m in walk or m.split('.')[0] == 'scipy')\n"
-        "load_scenario(default_scenario_path())\n"
+        "                           params, [0.0, 1.0])\n"
         "print(loaded())\n"
-        "assert main(['run', '--config', str(default_scenario_path()),\n"
-        f"             '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "oracle.monte_carlo_noise(params, FluctuationModel(0.2), np.arange(0.0, 1.0, 0.02),\n"
+        "                         n_trials=2, seed=0)\n"
         "print(loaded())\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -1032,7 +1021,7 @@ def test_only_the_walk_imports_numpy_random(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert (lines[-2], lines[-1]) == ("[]", "['numpy.random']")
 
 
 @pytest.mark.parametrize("q, message", [
