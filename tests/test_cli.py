@@ -987,11 +987,13 @@ def test_a_default_omega_grid_at_the_ceiling_loads(tmp_path):
     assert default_omega_grid(config.cavity, config.spectrum).size == MAX_GRID_POINTS
 
 
-def test_only_the_walk_imports_numpy_random(tmp_path):
-    # Loading and running the shipped scenario, which has no noise_oracle, draws
-    # nothing, and neither do the bath oracle or importing verification; a
-    # two-trial walk then loads numpy.random.  Nothing loads scipy, which only
-    # the test extras declare.
+@pytest.fixture(scope="module")
+def import_audit(tmp_path_factory):
+    # One interpreter loads and runs the shipped scenario, which has no
+    # noise_oracle, runs the bath oracle and imports verification, and prints
+    # the numpy.random and scipy modules then loaded; a two-trial walk follows
+    # and the modules are printed again.
+    out = tmp_path_factory.mktemp("import-audit") / "out"
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -1006,7 +1008,7 @@ def test_only_the_walk_imports_numpy_random(tmp_path):
         "params = CavityParams(omega_q=1.0, g_q=0.1, kappa=0.05)\n"
         "load_scenario(default_scenario_path())\n"
         "assert main(['run', '--config', str(default_scenario_path()),\n"
-        f"             '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        f"             '--out', {str(out)!r}]) == 0\n"
         "oracle.discrete_bath_decay(oracle.BathDiscretization.for_damping(0.05, 1.0, 200, 2.0),\n"
         "                           params, [0.0, 1.0])\n"
         "print(loaded())\n"
@@ -1020,8 +1022,17 @@ def test_only_the_walk_imports_numpy_random(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert (lines[-2], lines[-1]) == ("[]", "['numpy.random']")
+    return proc.stdout.splitlines()[-2:]
+
+
+def test_run_imports_no_scipy(import_audit):
+    # scipy is declared only by the test extras
+    assert all("scipy" not in line for line in import_audit)
+
+
+def test_only_the_walk_imports_numpy_random(import_audit):
+    # the run, the bath oracle and verification draw nothing; the walk does
+    assert import_audit == ["[]", "['numpy.random']"]
 
 
 @pytest.mark.parametrize("q, message", [
