@@ -104,7 +104,7 @@ def mode_amplitude(params: CavityParams, spectrum: DipoleSpectrum, t):
     A_N^* = g_q conj(d_N) / (-i(omega_q - omega_N) + kappa); zero at t = 0 and
     oscillating at the dipole harmonics once kappa*t >> 1.
     """
-    t_arr = _times(t)
+    t_arr = _times(t, "t")
     # g_q conj(resp) exp(i omega_q t), formed in place in the same order
     out = np.conj(_response_sum(params, spectrum.harmonics(), spectrum.coeffs, t_arr))
     np.multiply(params.g_q, out, out=out)
@@ -120,7 +120,7 @@ def occupation(params: CavityParams, spectrum: DipoleSpectrum,
     The coherent part keeps the N != M interference terms of the double
     harmonic sum, so it is exactly |mode_amplitude|^2.
     """
-    t_arr = _times(t)
+    t_arr = _times(t, "t")
     resp = _response_sum(params, spectrum.harmonics(), spectrum.coeffs, t_arr)
     coherent = params.g_q ** 2 * np.abs(resp) ** 2
     noise = dipole_noise_occupation(params, fluct, t_arr)
@@ -145,7 +145,7 @@ def noise_saturation(params: CavityParams, fluct: FluctuationModel) -> float:
 
 def dipole_noise_occupation(params: CavityParams, fluct: FluctuationModel, t):
     """Incoherent occupation <D^dagger D>(t) = C_Delta (1 - exp(-2 kappa t))."""
-    out = noise_saturation(params, fluct) * (1.0 - np.exp(-2.0 * params.kappa * _times(t)))
+    out = noise_saturation(params, fluct) * (1.0 - np.exp(-2.0 * params.kappa * _times(t, "t")))
     return out if np.ndim(t) else float(out[0])
 
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from .cavity import CavityParams, _line_weights, dipole_noise_occupation, line_amplitudes, \
     mode_amplitude, noise_saturation
-from .dipole import DipoleSpectrum, FluctuationModel, _last_table, _phase_row_blocks, phase_table
+from .dipole import DipoleSpectrum, FluctuationModel, _last_table, _phase_row_blocks, _times, \
+    phase_table
 
 # Convention tag -> weight of C_Delta in the incoherent term.  "as-written"
 # reproduces the published stationary correlator (incoherent weight
@@ -58,21 +59,15 @@ class CorrelationSeries:
         return self.t is None
 
 
-@_last_table
-def _decay_table(omega_q: float, kappa: float, tau: np.ndarray) -> np.ndarray:
-    """Lag decay exp(-(i omega_q + kappa) tau_j), which both correlators at one cavity share."""
-    return np.exp(-(1j * omega_q + kappa) * tau)
-
-
 def _lag_decay(params: CavityParams, tau_grid, convention: str):
-    """Convention weight s, the finite lags tau >= 0 and their decay exp(-(i omega_q + kappa) tau)."""
+    """Convention weight s, the lags as a 1-d array and their decay exp(-(i omega_q + kappa) tau).
+
+    The lags are a number or a 1-d array of finite tau >= 0; a negative lag
+    follows from C(-tau) = conj(C(tau)).
+    """
     s = tag_factor(CONVENTIONS, convention, "convention")
-    tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1 or np.any(tau < 0):
-        raise ValueError("tau must be a nonnegative 1-d grid; extend via C(-tau) = conj(C(tau))")
-    if not np.all(np.isfinite(tau)):
-        raise ValueError("tau must be finite")
-    return s, tau, _decay_table(params.omega_q, params.kappa, tau)
+    tau = _times(tau_grid, "tau")
+    return s, tau, np.exp(-(1j * params.omega_q + params.kappa) * tau)
 
 
 def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,

@@ -50,15 +50,24 @@ def uniform_steps(times, name: str = "time") -> np.ndarray:
     return steps
 
 
-def _times(t) -> np.ndarray:
-    """A closed form's time argument t, a number or a 1-d array of finite t >= 0, as a 1-d array."""
+def _count(value, name: str, least: int) -> int:
+    """An integer argument of at least ``least``, as an int; raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def _times(t, name: str) -> np.ndarray:
+    """A time argument ``name``, a number or a 1-d array of finite times >= 0, as a 1-d array."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if t_arr.ndim > 1:
-        raise ValueError(f"t must be a number or a 1-d array, got shape {t_arr.shape}")
+        raise ValueError(f"{name} must be a number or a 1-d array, got shape {t_arr.shape}")
     if np.any(t_arr < 0):
-        raise ValueError("t must be nonnegative")
+        raise ValueError(f"{name} must be nonnegative")
     if not np.all(np.isfinite(t_arr)):
-        raise ValueError("t must be finite")
+        raise ValueError(f"{name} must be finite")
     return t_arr
 
 
@@ -137,12 +146,10 @@ class DriveParams:
     n_max: int = 1
 
     def __post_init__(self):
+        _count(self.n_max, "n_max", 1)
         require_finite(self)
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if (isinstance(self.n_max, bool) or not isinstance(self.n_max, numbers.Integral)
-                or self.n_max < 1):
-            raise ValueError(f"n_max must be a positive integer, got {self.n_max}")
 
     @property
     def period(self) -> float:
@@ -265,6 +272,11 @@ def fourier_decompose(signal: TimeSeries, drive: DriveParams) -> DipoleSpectrum:
     """
     if np.iscomplexobj(signal.values):
         raise ValueError("a dipole series must be real (columns t, value), got complex values")
+    vals = np.asarray(signal.values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"a dipole series must be finite, got {vals[bad[0]]} "
+                         f"at t = {signal.times[bad[0]]}")
     uniform_steps(signal.times)
     span = signal.span
     n_periods = span / drive.period
@@ -283,7 +295,6 @@ def fourier_decompose(signal: TimeSeries, drive: DriveParams) -> DipoleSpectrum:
             f"aliasing risk: {samples_per_period:.1f} samples per period cannot resolve "
             f"harmonic {drive.n_max} (need at least {2 * drive.n_max + 1})"
         )
-    vals = np.asarray(signal.values, dtype=float)
     bins = np.fft.rfft(vals[:-1])[n_periods * np.arange(drive.n_max + 1)]
     coeffs = (np.conj(bins) + (vals[-1] - vals[0]) / 2) / (vals.size - 1)
     return DipoleSpectrum(drive=drive, coeffs=coeffs)

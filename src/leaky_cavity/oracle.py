@@ -8,14 +8,13 @@ None of them reuses the closed-form expressions they are checked against.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cavity import CavityParams, kappa_from_coupling
-from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, _phase_row_blocks, noise_std, \
-    phase_table, require_finite, uniform_steps
+from .dipole import DipoleSpectrum, FluctuationModel, TimeSeries, _count, _phase_row_blocks, \
+    _times, noise_std, phase_table, require_finite, uniform_steps
 
 _STABILITY_LIMIT = 0.1
 
@@ -197,9 +196,7 @@ def amplitude_ode_blocks(params: CavityParams, mean_dipole: DipoleSpectrum, n: i
     block has a single row unless the grid has two points; besides it only
     one block's temporaries are held.
     """
-    n, h = operator.index(n), amplitude_ode_step(params, mean_dipole)
-    if n < 2:
-        raise ValueError(f"the amplitude oracle needs at least two points, got {n}")
+    n, h = _count(n, "n", 2), amplitude_ode_step(params, mean_dipole)
     state = 0j
     for rows in _phase_row_blocks(n - 1, mean_dipole.coeffs.size):
         t = h * np.arange(rows.start, rows.stop + 1)
@@ -370,11 +367,7 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
         raise ValueError("tau grid points must be nonnegative multiples of the t step")
     tau_steps = steps.astype(int)
     n_steps = n_t - 1 + int(tau_steps.max(initial=0))
-    if operator.index(seed) < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if operator.index(n_trials) < MIN_TRIALS:
-        raise ValueError(f"n_trials must be at least {MIN_TRIALS} (a standard error needs two "
-                         f"trials), got {n_trials}")
+    seed, n_trials = _count(seed, "seed", 0), _count(n_trials, "n_trials", MIN_TRIALS)
     sigma = noise_std(fluct, h)
     gain = params.g_q * (c0 + cm + c1)  # constant forcing over each step
 
@@ -481,9 +474,8 @@ class BathDiscretization:
     g0: float
 
     def __post_init__(self):
+        _count(self.n_modes, "n_modes", 2)
         require_finite(self)
-        if self.n_modes < 2:
-            raise ValueError("n_modes must be at least 2")
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
         if self.g0 < 0:
@@ -701,8 +693,8 @@ def discrete_bath_decay(bath: BathDiscretization, params: CavityParams,
     precision.  ``norm_error`` is the completeness sum rule |sum_j w_j^2 - 1|.
     In the continuum limit |alpha(t)| follows exp(-kappa_effective t).
     """
-    t = np.asarray(t_grid, dtype=float)
-    bath.check_horizon(t[-1])
+    t = _times(t_grid, "t")
+    bath.check_horizon(t.max(initial=0.0))
     evals, weights = _arrowhead_spectrum(bath, params.omega_q)
     alpha = np.empty(t.size, dtype=complex)
     for rows in _phase_row_blocks(t.size, evals.size):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leaky_cavity import cavity, correlation, dipole, spectrum
+from leaky_cavity import cavity, correlation, dipole, oracle, spectrum
 from leaky_cavity.cavity import (
     CavityParams,
     dipole_noise_occupation,
@@ -13,7 +13,7 @@ from leaky_cavity.cavity import (
 )
 from leaky_cavity.correlation import stationary_correlation, two_time_correlation
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, phase_table
-from leaky_cavity.oracle import integrate_amplitude_ode
+from leaky_cavity.oracle import cavity_bath, discrete_bath_decay, integrate_amplitude_ode
 
 
 def three_line_case():
@@ -166,29 +166,51 @@ def test_occupation_positive_for_random_parameters():
         assert np.allclose(curve.total, curve.coherent + curve.noise)
 
 
-# The closed forms that take a time argument t: a number or a 1-d array of finite times >= 0
+def _no_solve(*args):
+    raise AssertionError("the eigen-solve ran before the time rule")
+
+
+def _bath_decay(t):
+    params = three_line_case()[0]
+    return discrete_bath_decay(cavity_bath(params, 64), params, t)
+
+
+# The closed forms, correlators and bath oracle that take a time argument, and
+# its name: a number or a 1-d array of finite times >= 0
 TIME_FORMS = {
-    "amplitude": lambda t: mode_amplitude(*three_line_case(), t),
-    "occupation": lambda t: occupation(*three_line_case(), FluctuationModel(0.2), t),
-    "noise-occupation": lambda t: dipole_noise_occupation(three_line_case()[0],
-                                                          FluctuationModel(0.2), t),
+    "amplitude": ("t", lambda t: mode_amplitude(*three_line_case(), t)),
+    "occupation": ("t", lambda t: occupation(*three_line_case(), FluctuationModel(0.2), t)),
+    "noise-occupation": ("t", lambda t: dipole_noise_occupation(three_line_case()[0],
+                                                                FluctuationModel(0.2), t)),
+    "bath-decay": ("t", _bath_decay),
+    "two-time-tau": ("tau", lambda tau: two_time_correlation(
+        *three_line_case(), FluctuationModel(0.2), 1.0, tau, "as-written")),
+    "stationary-tau": ("tau", lambda tau: stationary_correlation(
+        *three_line_case(), FluctuationModel(0.2), tau, "as-written")),
 }
 
 
 @pytest.mark.parametrize("t, message", [
-    (-1.0, "t must be nonnegative"),
-    ([0.0, 2.0, -1.0], "t must be nonnegative"),
-    (np.ones((2, 3)), r"t must be a number or a 1-d array, got shape \(2, 3\)"),
+    (-1.0, "must be nonnegative"),
+    ([0.0, 2.0, -1.0], "must be nonnegative"),
+    (np.ones((2, 3)), r"must be a number or a 1-d array, got shape \(2, 3\)"),
     # NaN returned NaN, and inf raised numpy's "invalid value" RuntimeWarning under -W error
-    (np.nan, "t must be finite"),
-    (np.inf, "t must be finite"),
-    ([0.0, np.nan, 2.0], "t must be finite"),
+    (np.nan, "must be finite"),
+    (np.inf, "must be finite"),
+    ([0.0, np.nan, 2.0], "must be finite"),
 ], ids=["negative-number", "negative-point", "two-dimensional", "nan-number", "inf-number",
         "nan-point"])
-@pytest.mark.parametrize("form", TIME_FORMS.values(), ids=TIME_FORMS.keys())
-def test_closed_forms_share_one_time_rule(form, t, message):
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("name, form", TIME_FORMS.values(), ids=TIME_FORMS.keys())
+def test_closed_forms_share_one_time_rule(monkeypatch, name, form, t, message):
+    monkeypatch.setattr(oracle, "_arrowhead_spectrum", _no_solve)
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
         form(t)
+
+
+def test_an_empty_bath_grid_gives_an_empty_series():
+    # it raised IndexError at the horizon check's t[-1]
+    result = _bath_decay(np.array([]))
+    assert result.series.times.size == 0 and result.series.values.size == 0
 
 
 def _one_table_response_sum(params, harmonics, coeffs, t):

@@ -149,32 +149,25 @@ def test_each_determinism_run_builds_every_table(tmp_path, monkeypatch):
 
     config = tmp_path / "correlation.yaml"
     config.write_text(yaml.safe_dump({**SCENARIO, "outputs": ["correlation"]}))
-    tables, decays, per_run = [], [], []
-    shipped_table, shipped_decay, shipped_run = (dipole.phase_table,
-                                                 correlation._decay_table.__wrapped__, runner.run)
+    tables, per_run = [], []
+    shipped_table, shipped_run = dipole.phase_table, runner.run
 
     def counted_table(*args):
         tables.append(args)
         return shipped_table(*args)
 
-    def counted_decay(*args):
-        decays.append(args)
-        return shipped_decay(*args)
-
     def counted_run(*args, **kwargs):
-        before = len(tables), len(decays)
+        before = len(tables)
         manifest = shipped_run(*args, **kwargs)
-        after = len(tables), len(decays)
-        per_run.append((after[0] - before[0], after[1] - before[1]))  # tables, decays built
+        per_run.append(len(tables) - before)  # phase tables built
         return manifest
 
     for module in (cavity, correlation):
         monkeypatch.setattr(module, "phase_table", counted_table)
-    monkeypatch.setattr(correlation._decay_table, "__wrapped__", counted_decay)
     monkeypatch.setattr(runner, "run", counted_run)
     _clear_tables()  # a cold start, as in a fresh process
     assert [r.passed for r in verification.check_determinism(config)] == [True]
-    assert len(per_run) == 2 and per_run[0] == per_run[1] and min(per_run[0]) > 0
+    assert len(per_run) == 2 and per_run[0] == per_run[1] > 0
 
 
 def test_seed_override_changes_only_noise_artifacts(config_path, tmp_path):
@@ -1234,11 +1227,28 @@ def test_run_reports_a_bad_series_cell_under_its_field(tmp_path, capsys, body, m
     assert not out.exists()
 
 
+def _one_period_with(sample: str) -> str:
+    """One drive period that resolves the scenario's comb, with ``sample`` as its fourth sample.
+
+    numpy reads nan and inf as numbers, and the window is one the decomposition takes.
+    """
+    t = np.linspace(0.0, 2 * np.pi, 9)
+    cells = [f"{v:.17g}" for v in np.cos(t)]
+    cells[3] = sample
+    return "t,d\n" + "".join(f"{a:.17g},{v}\n" for a, v in zip(t, cells))
+
+
 UNUSABLE_SERIES = [("t,a,b,c\n0,1,2,3\n1,4,5,6\n", "got 4 columns"),
                    ("t,d\n-1e308,1\n1e308,2\n", "time span must be finite"),
                    ("t,d\n0,1\ninf,2\n", "time span must be finite"),
-                   ("t,re,im\n0,1,0\n1,0.5,4\n2,-0.4,4.5\n", "a dipole series must be real")]
-UNUSABLE_IDS = ["four-columns", "overflowing-span", "infinite-time", "complex"]
+                   ("t,re,im\n0,1,0\n1,0.5,4\n2,-0.4,4.5\n", "a dipole series must be real"),
+                   # each ended in numpy's RuntimeWarnings and "coeffs must be finite"
+                   (_one_period_with("nan"),
+                    f"a dipole series must be finite, got nan at t = {3 * np.pi / 4}"),
+                   (_one_period_with("inf"),
+                    f"a dipole series must be finite, got inf at t = {3 * np.pi / 4}")]
+UNUSABLE_IDS = ["four-columns", "overflowing-span", "infinite-time", "complex", "nan-sample",
+                "inf-sample"]
 
 
 @pytest.mark.parametrize("body, message", UNUSABLE_SERIES, ids=UNUSABLE_IDS)

@@ -180,8 +180,6 @@ KEPT = {
                      _response_forms),
     "comb": Kept(correlation._comb_phases, lambda params, spec, grid: (grid, spec.harmonics()),
                  _correlators),
-    "decay": Kept(correlation._decay_table,
-                  lambda params, spec, grid: (params.omega_q, params.kappa, grid), _correlators),
 }
 each_kept_table = pytest.mark.parametrize("kept", KEPT.values(), ids=KEPT.keys())
 

@@ -297,7 +297,7 @@ def test_invalid_params_rejected():
 @pytest.mark.parametrize("n_max", [3.0, True, "3"], ids=["integral-float", "bool", "text"])
 def test_drive_refuses_a_cutoff_that_is_not_an_integer(n_max):
     # a float cutoff used to pass and fail later, in fourier_decompose's np.empty
-    with pytest.raises(ValueError, match="n_max must be a positive integer"):
+    with pytest.raises(ValueError, match="n_max must be an integer"):
         DriveParams(omega=1.0, n_max=n_max)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -318,10 +319,45 @@ def test_a_point_count_streams_the_arange_grid(t_end):
     assert figure == whole_array_deviation(params, spec, ode)
 
 
+def _no_solve(*args):
+    raise AssertionError("the eigen-solve ran before the count rule")
+
+
+# Each count argument: its name, its least value, and a call that takes it
+COUNTS = {
+    "drive-n_max": ("n_max", 1, lambda n: DriveParams(omega=1.0, n_max=n)),
+    "bath-n_modes": ("n_modes", 2, lambda n: discrete_bath_decay(
+        BathDiscretization(n_modes=n, center=3.0, half_width=4.0, g0=0.01),
+        comb_case()[0], np.linspace(0.0, 10.0, 11))),
+    "walk-seed": ("seed", 0, lambda n: monte_carlo_noise(*mc_setup(), n_trials=4, seed=n)),
+    "walk-n_trials": ("n_trials", 2, lambda n: monte_carlo_noise(*mc_setup(), n_trials=n,
+                                                                 seed=0)),
+    "ode-blocks-n": ("n", 2, lambda n: next(amplitude_ode_blocks(*comb_case(), n))),
+}
+
+
+# n_modes=2.5 and 300.0 ended in numpy's TypeError from np.full, the walk's and the
+# ODE blocks' floats in Python's TypeError, and seed=True was taken
+@pytest.mark.parametrize("make, message", [
+    (lambda least: 2.5, "an integer, got {value!r}"),
+    (lambda least: float(least + 1), "an integer, got {value!r}"),
+    (lambda least: True, "an integer, got {value!r}"),
+    (lambda least: str(least + 1), "an integer, got {value!r}"),
+    (lambda least: least - 1, "at least {least}, got {value}"),
+], ids=["fraction", "integral-float", "bool", "text", "below-least"])
+@pytest.mark.parametrize("name, least, call", COUNTS.values(), ids=COUNTS.keys())
+def test_counts_share_one_rule(monkeypatch, name, least, call, make, message):
+    monkeypatch.setattr(oracle, "_arrowhead_spectrum", _no_solve)
+    value = make(least)
+    expected = f"{name} must be " + message.format(value=value, least=least)
+    with pytest.raises(ValueError, match="^" + re.escape(expected) + "$"):
+        call(value)
+
+
 def test_a_point_count_below_two_is_refused():
     params, spec = comb_case()
     for n in (0, 1):
-        with pytest.raises(ValueError, match=f"needs at least two points, got {n}"):
+        with pytest.raises(ValueError, match=f"n must be at least 2, got {n}"):
             next(amplitude_ode_blocks(params, spec, n))
 
 
@@ -685,7 +721,7 @@ def test_mc_error_contracts():
             monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=4, seed=0)
     with pytest.raises(ValueError, match="step too large"):
         monte_carlo_noise(params, fluct, np.arange(0.0, 10.0, 0.5), n_trials=4, seed=0)
-    with pytest.raises(ValueError, match="seed must be nonnegative"):
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
         monte_carlo_noise(params, fluct, t, n_trials=4, seed=-1)
     for n_trials in (0, 1):  # no mean, or a standard error of 0 and infinite pulls
         with pytest.raises(ValueError, match="n_trials must be at least 2"):
