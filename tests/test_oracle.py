@@ -319,10 +319,6 @@ def test_a_point_count_streams_the_arange_grid(t_end):
     assert figure == whole_array_deviation(params, spec, ode)
 
 
-def _no_solve(*args):
-    raise AssertionError("the eigen-solve ran before the count rule")
-
-
 # Each count argument: its name, its least value, and a call that takes it
 COUNTS = {
     "drive-n_max": ("n_max", 1, lambda n: DriveParams(omega=1.0, n_max=n)),
@@ -347,7 +343,7 @@ COUNTS = {
 ], ids=["fraction", "integral-float", "bool", "text", "below-least"])
 @pytest.mark.parametrize("name, least, call", COUNTS.values(), ids=COUNTS.keys())
 def test_counts_share_one_rule(monkeypatch, name, least, call, make, message):
-    monkeypatch.setattr(oracle, "_arrowhead_spectrum", _no_solve)
+    monkeypatch.setattr(oracle, "_arrowhead_spectrum", None)  # the rule comes before the solve
     value = make(least)
     expected = f"{name} must be " + message.format(value=value, least=least)
     with pytest.raises(ValueError, match="^" + re.escape(expected) + "$"):
