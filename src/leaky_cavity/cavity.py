@@ -91,7 +91,7 @@ def _response_sum(params: CavityParams, harmonics, coeffs, t) -> np.ndarray:
     total = np.empty(t.size, dtype=complex)
     for rows in _phase_row_blocks(t.size, detuning.size):
         block = phase_table(t[rows], detuning)
-        block -= np.exp(-params.kappa * t[rows])[:, None]
+        block.real -= np.exp(-params.kappa * t[rows])[:, None]
         block *= weights
         total[rows] = block.sum(axis=1)
     return total
@@ -108,8 +108,7 @@ def mode_amplitude(params: CavityParams, spectrum: DipoleSpectrum, t):
     # g_q conj(resp) exp(i omega_q t), formed in place in the same order
     out = np.conj(_response_sum(params, spectrum.harmonics(), spectrum.coeffs, t_arr))
     np.multiply(params.g_q, out, out=out)
-    phase = np.multiply(1j * params.omega_q, t_arr)
-    np.multiply(out, np.exp(phase, out=phase), out=out)
+    np.multiply(out, phase_table(t_arr, [params.omega_q])[:, 0], out=out)
     return out if np.ndim(t) else complex(out[0])
 
 

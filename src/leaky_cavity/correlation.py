@@ -79,19 +79,21 @@ def two_time_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     integral evaluated in closed form per line (all N, M cross terms retained),
     and the incoherent dipole-noise term weighted by the convention factor.
     """
+    t_arr = _times(t, "t")
+    if np.ndim(t):
+        raise ValueError(f"t must be one time, got shape {np.shape(t)}")
+    t = float(t_arr[0])
     s, tau, decay = _lag_decay(params, tau_grid, convention)
 
     amp = mode_amplitude(params, spectrum, t)  # <a_q^dagger(t)>
-    coherent_occ = abs(amp) ** 2  # equals the coherent occupation
-    noise_occ = dipole_noise_occupation(params, fluct, t)
+    occ = abs(amp) ** 2 + s * dipole_noise_occupation(params, fluct, t)  # |amp|^2 is coherent
 
     comb = _comb_phases(tau, spectrum.harmonics())
-    weights = line_amplitudes(params, spectrum) * np.exp(-1j * spectrum.harmonics() * t)
+    weights = line_amplitudes(params, spectrum) * phase_table(-spectrum.harmonics(), [t])[:, 0]
     drive = np.empty(tau.size, dtype=complex)  # in row blocks, each bit as in one product
     for rows in _phase_row_blocks(tau.size, weights.size):
         drive[rows] = (comb[rows] - decay[rows, None]) @ weights
-    values = decay * (coherent_occ + s * noise_occ) + amp * drive
-    return CorrelationSeries(tau=tau, values=values, convention=convention, t=float(t))
+    return CorrelationSeries(tau=tau, values=decay * occ + amp * drive, convention=convention, t=t)
 
 
 def stationary_correlation(params: CavityParams, spectrum: DipoleSpectrum,
@@ -104,7 +106,6 @@ def stationary_correlation(params: CavityParams, spectrum: DipoleSpectrum,
     scattering, the exponentially decaying term the dipole noise.
     """
     s, tau, decay = _lag_decay(params, tau_grid, convention)
-    weights = _line_weights(params, spectrum)
-    lines = _comb_phases(tau, spectrum.harmonics()) @ weights
+    lines = _comb_phases(tau, spectrum.harmonics()) @ _line_weights(params, spectrum)
     values = lines + s * noise_saturation(params, fluct) * decay
     return CorrelationSeries(tau=tau, values=values, convention=convention, t=None)

@@ -61,6 +61,8 @@ def _count(value, name: str, least: int) -> int:
 
 def _times(t, name: str) -> np.ndarray:
     """A time argument ``name``, a number or a 1-d array of finite times >= 0, as a 1-d array."""
+    if np.asarray(t).dtype == bool:
+        raise ValueError(f"{name} must be a time, got a boolean")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if t_arr.ndim > 1:
         raise ValueError(f"{name} must be a number or a 1-d array, got shape {t_arr.shape}")
@@ -83,6 +85,11 @@ def phase_table(t, freqs) -> np.ndarray:
     An infinite product gives nan with numpy's "invalid value" RuntimeWarning.
     A table kept by ``_last_table`` to be shared across calls (the correlators'
     comb table) is read-only, and its users subtract from it into a new array.
+    It is the package's one exp(i theta) of a real array theta: one-column
+    tables give the phase factors of ``mode_amplitude``, the two-time
+    correlator, the WKT and verify's random lines.  The lag decay
+    exp(-(i omega_q + kappa) tau) stays a complex exp: exp(-kappa tau) times
+    this table would not keep its bits.
     """
     t = np.ravel(np.asarray(t, dtype=float))
     table = np.empty((t.size, np.size(freqs)), dtype=complex)

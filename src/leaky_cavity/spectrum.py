@@ -14,7 +14,7 @@ import numpy as np
 
 from .cavity import CavityParams, _line_weights, noise_saturation
 from .correlation import CorrelationSeries, tag_factor
-from .dipole import DipoleSpectrum, FluctuationModel, uniform_steps
+from .dipole import DipoleSpectrum, FluctuationModel, phase_table, uniform_steps
 
 # Normalization tag -> factor on the continuum and the fluctuation power.
 NORMALIZATIONS = {"as-written": 1.0, "wkt-consistent": 1.0 / np.pi}
@@ -122,8 +122,7 @@ def spectrum_from_correlation(series: CorrelationSeries, omega_grid) -> np.ndarr
     if not series.stationary:
         raise ValueError("spectrum_from_correlation requires a stationary series")
     tau = series.tau
-    dtau = uniform_steps(tau, "tau")
-    weights = np.full(tau.size, dtau[0])
+    weights = np.full(tau.size, uniform_steps(tau, "tau")[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
     omega = np.asarray(omega_grid, dtype=float)
@@ -131,8 +130,8 @@ def spectrum_from_correlation(series: CorrelationSeries, omega_grid) -> np.ndarr
     n, m = tau.size, omega.size
     a = (omega[-1] - omega[0]) / (m - 1) * (tau[-1] - tau[0]) / (n - 1)
     # exp(i omega_k tau_j) = exp(i omega_0 tau_j) exp(i (omega_k - omega_0) tau_0) exp(i a k j)
-    half = np.exp(0.5j * a * np.arange(max(n, m)) ** 2)
-    u = series.values * weights * np.exp(1j * omega[0] * tau) * half[:n]
+    half = phase_table(np.arange(max(n, m)) ** 2, [0.5 * a])[:, 0]
+    u = series.values * weights * phase_table(tau, [omega[0]])[:, 0] * half[:n]
     chirp = np.conj(np.concatenate([half[n - 1:0:-1], half[:m]]))
-    phase = np.exp(1j * (omega - omega[0]) * tau[0]) * half[:m]
+    phase = phase_table(omega - omega[0], [tau[0]])[:, 0] * half[:m]
     return (phase * np.convolve(chirp, u, "valid")).real / np.pi

@@ -24,7 +24,7 @@ from . import runner
 from .artifacts import RelativeDeviation, bath_deviation, judged_ode_blocks, noise_pulls, pull
 from .cavity import CavityParams, occupation, occupation_longtime
 from .correlation import stationary_correlation
-from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, _clear_tables
+from .dipole import DipoleSpectrum, DriveParams, FluctuationModel, _clear_tables, phase_table
 from .oracle import BATH_KAPPA_T, NOISE_KAPPA_TAU, amplitude_ode_points, bath_times, cavity_bath, \
     discrete_bath_decay, monte_carlo_noise, noise_step, noise_times
 from .scenario import load_scenario
@@ -62,9 +62,8 @@ def _random_scenario(rng) -> tuple[CavityParams, DipoleSpectrum]:
     n_lines = int(rng.integers(1, 6))
     drive = DriveParams(omega=1.0, n_max=n_lines)
     coeffs = np.zeros(n_lines + 1, dtype=complex)
-    coeffs[1:] = rng.uniform(0.1, 1.0, n_lines) * np.exp(
-        2j * np.pi * rng.uniform(size=n_lines)
-    )
+    amplitudes = rng.uniform(0.1, 1.0, n_lines)  # drawn before the phases
+    coeffs[1:] = amplitudes * phase_table(rng.uniform(size=n_lines), [2.0 * np.pi])[:, 0]
     spectrum = DipoleSpectrum(drive=drive, coeffs=coeffs)
     params = CavityParams(
         omega_q=float(rng.integers(1, 10)),
@@ -144,11 +143,7 @@ def check_qrt_convention(bundle):
 def check_longtime_limit():
     """Criterion 4: stationary occupation vs the period-averaged finite-time formula."""
     drive = DriveParams(omega=1.0, n_max=5)
-    coeffs = np.zeros(6, dtype=complex)
-    coeffs[1] = 0.9
-    coeffs[3] = 0.4 * np.exp(0.7j)
-    coeffs[5] = 0.15
-    spectrum = DipoleSpectrum(drive=drive, coeffs=coeffs)
+    spectrum = DipoleSpectrum(drive=drive, coeffs=[0.0, 0.9, 0.0, 0.4 * np.exp(0.7j), 0.0, 0.15])
     params = CavityParams(omega_q=3.0, g_q=0.05, kappa=0.1)
     fluct = FluctuationModel(delta=0.2)
     t0 = 30.0 / params.kappa
@@ -168,11 +163,7 @@ def check_spectrum_round_trip():
     drive = DriveParams(omega=1.0, n_max=3)
     # comparable line weights: a finite-window transform has limited dynamic
     # range, so a 50x weaker neighbor would drown in the strong line's sinc tail
-    coeffs = np.zeros(4, dtype=complex)
-    coeffs[1] = 0.9
-    coeffs[2] = 0.1 * np.exp(0.4j)
-    coeffs[3] = 1.0
-    spectrum = DipoleSpectrum(drive=drive, coeffs=coeffs)
+    spectrum = DipoleSpectrum(drive=drive, coeffs=[0.0, 0.9, 0.1 * np.exp(0.4j), 1.0])
     dtau = 0.01 / kappa
     tau = np.arange(0.0, 30.0 / kappa + dtau / 2, dtau)
 

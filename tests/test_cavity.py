@@ -130,6 +130,26 @@ def test_longtime_matches_period_average():
     assert average == pytest.approx(occupation_longtime(params, spec, fluct), rel=1e-3)
 
 
+@pytest.mark.parametrize("coeffs, omega_q, kappa", [
+    ([0.0, 0.375, 0.0, 0.125], 3.0, 0.25),
+    ([0.3, 0.375, 0.2j, 0.125], 2.5, 0.2),
+], ids=["shipped-comb", "dc-line"])
+def test_coherent_power_is_the_oracle_period_mean(coeffs, omega_q, kappa):
+    # the ODE oracle on whole drive periods, each step at most the oracle's, past kappa t = 30:
+    # its last period's mean of |alpha|^2 is the power of the lines
+    spec = DipoleSpectrum(drive=DriveParams(omega=1.0, n_max=3), coeffs=coeffs)
+    params = CavityParams(omega_q=omega_q, g_q=0.05, kappa=kappa)
+    period = spec.drive.period
+    steps = int(np.ceil(period / oracle.amplitude_ode_step(params, spec)))
+    periods = int(np.ceil(30.0 / (kappa * period))) + 1
+    ode = integrate_amplitude_ode(params, spec, np.arange(periods * steps + 1) * (period / steps))
+    mean = np.mean(np.abs(ode.values[-steps:]) ** 2)
+    no_noise = FluctuationModel(0.0)
+    assert mean == pytest.approx(spectrum.integrated_power(params, spec, no_noise).p_coherent,
+                                 rel=1e-8)
+    assert mean == pytest.approx(occupation_longtime(params, spec, no_noise), rel=1e-8)
+
+
 def test_noise_occupation_half_life_value():
     params = CavityParams(omega_q=1.0, g_q=1.0, kappa=0.1)
     fluct = FluctuationModel(0.2)
@@ -179,6 +199,8 @@ TIME_FORMS = {
     "noise-occupation": ("t", lambda t: dipole_noise_occupation(three_line_case()[0],
                                                                 FluctuationModel(0.2), t)),
     "bath-decay": ("t", _bath_decay),
+    "two-time-t": ("t", lambda t: two_time_correlation(
+        *three_line_case(), FluctuationModel(0.2), t, [0.0, 1.0], "as-written")),
     "two-time-tau": ("tau", lambda tau: two_time_correlation(
         *three_line_case(), FluctuationModel(0.2), 1.0, tau, "as-written")),
     "stationary-tau": ("tau", lambda tau: stationary_correlation(
@@ -194,13 +216,25 @@ TIME_FORMS = {
     (np.nan, "must be finite"),
     (np.inf, "must be finite"),
     ([0.0, np.nan, 2.0], "must be finite"),
+    # taken as t = 1
+    (True, "must be a time, got a boolean"),
 ], ids=["negative-number", "negative-point", "two-dimensional", "nan-number", "inf-number",
-        "nan-point"])
+        "nan-point", "boolean"])
 @pytest.mark.parametrize("name, form", TIME_FORMS.values(), ids=TIME_FORMS.keys())
 def test_closed_forms_share_one_time_rule(monkeypatch, name, form, t, message):
     monkeypatch.setattr(oracle, "_arrowhead_spectrum", None)  # the rule comes before the solve
     with pytest.raises(ValueError, match=f"^{name} {message}"):
         form(t)
+
+
+# one point raised TypeError after the whole correlator was formed, two numpy's broadcast error
+@pytest.mark.parametrize("t", [np.array([1.0]), np.array([1.0, 2.0]), [1.0]],
+                         ids=["one-point", "two-points", "list"])
+def test_two_time_correlation_takes_one_reference_time(monkeypatch, t):
+    monkeypatch.setattr(correlation, "mode_amplitude", None)  # refused before any work
+    with pytest.raises(ValueError, match=rf"^t must be one time, got shape \({len(t)},\)$"):
+        two_time_correlation(*three_line_case(), FluctuationModel(0.2), t, [0.0, 1.0],
+                             "as-written")
 
 
 def test_an_empty_bath_grid_gives_an_empty_series():

@@ -282,7 +282,8 @@ def test_detuning_scan_builds_each_phase_table_once(monkeypatch):
     rows = {cavity: 0, correlation: 0}
     for module in rows:
         def counting(t, freqs, module=module, build=module.phase_table):
-            rows[module] += np.size(t)
+            if np.size(freqs) > 1:  # a comb or response table, not a one-column phase factor
+                rows[module] += np.size(t)
             return build(t, freqs)
         monkeypatch.setattr(module, "phase_table", counting)
     _, spec, fluct = comb_case()
