@@ -38,12 +38,15 @@ def require_finite(params) -> None:
 
 def uniform_steps(times, name: str = "time") -> np.ndarray:
     """Steps of an increasing uniform grid of at least two points; raises ValueError otherwise."""
-    steps = np.diff(times)
+    with np.errstate(over="ignore"):  # a step beyond the float range is inf, refused below
+        steps = np.diff(times)
     if steps.size == 0:
         raise ValueError(f"{name} grid is not uniform")
     low, high = steps.min(), steps.max()
     if not low > 0:  # NaN too
         raise ValueError(f"{name} grid must be increasing")
+    if not math.isfinite(high):
+        raise ValueError(f"{name} grid steps must be finite")
     # max |step - steps[0]|, as rounding keeps the order of the steps
     if max(high - steps[0], steps[0] - low) > _UNIFORM_RTOL * steps[0]:
         raise ValueError(f"{name} grid is not uniform")

@@ -32,16 +32,14 @@ MIN_TRIALS = 2
 # Monte-Carlo trials drawn and filtered together.  It bounds memory; results
 # agree to rounding, as the per-chunk sums over trials reassociate.
 _MC_CHUNK = 512
-# Steps per block of the Monte-Carlo recursion (one GEMM row) and blocks per
-# slab, whose pick blocks' |d|^2 one GEMV sums over trials.  Like _MC_CHUNK,
-# they bound work and memory; results agree to rounding.
+# Steps per block of the Monte-Carlo recursion (one GEMM row).  Like _MC_CHUNK,
+# it bounds work and memory; results agree to rounding.
 _MC_BLOCK = 16
-_MC_SLAB_BLOCKS = 16
-# Slabs of normals drawn per trial at a time: the draw tile holds
-# _MC_CHUNK x (4 x 256) floats (4 MB) whatever the walk's length.  Drawing a
-# generator's stream in pieces gives the same normals, so results do not
-# depend on it.
-_MC_TILE_SLABS = 4
+# Blocks of normals drawn per trial at a time, an even number so no aligned
+# pair of blocks straddles two tiles: the draw tile holds _MC_CHUNK x (64 x 16)
+# floats (4 MB) whatever the walk's length.  Drawing a generator's stream in
+# pieces gives the same normals, so results do not depend on it.
+_MC_TILE_BLOCKS = 64
 
 
 def _rk4_transfer(lam: complex, h: float):
@@ -66,12 +64,13 @@ def _scan(r: complex, forcing: np.ndarray, z: complex = 0j) -> np.ndarray:
     return states
 
 
-def _vacuum_step(t: np.ndarray) -> float:
-    """Step of the uniform grid t, which starts from the vacuum at 0."""
+def _vacuum_step(t_grid):
+    """The uniform grid t_grid, which starts from the vacuum at 0, as a 1-d array, and its step."""
+    t = _times(t_grid, "t")
     h = float(uniform_steps(t, "t")[0])
     if t[0] != 0.0:
         raise ValueError("t grid must start at 0 (vacuum initial condition)")
-    return h
+    return t, h
 
 
 def _rk4_step(params: CavityParams, h: float):
@@ -216,8 +215,7 @@ def integrate_amplitude_ode(params: CavityParams, mean_dipole: DipoleSpectrum,
     scanned in row blocks of the comb's phase tables, so besides the result
     only one block's temporaries are held.
     """
-    t = np.asarray(t_grid, dtype=float)
-    h = _vacuum_step(t)
+    t, h = _vacuum_step(t_grid)
     states = np.zeros(t.size, dtype=complex)
     for rows in _phase_row_blocks(t.size - 1, mean_dipole.coeffs.size):
         block = slice(rows.start, rows.stop + 1)
@@ -273,58 +271,7 @@ def _pick_indices(picks, n_t: int) -> np.ndarray:
         raise ValueError("picks must be sorted and unique")
     if p[0] < 0 or p[-1] >= n_t:
         raise ValueError(f"picks must lie in [0, {n_t - 1}], got {p[0]}..{p[-1]}")
-    return p
-
-
-def _as_slice(index: np.ndarray):
-    """A sorted, unique ``index`` as a slice if it has no gaps, so gathers copy no temporary."""
-    if index[-1] - index[0] == index.size - 1:
-        return slice(int(index[0]), int(index[-1]) + 1)
-    return index
-
-
-def _slab_reads(picked: np.ndarray, snaps: np.ndarray, slab: int, tile: int) -> dict:
-    """What the Monte-Carlo walk forms and reads in each slab that holds a read state.
-
-    State s >= 1 comes out of step s - 1, at position s - 1 - s0 of the slab
-    starting at step s0; state 0 is the vacuum.  Maps each such s0 to
-    (groups, k, k_occ, span, cols): the k blocks to form, of which the first
-    k_occ hold a pick (picks lie at or before t_ref = snaps[0], snapshots at
-    or after it); the slice ``span`` of ``picked`` in the slab and their
-    columns among the states of the pick blocks (None without picks).  The
-    blocks are formed two at a time, the last three when k is odd, so no
-    product has one row unless the slab holds one block and the chunk one
-    trial.  Each group is (sel, n, at, ref, lag_cols, lags): its n blocks as
-    indices into the draw tile (a slice when consecutive), its first column
-    among the slab's formed states, the column of t_ref in it (or None), and
-    the columns of the snapshots at t_ref + tau[lags].
-    """
-    n_l = _MC_BLOCK
-    reads = {}
-    for s0 in slab * np.union1d((picked[picked > 0] - 1) // slab, (snaps - 1) // slab):
-        lo, hi = np.searchsorted(picked, [s0 + 1, s0 + slab + 1])
-        pos = picked[lo:hi] - 1 - s0
-        here = np.flatnonzero((snaps - 1) // slab == s0 // slab)
-        snap_pos = snaps[here] - 1 - s0
-        kind = np.zeros(slab // n_l, dtype=int)  # 2: holds a pick, 1: a snapshot only
-        kind[snap_pos // n_l] = 1
-        kind[pos // n_l] = 2
-        blocks = np.flatnonzero(kind)
-        column = np.empty(kind.size, dtype=int)
-        column[blocks] = n_l * np.arange(blocks.size)
-        cols = _as_slice(column[pos // n_l] + pos % n_l) if hi > lo else None
-        snap_cols = column[snap_pos // n_l] + snap_pos % n_l
-        edges = [*range(0, max(blocks.size - 1, 1), 2), blocks.size]
-        groups = []
-        for g0, g1 in zip(edges, edges[1:]):
-            at = n_l * g0
-            mine = (snap_cols >= at) & (snap_cols < n_l * g1)
-            got, where = here[mine], snap_cols[mine] - at
-            ref = int(got.size > 0 and got[0] == 0)  # here is sorted: t_ref first
-            groups.append((_as_slice(blocks[g0:g1] + s0 % tile // n_l), g1 - g0, at,
-                           where[0] if ref else None, where[ref:], got[ref:] - 1))
-        reads[int(s0)] = (groups, blocks.size, np.count_nonzero(kind == 2), slice(lo, hi), cols)
-    return reads
+    return p.astype(int)
 
 
 def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
@@ -346,24 +293,25 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     The recursion runs in blocks of L steps.  The zero-start end state of every
     block of a draw tile comes from one GEMM of the tile, and a short scan
     turns them into each block's start state (its carry).  States are formed
-    only in the blocks that hold a read state (a pick, t_ref or t_ref + tau):
-    a slab's blocks, with their carries as two extra columns, are gathered two
-    or three at a time and multiplied by ``_block_propagator`` in a real GEMM.
-    The |d|^2 of a slab's pick blocks fill one buffer, summed over trials by
-    GEMVs with a ones vector, and each snapshot's product with conj d(t_ref)
-    joins the two-time sums as soon as it is formed.  Each trial's generator
-    stays open across its chunk and fills one row of a fixed draw tile at a
-    time, so memory grows with the walk only through the sums at the picks.
+    only in the aligned pairs of blocks that hold a read state (a pick, t_ref
+    or t_ref + tau): a pair's two blocks, with their carries as two extra
+    columns, are multiplied by ``_block_propagator`` in one real GEMM, so every
+    product has two rows per trial.  Each statistic is summed over the chunk's
+    trials by numpy row by row over all the pair's 2L states and read at its
+    columns, so a state's sums do not depend on which others are read.  Each
+    trial's generator stays open across its chunk and fills one row of a fixed
+    draw tile at a time, so memory grows with the walk only through the sums
+    at the picks.
     """
-    t = np.asarray(t_grid, dtype=float)
-    h = _vacuum_step(t)
+    t, h = _vacuum_step(t_grid)
     r, c0, cm, c1 = _rk4_step(params, h)
     n_t = t.size
     picked = _pick_indices(picks, n_t)
-    tau = np.asarray([] if tau_grid is None else tau_grid, dtype=float)
-    steps = np.rint(tau / h)
-    # NaN, inf and lags past 2**53 steps fail the first test, before the cast to int
-    if not np.all((steps >= 0) & (steps < 2 ** 53)) or np.any(np.abs(steps * h - tau) > 1e-9 * h):
+    tau = _times([] if tau_grid is None else tau_grid, "tau")
+    with np.errstate(over="ignore"):  # a finite lag can still overflow tau / h
+        steps = np.rint(tau / h)
+    # lags past 2**53 steps, and overflowed ones, fail the first test before the cast to int
+    if not np.all(steps < 2 ** 53) or np.any(np.abs(steps * h - tau) > 1e-9 * h):
         raise ValueError("tau grid points must be nonnegative multiples of the t step")
     tau_steps = steps.astype(int)
     n_steps = n_t - 1 + int(tau_steps.max(initial=0))
@@ -372,36 +320,33 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
     gain = params.g_q * (c0 + cm + c1)  # constant forcing over each step
 
     n_l = _MC_BLOCK
+    pair = 2 * n_l
     prop = _block_propagator(r, sigma * gain)  # takes the raw standard-normal draws
     # Zero-start state at each block end.  Column-major, the product takes one
     # BLAS kernel whatever the tile's height; a row-major copy switches kernels
     # with the height and moves last bits.
     end_prop = np.asfortranarray(prop[:n_l, -2:])
     r_block = r ** n_l
-    n_blocks = min(_MC_SLAB_BLOCKS, -(-n_steps // n_l))
-    slab = n_blocks * n_l
-    n_pad = -(-n_steps // slab) * slab  # the padding steps draw zero noise
-    tile = min(_MC_TILE_SLABS * slab, n_pad)
+    n_pad = -(-n_steps // pair) * pair  # the padding steps draw zero noise
+    tile = min(_MC_TILE_BLOCKS * n_l, n_pad)
 
-    # Read: the picked states, then t_ref and t_ref + tau.
+    # Read: the picks and, with lags, t_ref and t_ref + tau.  State s >= 1 comes
+    # out of step s - 1, at column s - 1 - 2 L p of pair p; state 0 is the
+    # vacuum, whose sums stay 0.
     ref_index = n_t - 1
-    snaps = np.concatenate([[ref_index], ref_index + tau_steps])
-    reads = _slab_reads(picked, snaps, slab, tile)
+    snaps = ref_index + tau_steps
+    reads = [picked[picked > 0], snaps, [ref_index]] if snaps.size else [picked[picked > 0]]
+    pairs = np.unique((np.concatenate(reads) - 1) // pair)
 
-    total = np.zeros(picked.size)  # sums over trials at the picks; the vacuum stays 0
+    total = np.zeros(picked.size)  # sums over trials at the picks
     total_sq = np.zeros(picked.size)
     tt_sum = np.zeros(tau_steps.size, dtype=complex)
     tt_sumsq = np.zeros(tau_steps.size)
     rows = min(_MC_CHUNK, n_trials)
     draws = np.empty((rows, tile))
     block_end = np.empty((rows * (tile // n_l), 2))  # then, in place, each block's carry
-    aug = np.empty(rows * 3 * (n_l + 2))  # a group's (up to 3) noise blocks | Re, Im carry
-    states = np.empty(rows * 3 * 2 * n_l)  # Re z, Im z of each state of a group's blocks
-    occ = np.empty(rows * n_l * max((read[2] for read in reads.values()), default=0))  # |z|^2
-    col_sum = np.empty(slab)
-    ones = np.ones(rows)
-    ref = np.empty(rows, dtype=complex)  # conj z(t_ref) of each trial
-    pad = 2 if tau_steps.size > 1 else 1
+    states = np.empty((rows, 2 * pair))  # Re d, Im d of each state of a pair
+    ref = np.empty(rows, dtype=complex)  # conj d(t_ref) of each trial
     for lo in range(0, n_trials, _MC_CHUNK):
         m = min(_MC_CHUNK, n_trials - lo)
         # np.random is reached only here, so only a walk loads numpy.random
@@ -409,6 +354,7 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
         noise = draws[:m]
         noise_blocks = noise.reshape(m, tile // n_l, n_l)
         carries = block_end[:m * (tile // n_l)].view(complex).reshape(m, tile // n_l)
+        out = states[:m]
         z = np.zeros(m, dtype=complex)
         for t0 in range(0, n_pad, tile):
             width = min(tile, n_steps - t0)
@@ -419,40 +365,30 @@ def monte_carlo_noise(params: CavityParams, fluct: FluctuationModel, t_grid,
                       out=block_end[:m * (tile // n_l)])
             for b in range(min(tile, n_pad - t0) // n_l):
                 z, carries[:, b] = r_block * z + carries[:, b], z
-            for s0 in range(t0, min(t0 + tile, n_pad), slab):
-                if s0 not in reads:
-                    continue
-                groups, _, k_occ, span, cols = reads[s0]
-                sq = occ[:m * k_occ * n_l].reshape(m, k_occ * n_l)
-                for sel, n, at, ref_col, lag_cols, lags in groups:
-                    a = aug[:m * n * (n_l + 2)].reshape(m, n, n_l + 2)
-                    a[:, :, :n_l] = noise_blocks[:, sel]
-                    a[:, :, n_l:].view(complex)[..., 0] = carries[:, sel]
-                    out = states[:m * n * 2 * n_l].reshape(m, 2 * n * n_l)
-                    np.matmul(a.reshape(m * n, n_l + 2), prop, out=out.reshape(m * n, 2 * n_l))
-                    if ref_col is not None:
-                        np.conj(out[:, 2 * ref_col] + 1j * out[:, 2 * ref_col + 1], out=ref[:m])
-                    if lags.size:
-                        # The snapshots' products join the two-time sums as they are
-                        # formed.  Numpy sums a single column pairwise and wider ones
-                        # row by row, so a lone lag gets a zero column unless it is
-                        # the only one.
-                        prod = np.zeros((m, max(lags.size, pad)), dtype=complex)
-                        z_lag = out[:, 2 * lag_cols] + 1j * out[:, 2 * lag_cols + 1]
-                        np.multiply(ref[:m, None], z_lag, out=prod[:, :lags.size])
-                        tt_sum[lags] += prod.sum(axis=0)[:lags.size]
-                        moduli = np.abs(prod)
-                        tt_sumsq[lags] += np.square(moduli, out=moduli).sum(axis=0)[:lags.size]
-                    mine = sq[:, at:at + n * n_l]  # |z|^2 of the group's pick blocks
-                    if mine.size:
-                        part = out[:, :2 * mine.shape[1]]
-                        np.square(part, out=part)
-                        np.add(part[:, 0::2], part[:, 1::2], out=mine)
-                if cols is not None:  # one GEMV per sum over the pick blocks' states
-                    col = col_sum[:sq.shape[1]]
-                    total[span] += np.matmul(ones[:m], sq, out=col)[cols]
-                    np.square(sq, out=sq)
-                    total_sq[span] += np.matmul(ones[:m], sq, out=col)[cols]
+            for p in pairs[(pairs >= t0 // pair) & (pairs < (t0 + tile) // pair)]:
+                b, at = 2 * p - t0 // n_l, pair * p + 1  # its first block in the tile, state
+                # each block's noise | Re, Im carry, freed before the sums
+                aug = np.concatenate([noise_blocks[:, b:b + 2],
+                                      carries[:, b:b + 2, None].view(float)], axis=2)
+                np.matmul(aug.reshape(2 * m, n_l + 2), prop, out=out.reshape(2 * m, pair))
+                del aug
+                d = out.view(complex)  # the pair's states
+                if 0 <= ref_index - at < pair:
+                    np.conj(d[:, ref_index - at], out=ref[:m])
+                first, last = np.searchsorted(picked, [at, at + pair])
+                if last > first:
+                    cols = picked[first:last] - at
+                    occ = np.square(out[:, 0::2])
+                    occ += np.square(out[:, 1::2])  # |d|^2
+                    total[first:last] += occ.sum(axis=0)[cols]
+                    total_sq[first:last] += np.square(occ, out=occ).sum(axis=0)[cols]
+                lags = np.flatnonzero((snaps - at) // pair == 0)
+                if lags.size:
+                    cols = snaps[lags] - at
+                    np.multiply(ref[:m, None], d, out=d)  # conj d(t_ref) d
+                    tt_sum[lags] += d.sum(axis=0)[cols]
+                    moduli = np.abs(d)
+                    tt_sumsq[lags] += np.square(moduli, out=moduli).sum(axis=0)[cols]
 
     times = t if picks is None else t[picked]
     mean_occ, stderr_occ = _mean_stderr(total, total_sq, n_trials)

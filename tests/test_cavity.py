@@ -13,7 +13,8 @@ from leaky_cavity.cavity import (
 )
 from leaky_cavity.correlation import stationary_correlation, two_time_correlation
 from leaky_cavity.dipole import DipoleSpectrum, DriveParams, FluctuationModel, phase_table
-from leaky_cavity.oracle import cavity_bath, discrete_bath_decay, integrate_amplitude_ode
+from leaky_cavity.oracle import cavity_bath, discrete_bath_decay, integrate_amplitude_ode, \
+    monte_carlo_noise
 
 
 def three_line_case():
@@ -191,8 +192,8 @@ def _bath_decay(t):
     return discrete_bath_decay(cavity_bath(params, 64), params, t)
 
 
-# The closed forms, correlators and bath oracle that take a time argument, and
-# its name: a number or a 1-d array of finite times >= 0
+# The closed forms, correlators and oracles that take a time argument, and its
+# name: a number or a 1-d array of finite times >= 0
 TIME_FORMS = {
     "amplitude": ("t", lambda t: mode_amplitude(*three_line_case(), t)),
     "occupation": ("t", lambda t: occupation(*three_line_case(), FluctuationModel(0.2), t)),
@@ -205,6 +206,12 @@ TIME_FORMS = {
         *three_line_case(), FluctuationModel(0.2), 1.0, tau, "as-written")),
     "stationary-tau": ("tau", lambda tau: stationary_correlation(
         *three_line_case(), FluctuationModel(0.2), tau, "as-written")),
+    "walk-t": ("t", lambda t: monte_carlo_noise(three_line_case()[0], FluctuationModel(0.2), t,
+                                                n_trials=2, seed=0)),
+    "walk-tau": ("tau", lambda tau: monte_carlo_noise(
+        three_line_case()[0], FluctuationModel(0.2), 0.005 * np.arange(10), tau, n_trials=2,
+        seed=0)),
+    "ode-t": ("t", lambda t: integrate_amplitude_ode(*three_line_case(), t)),
 }
 
 
@@ -222,7 +229,9 @@ TIME_FORMS = {
         "nan-point", "boolean"])
 @pytest.mark.parametrize("name, form", TIME_FORMS.values(), ids=TIME_FORMS.keys())
 def test_closed_forms_share_one_time_rule(monkeypatch, name, form, t, message):
-    monkeypatch.setattr(oracle, "_arrowhead_spectrum", None)  # the rule comes before the solve
+    # the rule comes before the bath's solve and the walk's propagator
+    monkeypatch.setattr(oracle, "_arrowhead_spectrum", None)
+    monkeypatch.setattr(oracle, "_block_propagator", None)
     with pytest.raises(ValueError, match=f"^{name} {message}"):
         form(t)
 

@@ -51,9 +51,9 @@ FULL_OUTPUT_SHA256 = {
     "amplitude_oracle.csv": "fc294b833e2caef35d91f03e7028107c6510883505901abebf38135d6ed7445f",
     "bath_decay.csv": "e02c250a5c78223ed772d76efb66a54d0b5fe38195c510c5ffc5b6bb013b384c",
     "dipole_spectrum.json": "6a1aa7e031aa880e79757b84e02c9b3a8c26c2db3b444589b3511e3387f36fc9",
-    "manifest.json": "f11dbd095c4cd41ec3a65e6ec2ab4f3d92c57b9f1bd701d66e641667185e5e82",
+    "manifest.json": "0484a1fa89d9adbdd1190781985d950a7e07b893741e50c2ab9ecf4761971955",
     "mean_dipole.csv": "970a0d9b137e2e19ff33dae2499331183d7f813f2a92a317ab99d4c825b6046d",
-    "noise_oracle.csv": "57e1fa9a49bb5d68464827281f4cca5df88dfc772b7d06b3375be3ea0729b881",
+    "noise_oracle.csv": "95ed19c08ab62e66dce49dcdb760c6649693c736a4e4935fa87ff9110f9687e5",
     "noise_oracle_two_time.csv":
         "39ad9c8f4e34ae17a369a62576868911e09574229b847afa39eb94af0b0a680a",
     "occupation.csv": "2fe7480582f898917475519d7306e9e483b0f0306a120483775436469b1c7256",

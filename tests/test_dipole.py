@@ -221,7 +221,12 @@ def test_fluctuation_requires_uniform_grid():
     ([3.0, 2.0, 1.0], "omega grid must be increasing"),
     ([1.0, 1.0, 1.0], "omega grid must be increasing"),
     ([0.0, 1.0, 2.0, 1.5], "omega grid must be increasing"),
-], ids=["ragged", "one-point", "uniform-descending", "constant", "turns-back"])
+    # [inf] came back, with numpy's "invalid value" RuntimeWarning from the uniformity check
+    ([0.0, np.inf], "omega grid steps must be finite"),
+    # the step overflowed, with numpy's "overflow" RuntimeWarning
+    ([-1e308, 1e308], "omega grid steps must be finite"),
+], ids=["ragged", "one-point", "uniform-descending", "constant", "turns-back", "infinite-step",
+        "overflowing-step"])
 def test_uniform_steps_names_the_fault(grid, message):
     with pytest.raises(ValueError, match=message):
         uniform_steps(np.array(grid), "omega")

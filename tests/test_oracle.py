@@ -17,8 +17,7 @@ from leaky_cavity.dipole import _PHASE_BLOCK_ELEMENTS, DipoleSpectrum, DrivePara
     FluctuationModel, TimeSeries, _phase_row_blocks, noise_std, uniform_steps
 from leaky_cavity.oracle import (
     _MC_BLOCK,
-    _MC_SLAB_BLOCKS,
-    _MC_TILE_SLABS,
+    _MC_TILE_BLOCKS,
     BathDiscretization,
     _arrowhead_spectrum,
     _digamma,
@@ -92,7 +91,7 @@ def test_a_block_far_from_zero_keeps_its_step():
 
 def three_evaluation_ode(params, spec, t):
     """The amplitude oracle with the drive evaluated at every step's start, middle and end."""
-    h = _vacuum_step(t)
+    h = _vacuum_step(t)[1]
     r, c0, cm, c1 = _rk4_step(params, h)
     states = np.empty(t.size, dtype=complex)
     states[0] = 0j
@@ -185,7 +184,7 @@ def test_ode_of_one_step_takes_both_nodes_from_one_product():
     # midpoint's product has one row; a one-row product may round otherwise.
     params, spec = comb_case()
     t = np.array([0.0, 0.005 / params.omega_q])
-    h = _vacuum_step(t)
+    h = _vacuum_step(t)[1]
     r, c0, cm, c1 = _rk4_step(params, h)
     f0, f1 = spec.positive_frequency_signal(t)
     fm = spec.positive_frequency_signal(t[:1] + h / 2.0)[0]
@@ -496,12 +495,14 @@ def test_mc_is_deterministic_and_chunk_independent():
 
 
 # (n_t, tau lags in steps, trials, picks).  The last state of the walk is
-# always the largest lag.  With 256-step slabs of 16-step blocks, n_t = 257
-# puts t_ref on the last state of the first slab and n_t = 258 on the first of
-# the second; the 2395-step walk covers two 1024-step draw tiles and part of a
-# third.  State s >= 1 is the (s - 1) % 16-th of its block: states 1 and 16
-# open and close the first block, 17 opens the second, 256 closes the first
-# slab and 257 opens the second; state 1024 closes the first draw tile.
+# always the largest lag.  With aligned 32-step pairs of 16-step blocks, n_t =
+# 257 puts t_ref on state 256, which closes the eighth pair and the first
+# 256-step slab of the ids, and n_t = 258 on state 257, which opens the ninth;
+# the 2395-step walk covers two 1024-step draw tiles and part of a third.
+# State s >= 1 is the (s - 1) % 16-th of its block: states 1 and 16 open and
+# close the first block, 17 opens the second, 32 closes the first pair and 33
+# opens the second; state 1024 closes the first draw tile.  513 trials leave a
+# last chunk of one trial, and state 20 lies in the second block of a pair.
 @pytest.mark.parametrize("n_t, lags, n_trials, picks", [
     (1000, [0, 3, 3, 0, 517], 512 + 3, None),
     (2000, [0, 5, 396], 24, None),
@@ -515,13 +516,15 @@ def test_mc_is_deterministic_and_chunk_independent():
     (258, [0, 256, 255], 40, [257]),
     (300, [0, 40], 40, [150]),
     (300, None, 40, [0]),
+    (300, [0, 32, 33, 100], 513, [1, 32, 33, 64, 65]),
+    (300, None, 40, [20]),
 ], ids=["ragged-duplicate-lags-partial-chunk", "spans-draw-tiles", "ref-ends-slab",
         "ref-starts-slab", "no-tau", "one-step", "three-steps",
         "picks-block-and-slab-edges-partial-chunk", "picks-across-draw-tiles",
-        "picks-t-ref-only", "single-pick", "vacuum-pick-only"])
+        "picks-t-ref-only", "single-pick", "vacuum-pick-only",
+        "pair-edges-one-trial-last-chunk", "only-read-in-second-block"])
 def test_mc_slab_recursion_matches_per_step_loop(n_t, lags, n_trials, picks):
-    assert _MC_BLOCK * _MC_SLAB_BLOCKS == 256
-    assert _MC_TILE_SLABS * 256 == 1024
+    assert _MC_BLOCK == 16 and _MC_TILE_BLOCKS * 16 == 1024
     params, fluct, _ = mc_setup()
     h = 0.05
     t = h * np.arange(n_t)
@@ -534,20 +537,41 @@ def test_mc_slab_recursion_matches_per_step_loop(n_t, lags, n_trials, picks):
                              picked)
 
 
-def test_mc_forms_only_the_blocks_that_are_read():
+class CountingNumpy:
+    """numpy, but counting the products with the walk's pair propagator."""
+
+    def __init__(self):
+        self.pair_products = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, x, y, **kwargs):
+        self.pair_products += y.shape == (_MC_BLOCK + 2, 2 * _MC_BLOCK)
+        return np.matmul(x, y, **kwargs)
+
+
+def test_mc_forms_only_the_blocks_that_are_read(monkeypatch):
     # verify's ensemble: 20 picks on 10 001 points and 151 snapshots 10 steps
-    # apart from t_ref, an 11 500-step walk of 719 blocks
-    n_t = 10_001
-    picks = np.unique(np.linspace(1, n_t - 1, 20).astype(int))
-    snaps = n_t - 1 + np.concatenate([[0], 10 * np.arange(151)])
-    reads = oracle._slab_reads(picks, snaps, 256, 1024)
-    assert sum(k for _, k, *_ in reads.values()) == 114
-    assert sum(k_occ for _, _, k_occ, *_ in reads.values()) == 20
-    every = oracle._slab_reads(np.arange(n_t), snaps, 256, 1024)
-    assert sum(k for _, k, *_ in every.values()) == 719
+    # apart from t_ref, an 11 500-step walk of 719 blocks in 360 aligned pairs.
+    # State s >= 1 lies in pair (s - 1) // 32, and the walk forms each pair
+    # that holds a read state once and no other.
+    params, fluct, t, tau, picks = verify_walk()
+    snaps = t.size - 1 + 10 * np.arange(tau.size)
+    counting = CountingNumpy()
+    monkeypatch.setattr(oracle, "np", counting)
+    for reads, pairs in ((picks, 67), (np.arange(t.size), 360)):
+        held = np.unique((np.concatenate([reads[reads > 0], snaps]) - 1) // 32)
+        assert held.size == pairs
+        counting.pair_products = 0
+        monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=2, seed=1, picks=reads)
+        assert counting.pair_products == pairs
 
 
 def test_mc_picks_none_is_every_point():
+    # A pick's sums are the every-point walk's read at its column, bit for bit,
+    # whichever other states are read: on pair edges (states 32, 33), tile
+    # edges (1024, 1025, 2048) and verify's 20 picks.
     params, fluct, _ = mc_setup()
     t = 0.05 * np.arange(700)
     tau = 0.05 * np.array([0.0, 30.0, 300.0])
@@ -558,20 +582,30 @@ def test_mc_picks_none_is_every_point():
     for a, b in zip(ensemble_arrays(every), ensemble_arrays(picked)):
         assert np.array_equal(a, b)
 
+    params, fluct, t, tau, verify_picks = verify_walk()
+    every = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=515, seed=6)
+    edges = np.array([0, 1, 31, 32, 33, 64, 65, 1023, 1024, 1025, 2048, 2049, 10_000])
+    for picks in (verify_picks, edges):
+        sparse = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=515, seed=6,
+                                   picks=picks)
+        assert np.array_equal(sparse.times, t[picks])
+        for a, b in zip(ensemble_arrays(every), ensemble_arrays(sparse)):
+            assert np.array_equal(a if a.size == b.size else a[picks], b)
+
 
 def ensemble_arrays(ens):
     return (ens.mean_occupation, ens.stderr_occupation, ens.mean_two_time, ens.stderr_two_time)
 
 
 def test_mc_is_independent_of_the_draw_tile(monkeypatch):
-    # 4999 + 700 steps: six 1024-step tiles by default, 23 one-slab tiles
+    # 4999 + 700 steps: six 1024-step tiles by default, 179 tiles of one pair
     params, fluct, _ = mc_setup()
     t = 0.05 * np.arange(5000)
     tau = 0.05 * np.array([0.0, 1.0, 700.0])
     default = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=515, seed=8)
-    monkeypatch.setattr(oracle, "_MC_TILE_SLABS", 1)
-    one_slab = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=515, seed=8)
-    for a, b in zip(ensemble_arrays(default), ensemble_arrays(one_slab)):
+    monkeypatch.setattr(oracle, "_MC_TILE_BLOCKS", 2)
+    one_pair = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=515, seed=8)
+    for a, b in zip(ensemble_arrays(default), ensemble_arrays(one_pair)):
         assert np.array_equal(a, b)
 
 
@@ -623,10 +657,10 @@ def verify_walk():
 
 def test_mc_chunk_heap_with_verify_reads():
     # One 512-trial chunk of verify's walk, 20 picks and 151 snapshots 10 steps
-    # apart.  The walk holds the 4 MB draw tile, the block ends and one group of
-    # two or three read blocks at a time: about 6.1 MB.  The bound fails a walk
-    # that keeps slab-wide state and product buffers and a chunk-wide snapshot
-    # table (10.4 MB).
+    # apart.  The walk holds the 4 MB draw tile, the block ends and one pair of
+    # read blocks with its sums' temporaries at a time: about 5.9 MB.  The bound
+    # fails a walk that keeps slab-wide state and product buffers and a
+    # chunk-wide snapshot table (10.4 MB).
     params, fluct, t, tau, picks = verify_walk()
     monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=4, seed=1, picks=picks)
     tracemalloc.start()
@@ -643,9 +677,9 @@ def test_mc_chunk_heap_with_verify_reads():
 # 2 OpenBLAS threads: one full chunk and one of 88 trials, and a last chunk
 # of one trial.
 @pytest.mark.parametrize("n_trials, digest", [
-    (600, "40ce8e255d9a85b501622662242ac023bc60e2f23ed003486b543fade4008908"),
-    (513, "d7fde109889a118687ce294dfe4c36681704987fed6878ebf784cc5ec1913152"),
-])
+    (600, "85802e63067d74e34c75727477d619af67789007fb61418caecf47e0dba187ac"),
+    (513, "c00e3931c6254564c8bef9ddeb0c435029d652028937055909ab48bde5d1fbf4"),
+], ids=["600-trials", "513-trials"])
 def test_mc_bytes_on_verify_reads_are_pinned(n_trials, digest):
     params, fluct, t, tau, picks = verify_walk()
     ens = monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=n_trials, seed=1234,
@@ -654,7 +688,7 @@ def test_mc_bytes_on_verify_reads_are_pinned(n_trials, digest):
 
 
 def test_mc_bytes_with_lone_lags_are_pinned():
-    # Lags 16 steps apart leave a single snapshot in some groups of read
+    # Lags 16 steps apart leave a single snapshot in some pairs of read
     # blocks; numpy must still sum its products row by row.
     params, fluct, _ = mc_setup()
     t = 0.05 * np.arange(3000)
@@ -662,7 +696,7 @@ def test_mc_bytes_with_lone_lags_are_pinned():
     ens = monte_carlo_noise(params, fluct, t, tau_grid=0.05 * np.arange(0.0, 800.0, 16.0),
                             n_trials=513, seed=8, picks=picks)
     assert ensemble_digest(ens) == \
-        "e3c16d921b7ec33147a4933053a74e920dfb3ec6cec3321ac9b9102883d72847"
+        "addbea8b09a21454b256bf6e4bcbf27879ed43861f33150cd989f84bfad51e90"
 
 
 def ensemble_digest(ens):
@@ -711,9 +745,14 @@ def test_mc_error_contracts():
     params, fluct, t = mc_setup()
     with pytest.raises(ValueError, match="start at 0"):
         monte_carlo_noise(params, fluct, t + 1.0, n_trials=4, seed=0)
-    # NaN and inf raised numpy's "invalid value encountered in cast" under -W error
-    for tau in ([0.0, 0.07], [0.0, np.nan], [0.0, np.inf], [0.0, 1e300]):
+    # a lag of 1.5e308 overflowed tau / h, numpy's RuntimeWarning under -W error
+    for tau in ([0.0, 0.07], [0.0, 1e300], [0.0, 1.5e308]):
         with pytest.raises(ValueError, match="multiples of the t step"):
+            monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=4, seed=0)
+    # NaN and inf raised numpy's "invalid value encountered in cast" under -W error;
+    # the time rule of every closed form refuses them first
+    for tau in ([0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="^tau must be finite$"):
             monte_carlo_noise(params, fluct, t, tau_grid=tau, n_trials=4, seed=0)
     with pytest.raises(ValueError, match="step too large"):
         monte_carlo_noise(params, fluct, np.arange(0.0, 10.0, 0.5), n_trials=4, seed=0)

@@ -216,6 +216,10 @@ def test_transform_requires_uniform_omega_grid():
         spectrum_from_correlation(series, [1.0, 1.1, 1.3])
     with pytest.raises(ValueError, match="omega grid must be increasing"):
         spectrum_from_correlation(series, [3.0, 2.0, 1.0])
+    # both returned [nan nan], with 6 and 12 RuntimeWarnings
+    for omega in ([0.0, np.inf], [-1e308, 1e308]):
+        with pytest.raises(ValueError, match="^omega grid steps must be finite$"):
+            spectrum_from_correlation(series, omega)
 
 
 def test_transform_error_contracts():
